@@ -20,7 +20,7 @@
 //!   and then exchange data until range loss trips the supervision
 //!   timeout.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use desim::compose::SubScheduler;
 use desim::{EventId, SimDuration, SimRng, SimTime};
@@ -351,11 +351,6 @@ struct SkipChain {
     /// The phase's first slot pair; later pairs were naively scheduled
     /// one `SLOT_PAIR` before they fire.
     first_pair: SimTime,
-    /// Instant the pending `event` fires at (`MAX` while dormant). A
-    /// re-aim that lands on the same instant keeps the existing event:
-    /// rescheduling would assign a fresh queue sequence number and could
-    /// reorder the `InqTx` against other events of that instant.
-    aimed_at: SimTime,
 }
 
 struct SlaveDev {
@@ -398,57 +393,94 @@ impl SlaveDev {
     }
 }
 
-/// Per-master slave coverage, one bit per (master, slave) pair packed
-/// into `u64` words. Replaces a hashed pair-set: the hot inquiry loop
-/// tests and iterates coverage with shifts and `trailing_zeros` instead
-/// of per-probe hashing.
+/// A set of `(row, column)` index pairs, one bit per pair packed into
+/// `u64` words per row. Hot loops test and iterate it with shifts and
+/// `trailing_zeros`, without hashing or tree walks, and iterating a
+/// row's words visits its columns in ascending order — the order the
+/// determinism of the RNG draws and wake-ups relies on.
+#[derive(Default)]
+struct PairBits {
+    /// `rows[r]` is row `r`'s column bitset, grown on demand.
+    rows: Vec<Vec<u64>>,
+}
+
+impl PairBits {
+    /// Adds the pair; returns `true` if it was absent.
+    fn insert(&mut self, r: usize, c: usize) -> bool {
+        if self.rows.len() <= r {
+            self.rows.resize_with(r + 1, Vec::new);
+        }
+        let row = &mut self.rows[r];
+        let w = c / 64;
+        if row.len() <= w {
+            row.resize(w + 1, 0);
+        }
+        let bit = 1u64 << (c % 64);
+        let absent = row[w] & bit == 0;
+        row[w] |= bit;
+        absent
+    }
+
+    fn remove(&mut self, r: usize, c: usize) {
+        if let Some(word) = self.rows.get_mut(r).and_then(|row| row.get_mut(c / 64)) {
+            *word &= !(1u64 << (c % 64));
+        }
+    }
+
+    #[inline]
+    fn contains(&self, r: usize, c: usize) -> bool {
+        self.rows
+            .get(r)
+            .and_then(|row| row.get(c / 64))
+            .is_some_and(|&word| word >> (c % 64) & 1 == 1)
+    }
+
+    /// Number of words in row `r`.
+    #[inline]
+    fn row_words(&self, r: usize) -> usize {
+        self.rows.get(r).map_or(0, Vec::len)
+    }
+
+    /// Word `w` of row `r` (0 when out of bounds).
+    #[inline]
+    fn word(&self, r: usize, w: usize) -> u64 {
+        self.rows
+            .get(r)
+            .and_then(|row| row.get(w))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+    }
+}
+
+/// Radio coverage as a (master, slave) pair bitset, kept twice: by master
+/// for the inquiry loops that walk one master's slaves, and transposed,
+/// by slave, for the wake-ups that walk the masters covering one slave.
 #[derive(Default)]
 struct RangeMatrix {
-    /// `words[m]` is master `m`'s slave bitset, grown on demand.
-    words: Vec<Vec<u64>>,
+    /// Row `m` holds the slaves in master `m`'s coverage.
+    by_master: PairBits,
+    /// Row `sl` holds the masters covering slave `sl`.
+    by_slave: PairBits,
 }
 
 impl RangeMatrix {
     fn insert(&mut self, m: usize, sl: usize) {
-        if self.words.len() <= m {
-            self.words.resize_with(m + 1, Vec::new);
-        }
-        let row = &mut self.words[m];
-        let w = sl / 64;
-        if row.len() <= w {
-            row.resize(w + 1, 0);
-        }
-        row[w] |= 1u64 << (sl % 64);
+        self.by_master.insert(m, sl);
+        self.by_slave.insert(sl, m);
     }
 
     fn remove(&mut self, m: usize, sl: usize) {
-        if let Some(word) = self.words.get_mut(m).and_then(|row| row.get_mut(sl / 64)) {
-            *word &= !(1u64 << (sl % 64));
-        }
+        self.by_master.remove(m, sl);
+        self.by_slave.remove(sl, m);
     }
 
     #[inline]
     fn contains(&self, m: usize, sl: usize) -> bool {
-        self.words
-            .get(m)
-            .and_then(|row| row.get(sl / 64))
-            .is_some_and(|&word| word >> (sl % 64) & 1 == 1)
-    }
-
-    /// Number of words in master `m`'s row.
-    #[inline]
-    fn row_words(&self, m: usize) -> usize {
-        self.words.get(m).map_or(0, Vec::len)
-    }
-
-    /// Word `w` of master `m`'s row (0 when out of bounds).
-    #[inline]
-    fn word(&self, m: usize, w: usize) -> u64 {
-        self.words
-            .get(m)
-            .and_then(|row| row.get(w))
-            .copied()
-            .unwrap_or(0)
+        self.by_master.contains(m, sl)
     }
 }
 
@@ -510,11 +542,21 @@ pub struct Baseband {
     in_range: RangeMatrix,
     fhs_buckets: FhsBuckets,
     discoveries: Vec<Discovery>,
-    discovered_pairs: BTreeSet<(usize, usize)>,
+    /// (master, slave) pairs with a first discovery since the last reset.
+    discovered_pairs: PairBits,
     /// Ordered map: [`Baseband::active_slaves`] iterates the keys, so
     /// the order must not depend on a hasher (determinism invariant).
     links: BTreeMap<(usize, usize), Link>,
     notifications: Vec<BbNotification>,
+    /// `aims[m]` is the instant master `m`'s pending skip-ahead `InqTx`
+    /// fires at, or `MAX` when the master has no chain or its chain is
+    /// dormant. Kept apart from [`MasterDev`] so `should_defer` finds the
+    /// sibling chains sharing an instant in one scan of a small array.
+    ///
+    /// A re-aim that lands on the same instant keeps the existing event:
+    /// rescheduling would assign a fresh queue sequence number and could
+    /// reorder the `InqTx` against other events of that instant.
+    aims: Vec<SimTime>,
     stats: BbStats,
     started: bool,
     /// Scan rotation shared by all slaves under
@@ -552,9 +594,10 @@ impl Baseband {
             in_range: RangeMatrix::default(),
             fhs_buckets: FhsBuckets::default(),
             discoveries: Vec::new(),
-            discovered_pairs: BTreeSet::new(),
+            discovered_pairs: PairBits::default(),
             links: BTreeMap::new(),
             notifications: Vec::new(),
+            aims: Vec::new(),
             stats: BbStats::default(),
             started: false,
             shared_rot: None,
@@ -591,6 +634,7 @@ impl Baseband {
             page_queue: VecDeque::new(),
             skip: None,
         });
+        self.aims.push(SimTime::MAX);
         MasterId(id)
     }
 
@@ -1006,6 +1050,7 @@ impl Baseband {
             if let Some(ev) = chain.event {
                 s.cancel(ev);
             }
+            self.aims[m] = SimTime::MAX;
         }
         self.masters[m].epoch += 1;
         let epoch = self.masters[m].epoch;
@@ -1045,8 +1090,8 @@ impl Baseband {
                         event: Some(id),
                         entered_at: now,
                         first_pair: first_tx,
-                        aimed_at: first_tx,
                     });
+                    self.aims[m] = first_tx;
                 } else {
                     s.schedule(
                         first_tx,
@@ -1085,7 +1130,7 @@ impl Baseband {
             // This is the chain's own event; its id is spent.
             if let Some(chain) = self.masters[m].skip.as_mut() {
                 chain.event = None;
-                chain.aimed_at = SimTime::MAX;
+                self.aims[m] = SimTime::MAX;
             }
             if self.should_defer(m, now, deferred) {
                 let id = s.schedule(
@@ -1098,7 +1143,7 @@ impl Baseband {
                 );
                 if let Some(chain) = self.masters[m].skip.as_mut() {
                     chain.event = Some(id);
-                    chain.aimed_at = now;
+                    self.aims[m] = now;
                 }
                 return;
             }
@@ -1174,26 +1219,29 @@ impl Baseband {
                 .entered_at,
             m,
         );
-        for other in 0..self.masters.len() {
-            if other == m {
-                continue;
-            }
-            let Some(chain) = self.masters[other].skip.as_ref() else {
-                continue;
-            };
-            if chain.event.is_none() || chain.aimed_at != now {
-                continue;
-            }
-            if (self.naive_arm_instant(other, now), chain.entered_at, other) < key {
-                return true;
+        // Shared instants are rare: a branch-free count over the aims
+        // (which vectorizes) rules most calls out before the ordered
+        // walk. `m`'s own aim was cleared when its event fired.
+        if self.aims.iter().filter(|&&aim| aim == now).count() > 0 {
+            for (other, &aim) in self.aims.iter().enumerate() {
+                if aim != now || other == m {
+                    continue;
+                }
+                let chain = self.masters[other]
+                    .skip
+                    .as_ref()
+                    .expect("an aimed master has a chain");
+                if (self.naive_arm_instant(other, now), chain.entered_at, other) < key {
+                    return true;
+                }
             }
         }
         if deferred {
             return false;
         }
         let naive_sched = key.0;
-        for w in 0..self.in_range.row_words(m) {
-            let mut bits = self.in_range.word(m, w);
+        for w in 0..self.in_range.by_master.row_words(m) {
+            let mut bits = self.in_range.by_master.word(m, w);
             while bits != 0 {
                 let sl = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -1249,14 +1297,14 @@ impl Baseband {
         };
         let from = chain.from;
         let armed = chain.event.is_some();
-        let aimed_at = chain.aimed_at;
+        let aimed_at = self.aims[m];
         let bound = self.masters[m]
             .plan
             .next_boundary(s.now())
             .map_or(SimTime::MAX, |(t, _)| t);
         let mut target = bound;
-        for w in 0..self.in_range.row_words(m) {
-            let mut bits = self.in_range.word(m, w);
+        for w in 0..self.in_range.by_master.row_words(m) {
+            let mut bits = self.in_range.by_master.word(m, w);
             while bits != 0 {
                 let sl = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -1292,9 +1340,9 @@ impl Baseband {
                 }),
             );
             chain.event = Some(id);
-            chain.aimed_at = target;
+            self.aims[m] = target;
         } else {
-            chain.aimed_at = SimTime::MAX;
+            self.aims[m] = SimTime::MAX;
         }
     }
 
@@ -1313,9 +1361,16 @@ impl Baseband {
         if !self.cfg.skip_ahead {
             return;
         }
-        for m in 0..self.masters.len() {
-            if m != tx_master && self.in_range.contains(m, sl) {
-                self.wake_master(s, m);
+        // The transposed coverage row lists the masters covering `sl` in
+        // ascending index order — the order of a scan over all masters.
+        for w in 0..self.in_range.by_slave.row_words(sl) {
+            let mut bits = self.in_range.by_slave.word(sl, w);
+            while bits != 0 {
+                let m = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if m != tx_master {
+                    self.wake_master(s, m);
+                }
             }
         }
     }
@@ -1424,8 +1479,8 @@ impl Baseband {
         // Walk only the slaves in this master's coverage bitset, ascending
         // (same probe order — and therefore RNG draw order — as a linear
         // scan over all slaves).
-        for w in 0..self.in_range.row_words(m) {
-            let mut bits = self.in_range.word(m, w);
+        for w in 0..self.in_range.by_master.row_words(m) {
+            let mut bits = self.in_range.by_master.word(m, w);
             while bits != 0 {
                 let sl = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -1506,7 +1561,7 @@ impl Baseband {
                 slave: SlaveId(sl),
                 at: now,
             });
-            if self.discovered_pairs.insert((m, sl)) {
+            if self.discovered_pairs.insert(m, sl) {
                 let d = Discovery {
                     master: MasterId(m),
                     slave: SlaveId(sl),

@@ -3,11 +3,9 @@
 //! A counting global allocator wraps the system one; after warming the
 //! caller-owned path buffer, a burst of `where_is` queries across the
 //! whole outcome spectrum must not allocate at all. This lives in an
-//! integration test (its own crate root) so the counter only sees this
-//! test's traffic, and outside `bips-core`, which forbids unsafe code.
+//! integration test (its own crate root) outside `bips-core`, which
+//! forbids unsafe code.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bips_core::graph::{PathEngine, PathEngineKind, WsGraph};
@@ -16,38 +14,14 @@ use bips_core::service::{ReadPath, ShardedService, WhereIs};
 use bt_baseband::BdAddr;
 use desim::tracing::Tracer;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers all allocation to the system allocator; the counter is
-// a relaxed atomic increment with no other side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: caller upholds `GlobalAlloc::alloc`'s layout contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded verbatim from our caller.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds `GlobalAlloc::dealloc`'s pointer/layout contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator (which defers to
-        // `System`) with the same `layout`, per the caller's contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: caller upholds `GlobalAlloc::realloc`'s pointer/layout contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout`/`new_size` are forwarded verbatim from
-        // our caller, and `ptr` was allocated by `System` (see `alloc`).
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+/// The benchmark's counting allocator, armed per thread: only the thread
+/// inside `counting::count` counts, so tests running in parallel on
+/// other threads cannot inflate the count.
+#[path = "../src/bin/benchmark/alloc.rs"]
+mod counting;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: counting::Counting = counting::Counting;
 
 const USERS: u64 = 512;
 const CELLS: usize = 64;
@@ -136,14 +110,10 @@ fn assert_zero_alloc_burst(svc: &ShardedService) {
     run_burst(svc, &mut path, &mut answered);
     assert!(answered > 0, "warm-up answered no queries");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    run_burst(svc, &mut path, &mut answered);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), allocs) = counting::count(|| run_burst(svc, &mut path, &mut answered));
     assert_eq!(
-        after - before,
-        0,
-        "steady-state where_is allocated {} times over 400 queries",
-        after - before
+        allocs, 0,
+        "steady-state where_is allocated {allocs} times over 400 queries"
     );
 }
 
@@ -222,14 +192,10 @@ fn dynamic_sparse_warm_tree_queries_do_not_allocate() {
     run_warm_burst(&mut path, &mut answered);
     assert!(answered > 0, "warm-up answered no queries");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    run_warm_burst(&mut path, &mut answered);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), allocs) = counting::count(|| run_warm_burst(&mut path, &mut answered));
     assert_eq!(
-        after - before,
-        0,
-        "warm-tree where_is allocated {} times over 400 queries",
-        after - before
+        allocs, 0,
+        "warm-tree where_is allocated {allocs} times over 400 queries"
     );
 }
 

@@ -14,7 +14,7 @@
 //! the time-windowed queries the paper's spatio-temporal phrasing hints
 //! at.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use bt_baseband::BdAddr;
 use desim::SimTime;
@@ -73,8 +73,13 @@ struct DeviceState {
 #[derive(Debug, Clone)]
 pub struct LocationDb {
     devices: BTreeMap<BdAddr, DeviceState>,
-    history: Vec<PresenceEvent>,
+    /// Ring of the most recent events, oldest at the front. Its capacity
+    /// never exceeds `history_cap` (see [`LocationDb::record`]).
+    history: VecDeque<PresenceEvent>,
     history_cap: usize,
+    /// `cell_counts[c]` is the number of devices present in cell `c`
+    /// (`devices_in(c).len()`), kept by `apply` and `forget`.
+    cell_counts: Vec<usize>,
     stats: DbStats,
 }
 
@@ -103,8 +108,9 @@ impl LocationDb {
         assert!(cap > 0, "zero history capacity");
         LocationDb {
             devices: BTreeMap::new(),
-            history: Vec::new(),
+            history: VecDeque::new(),
             history_cap: cap,
+            cell_counts: Vec::new(),
             stats: DbStats::default(),
         }
     }
@@ -117,6 +123,12 @@ impl LocationDb {
             if let std::collections::btree_map::Entry::Vacant(e) = dev.cells.entry(cell) {
                 e.insert(at);
                 dev.latest = Some((cell, at));
+                if self.cell_counts.len() <= cell {
+                    self.cell_counts.resize(cell + 1, 0);
+                }
+                if let Some(n) = self.cell_counts.get_mut(cell) {
+                    *n += 1;
+                }
                 true
             } else {
                 false
@@ -130,15 +142,15 @@ impl LocationDb {
                     .iter()
                     .max_by_key(|&(_, &since)| since)
                     .map(|(&c, &since)| (c, since));
+                if let Some(n) = self.cell_counts.get_mut(cell) {
+                    *n -= 1;
+                }
             }
             removed
         };
         if changed {
             self.stats.applied += 1;
-            if self.history.len() == self.history_cap {
-                self.history.remove(0);
-            }
-            self.history.push(PresenceEvent {
+            self.record(PresenceEvent {
                 addr,
                 cell,
                 present,
@@ -148,6 +160,20 @@ impl LocationDb {
             self.stats.redundant += 1;
         }
         changed
+    }
+
+    /// Appends to the history ring, evicting the oldest event once
+    /// `history_cap` are held. The ring grows by doubling up to the cap
+    /// and never past it, so a full history holds exactly `history_cap`
+    /// slots rather than the next power of two.
+    fn record(&mut self, event: PresenceEvent) {
+        let h = &mut self.history;
+        if h.len() == self.history_cap {
+            h.pop_front();
+        } else if h.len() == h.capacity() {
+            h.reserve_exact((2 * h.len()).max(4).min(self.history_cap) - h.len());
+        }
+        h.push_back(event);
     }
 
     /// The device's current piconet — the cell of its most recent
@@ -181,8 +207,17 @@ impl LocationDb {
             .collect()
     }
 
-    /// The recorded history (oldest first), for time-windowed queries.
-    pub fn history(&self) -> &[PresenceEvent] {
+    /// Number of devices currently present in `cell`: the length of
+    /// [`devices_in`](LocationDb::devices_in), in O(1).
+    pub fn count_in(&self, cell: CellIndex) -> usize {
+        self.cell_counts.get(cell).copied().unwrap_or(0)
+    }
+
+    /// The recorded history, oldest first, for time-windowed queries: the
+    /// most recent `history_cap` state-changing updates, held in a ring
+    /// (index it, or iterate; it is not one contiguous slice once the
+    /// ring has wrapped).
+    pub fn history(&self) -> &VecDeque<PresenceEvent> {
         &self.history
     }
 
@@ -202,7 +237,13 @@ impl LocationDb {
 
     /// Forgets a device entirely (logout housekeeping).
     pub fn forget(&mut self, addr: BdAddr) {
-        self.devices.remove(&addr);
+        if let Some(dev) = self.devices.remove(&addr) {
+            for &cell in dev.cells.keys() {
+                if let Some(n) = self.cell_counts.get_mut(cell) {
+                    *n -= 1;
+                }
+            }
+        }
     }
 }
 

@@ -900,7 +900,7 @@ impl BipsSystem {
                     touched.sort_unstable();
                     touched.dedup();
                     for cell in touched {
-                        let n = self.server.db().devices_in(cell).len() as f64;
+                        let n = self.server.db().count_in(cell) as f64;
                         self.occupancy[cell].set(now, n);
                     }
                 }

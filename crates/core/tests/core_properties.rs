@@ -2,6 +2,7 @@
 //! totality, tracker diff correctness.
 
 use bips_core::handheld::HandheldMsg;
+use bips_core::locationdb::{LocationDb, PresenceEvent};
 use bips_core::protocol::{LocateOutcome, Notice, Request};
 use bips_core::registry::{AccessRights, Registry};
 use bips_core::workstation::WorkstationTracker;
@@ -203,5 +204,127 @@ proptest! {
         prop_assert_eq!(r.string(), Ok(s));
         prop_assert_eq!(r.bytes(), Ok(blob));
         prop_assert!(r.finish().is_ok());
+    }
+}
+
+/// The obvious `LocationDb`: a history `Vec` evicting with `remove(0)`,
+/// per-device claim lists and per-cell answers by scanning every device.
+#[derive(Default)]
+struct NaiveDb {
+    cap: usize,
+    history: Vec<PresenceEvent>,
+    devices: Vec<NaiveDevice>,
+    applied: u64,
+    redundant: u64,
+}
+
+struct NaiveDevice {
+    addr: u64,
+    /// `(cell, since)` claims in arrival order.
+    claims: Vec<(usize, SimTime)>,
+    /// The current piconet.
+    latest: Option<usize>,
+}
+
+impl NaiveDb {
+    fn device(&mut self, addr: u64) -> &mut NaiveDevice {
+        let i = match self.devices.iter().position(|d| d.addr == addr) {
+            Some(i) => i,
+            None => {
+                self.devices.push(NaiveDevice {
+                    addr,
+                    claims: Vec::new(),
+                    latest: None,
+                });
+                self.devices.len() - 1
+            }
+        };
+        &mut self.devices[i]
+    }
+
+    fn apply(&mut self, dev: u64, cell: usize, present: bool, at: SimTime) {
+        let NaiveDevice { claims, latest, .. } = self.device(dev);
+        let held = claims.iter().position(|&(c, _)| c == cell);
+        let changed = match (present, held) {
+            (true, None) => {
+                claims.push((cell, at));
+                *latest = Some(cell);
+                true
+            }
+            (false, Some(k)) => {
+                claims.remove(k);
+                // Newest remaining claim; equal times go to the larger
+                // cell index.
+                *latest = claims
+                    .iter()
+                    .max_by_key(|&&(c, since)| (since, c))
+                    .map(|&(c, _)| c);
+                true
+            }
+            _ => false,
+        };
+        if changed {
+            self.applied += 1;
+            if self.history.len() == self.cap {
+                self.history.remove(0);
+            }
+            self.history.push(PresenceEvent {
+                addr: BdAddr::new(dev),
+                cell,
+                present,
+                at,
+            });
+        } else {
+            self.redundant += 1;
+        }
+    }
+
+    fn count_in(&self, cell: usize) -> usize {
+        self.devices
+            .iter()
+            .filter(|d| d.claims.iter().any(|&(c, _)| c == cell))
+            .count()
+    }
+}
+
+proptest! {
+    /// `LocationDb` against [`NaiveDb`] under random applies and
+    /// forgets, at history caps small enough that the ring wraps many
+    /// times: history contents and order, per-cell counts, current cells
+    /// and stats all agree.
+    #[test]
+    fn locationdb_matches_naive_model(
+        cap in 1usize..9,
+        ops in proptest::collection::vec((0u8..10, 0u64..5, 0usize..6, any::<bool>()), 1..150)
+    ) {
+        let mut db = LocationDb::with_history_cap(cap);
+        let mut model = NaiveDb { cap, ..NaiveDb::default() };
+        for (i, &(kind, dev, cell, present)) in ops.iter().enumerate() {
+            // Two updates per second, so equal claim times occur.
+            let at = SimTime::from_secs(i as u64 / 2);
+            if kind == 0 {
+                db.forget(BdAddr::new(dev));
+                model.devices.retain(|d| d.addr != dev);
+            } else {
+                db.apply(BdAddr::new(dev), cell, present, at);
+                model.apply(dev, cell, present, at);
+            }
+            let history: Vec<PresenceEvent> = db.history().iter().copied().collect();
+            prop_assert_eq!(&history, &model.history);
+            prop_assert!(db.history().len() <= cap);
+            if let Some(first) = model.history.first() {
+                prop_assert_eq!(&db.history()[0], first);
+            }
+            for c in 0..7 {
+                prop_assert_eq!(db.count_in(c), db.devices_in(c).len());
+                prop_assert_eq!(db.count_in(c), model.count_in(c));
+            }
+            for d in 0..5u64 {
+                let want = model.devices.iter().find(|m| m.addr == d).and_then(|m| m.latest);
+                prop_assert_eq!(db.current_cell(BdAddr::new(d)), want);
+            }
+            let st = db.stats();
+            prop_assert_eq!((st.applied, st.redundant), (model.applied, model.redundant));
+        }
     }
 }

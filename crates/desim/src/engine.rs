@@ -90,24 +90,29 @@ pub trait Observer<E> {
     }
 }
 
-/// One entry in the calendar heap. Ordered by `(at, seq)`: time order
-/// with a FIFO tie-break through the monotone sequence number.
-struct Node<E> {
-    at: SimTime,
-    seq: u64,
-    /// Index of this entry's slab slot (for position bookkeeping).
+/// One entry in the calendar heap: the `(at, seq)` order key packed into
+/// one `u128` — time in the high word, the monotone sequence number in
+/// the low word — so a single integer compare gives time order with a
+/// FIFO tie-break, plus the slab slot that holds the event itself.
+///
+/// Entries are small and `Copy`, so sifts move 32 bytes instead of the
+/// event payload; keys are unique (every schedule takes a fresh `seq`),
+/// so the pop order is the `(at, seq)` total order whatever the heap's
+/// internal layout.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u128,
     slot: u32,
-    event: E,
 }
 
-impl<E> Node<E> {
+impl Entry {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn at(self) -> SimTime {
+        SimTime::ZERO + SimDuration::from_units_0125us((self.key >> 64) as u64)
     }
 }
 
-/// Per-slot slab metadata: where the slot's node currently sits in the
+/// Per-slot slab metadata: where the slot's entry currently sits in the
 /// heap, and a generation tag bumped every time the slot is vacated.
 #[derive(Clone, Copy)]
 struct SlotMeta {
@@ -120,8 +125,8 @@ struct SlotMeta {
 const FREE: u32 = u32::MAX;
 
 /// Branching factor of the calendar heap. A 4-ary layout halves the tree
-/// depth of a binary heap and keeps each node's children in one cache
-/// line, which measurably helps the schedule/pop churn of the hot loop.
+/// depth of a binary heap and keeps a node's children in 128 contiguous
+/// bytes, which measurably helps the schedule/pop churn of the hot loop.
 const ARITY: usize = 4;
 
 /// The engine surface visible to event handlers: the clock, the calendar and
@@ -133,12 +138,17 @@ const ARITY: usize = 4;
 /// pending events, and to draw random values via [`rng`](Context::rng).
 pub struct Context<E> {
     now: SimTime,
-    /// Index-tracked min-heap of pending events (d-ary, see [`ARITY`]).
-    heap: Vec<Node<E>>,
+    /// Index-tracked min-heap of pending event keys (d-ary, see
+    /// [`ARITY`]).
+    heap: Vec<Entry>,
     /// Slab of slot metadata; `heap[slots[s].heap_pos].slot == s` for every
     /// occupied slot `s`. Grows to the high-water mark of simultaneously
     /// pending events and is reused thereafter.
     slots: Vec<SlotMeta>,
+    /// The slab's payload column: `events[s]` is `Some` exactly while slot
+    /// `s` is occupied. Kept apart from `slots` so sifts, which only
+    /// rewrite `heap_pos`, stay within a few cache-resident arrays.
+    events: Vec<Option<E>>,
     /// Vacant slab slots, reused LIFO.
     free: Vec<u32>,
     next_seq: u64,
@@ -151,6 +161,7 @@ impl<E> Context<E> {
             now: SimTime::ZERO,
             heap: Vec::new(),
             slots: Vec::new(),
+            events: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             rng,
@@ -185,20 +196,21 @@ impl<E> Context<E> {
                     generation: 0,
                     heap_pos: FREE,
                 });
+                self.events.push(None);
                 s as u32
             }
         };
-        let generation = self.slots[slot as usize].generation;
-        let pos = self.heap.len();
-        self.heap.push(Node {
-            at,
-            seq,
+        self.events[slot as usize] = Some(event);
+        let units = at.elapsed().div_duration(SimDuration::from_units_0125us(1));
+        let entry = Entry {
+            key: (u128::from(units) << 64) | u128::from(seq),
             slot,
-            event,
-        });
-        self.slots[slot as usize].heap_pos = pos as u32;
-        self.sift_up(pos);
-        EventId::pack(slot, generation)
+        };
+        // Open a hole at the end and let the new entry rise into place.
+        let pos = self.heap.len();
+        self.heap.push(entry);
+        self.sift_up(pos, entry);
+        EventId::pack(slot, self.slots[slot as usize].generation)
     }
 
     /// Schedules `event` after a relative delay from now.
@@ -250,25 +262,26 @@ impl<E> Context<E> {
         &mut self.rng
     }
 
-    /// Restores the heap invariant upward from `pos`, returning the final
-    /// position of the node that started there.
-    fn sift_up(&mut self, mut pos: usize) -> usize {
+    /// Moves the hole at `pos` up past every ancestor that orders after
+    /// `entry`, shifting each such ancestor down one level, then drops
+    /// `entry` into the hole.
+    fn sift_up(&mut self, mut pos: usize, entry: Entry) {
         while pos > 0 {
             let parent = (pos - 1) / ARITY;
-            if self.heap[pos].key() < self.heap[parent].key() {
-                self.heap.swap(pos, parent);
-                self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-                pos = parent;
-            } else {
+            let above = self.heap[parent];
+            if entry.key >= above.key {
                 break;
             }
+            self.place(pos, above);
+            pos = parent;
         }
-        self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-        pos
+        self.place(pos, entry);
     }
 
-    /// Restores the heap invariant downward from `pos`.
-    fn sift_down(&mut self, mut pos: usize) {
+    /// Moves the hole at `pos` down past every smallest child that orders
+    /// before `entry`, shifting each such child up one level, then drops
+    /// `entry` into the hole.
+    fn sift_down(&mut self, mut pos: usize, entry: Entry) {
         let len = self.heap.len();
         loop {
             let first = pos * ARITY + 1;
@@ -276,55 +289,66 @@ impl<E> Context<E> {
                 break;
             }
             let mut best = first;
-            let last = (first + ARITY - 1).min(len - 1);
-            for child in first + 1..=last {
-                if self.heap[child].key() < self.heap[best].key() {
+            let mut best_key = self.heap[first].key;
+            for child in first + 1..(first + ARITY).min(len) {
+                let key = self.heap[child].key;
+                if key < best_key {
                     best = child;
+                    best_key = key;
                 }
             }
-            if self.heap[best].key() < self.heap[pos].key() {
-                self.heap.swap(pos, best);
-                self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-                pos = best;
-            } else {
+            if best_key >= entry.key {
                 break;
             }
+            self.place(pos, self.heap[best]);
+            pos = best;
         }
-        self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
+        self.place(pos, entry);
     }
 
-    /// Removes and returns the node at heap index `pos`, re-heapifying the
-    /// element swapped into its place. Does not touch the removed node's
-    /// slab slot — the caller releases or inspects it.
-    fn remove_at(&mut self, pos: usize) -> Node<E> {
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        let node = self.heap.pop().expect("heap non-empty");
+    /// Writes `entry` at heap index `pos` and records the position in its
+    /// slot.
+    #[inline]
+    fn place(&mut self, pos: usize, entry: Entry) {
+        self.heap[pos] = entry;
+        self.slots[entry.slot as usize].heap_pos = pos as u32;
+    }
+
+    /// Removes and returns the entry at heap index `pos`, refilling the
+    /// hole with the last entry. Does not touch the removed entry's slab
+    /// slot — the caller releases it.
+    fn remove_at(&mut self, pos: usize) -> Entry {
+        let removed = self.heap[pos];
+        let last = self.heap.pop().expect("heap non-empty");
         if pos < self.heap.len() {
-            // The displaced element may belong above or below `pos`.
-            let settled = self.sift_up(pos);
-            if settled == pos {
-                self.sift_down(pos);
+            // The displaced last entry may belong above or below `pos`.
+            if pos > 0 && last.key < self.heap[(pos - 1) / ARITY].key {
+                self.sift_up(pos, last);
+            } else {
+                self.sift_down(pos, last);
             }
         }
-        node
+        removed
     }
 
-    /// Marks `slot` vacant, invalidating all outstanding ids for it.
-    fn release_slot(&mut self, slot: u32) {
+    /// Marks `slot` vacant, invalidating all outstanding ids for it, and
+    /// returns its event.
+    fn release_slot(&mut self, slot: u32) -> E {
         let meta = &mut self.slots[slot as usize];
         meta.generation = meta.generation.wrapping_add(1);
         meta.heap_pos = FREE;
         self.free.push(slot);
+        self.events[slot as usize]
+            .take()
+            .expect("occupied slot holds an event")
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.heap.is_empty() {
             return None;
         }
-        let node = self.remove_at(0);
-        self.release_slot(node.slot);
-        Some((node.at, node.event))
+        let entry = self.remove_at(0);
+        Some((entry.at(), self.release_slot(entry.slot)))
     }
 
     // Debug cannot be derived (events in the calendar need not be Debug),
@@ -337,7 +361,7 @@ impl<E> Context<E> {
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|n| n.at)
+        self.heap.first().map(|e| e.at())
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property tests for the event calendar: ordering, tie-breaking,
 //! cancellation, and run_until partitioning under arbitrary schedules.
 
-use desim::{Context, Engine, SimTime, World};
+use std::collections::BTreeMap;
+
+use desim::{Context, Engine, EventId, SimDuration, SimTime, World};
 use proptest::prelude::*;
 
 #[derive(Default)]
@@ -83,5 +85,58 @@ proptest! {
         parts.run_until(SimTime::from_micros(split));
         parts.run();
         prop_assert_eq!(&whole.world().seen, &parts.world().seen);
+    }
+}
+
+proptest! {
+    /// Differential test of the calendar against an ordered map keyed
+    /// `(at, seq)`: random `schedule_at`, `schedule_now`, `cancel` and
+    /// `step` calls — cancels hitting live, already-run and
+    /// already-cancelled events — pop in the same order, answer every
+    /// cancel the same, keep `pending()` equal to the live count, and
+    /// never hold more slab slots than the most events ever pending at
+    /// once.
+    #[test]
+    fn calendar_matches_ordered_map(
+        ops in proptest::collection::vec((0u8..8, 0u64..40, any::<u64>()), 1..400)
+    ) {
+        let mut e = Engine::new(Recorder::default(), 0);
+        let mut model: BTreeMap<(SimTime, u64), u32> = BTreeMap::new();
+        // Every id handed out, with its model key.
+        let mut issued: Vec<(EventId, (SimTime, u64))> = Vec::new();
+        let mut high_water = 0usize;
+        for (seq, &(kind, delay, pick)) in ops.iter().enumerate() {
+            let seq = seq as u64;
+            match kind {
+                0..=2 => {
+                    let at = e.now() + SimDuration::from_micros(delay);
+                    issued.push((e.schedule(at, seq as u32), (at, seq)));
+                    model.insert((at, seq), seq as u32);
+                }
+                3 => {
+                    let at = e.now();
+                    issued.push((e.context_mut().schedule_now(seq as u32), (at, seq)));
+                    model.insert((at, seq), seq as u32);
+                }
+                4 | 5 if !issued.is_empty() => {
+                    let (id, key) = issued[(pick % issued.len() as u64) as usize];
+                    prop_assert_eq!(e.context_mut().cancel(id), model.remove(&key).is_some());
+                }
+                _ => {
+                    let want = model.pop_first();
+                    prop_assert_eq!(e.step(), want.is_some());
+                    if let Some(((at, _), v)) = want {
+                        prop_assert_eq!(e.world().seen.last(), Some(&(at, v)));
+                    }
+                }
+            }
+            high_water = high_water.max(model.len());
+            prop_assert_eq!(e.context_mut().pending(), model.len());
+            prop_assert!(e.context_mut().calendar_slots() <= high_water);
+        }
+        let rest: Vec<(SimTime, u32)> = model.iter().map(|(&(at, _), &v)| (at, v)).collect();
+        let before = e.world().seen.len();
+        e.run();
+        prop_assert_eq!(&e.world().seen[before..], &rest[..]);
     }
 }
