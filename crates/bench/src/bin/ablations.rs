@@ -95,10 +95,6 @@ fn main() {
             }
             report.section(key, Json::from(rows));
         }
-        report.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
+        telemetry::write_report(&report, &path);
     }
 }

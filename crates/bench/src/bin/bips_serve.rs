@@ -25,9 +25,9 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bips_bench::loadgen::{build_service_with, Mix, Workload};
+use bips_bench::loadgen::{build_service_with, Workload};
 use bips_bench::serve::{Bind, Server};
-use bips_bench::telemetry::take_flag;
+use bips_bench::telemetry::{take_flag, take_mix};
 use bips_core::service::ReadPath;
 
 fn main() {
@@ -36,20 +36,13 @@ fn main() {
     let (args, listen) = take_flag(args, "--listen");
     let (args, uds) = take_flag(args, "--uds");
     let (args, jobs) = take_flag(args, "--jobs");
-    let (args, mix_arg) = take_flag(args, "--mix");
+    let (args, mix) = take_mix(args);
     let (args, mode) = take_flag(args, "--mode");
     if let Some(stray) = args.first() {
         eprintln!("unknown argument: {stray}");
         std::process::exit(2);
     }
 
-    let mix = match &mix_arg {
-        Some(s) => Mix::parse(s).unwrap_or_else(|| {
-            eprintln!("--mix must be one of 80:20, 50:50, 99:1 (got {s})");
-            std::process::exit(2);
-        }),
-        None => Mix::default(),
-    };
     let w = match workload.as_deref().unwrap_or("smoke") {
         "full" => Workload::full(),
         "smoke" => Workload::smoke(),

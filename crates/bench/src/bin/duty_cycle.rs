@@ -79,10 +79,6 @@ fn main() {
             trade.push(row);
         }
         report.section("tradeoff", Json::from(trade));
-        report.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
+        telemetry::write_report(&report, &path);
     }
 }

@@ -1,4 +1,4 @@
-//! Mixed-workload locked-vs-seqlock bench: the `BENCH_PR8.json` gate.
+//! Mixed-workload locked-vs-seqlock bench.
 //!
 //! For every [`Mix`] preset (80:20, 50:50, 99:1 query:update) this
 //! binary measures the engine's two slot-read protocols side by side:
@@ -19,6 +19,10 @@
 //!   protocol actually decides (overall percentiles additionally carry
 //!   coordinated-omission-corrected scheduler noise that hits both
 //!   paths alike).
+//! * **burst model** — [`run_burst_model`] composes measured flush
+//!   holds and the barriered service distribution into a deterministic
+//!   open-loop write-burst tail per path; `speedup.p999_write_burst` is
+//!   locked / seqlock, and the seqlock p999 is the gated tail.
 //!
 //! The seqlock contended run arms the flight recorder's retry-storm
 //! trigger ([`FlightRecorder::with_retry_threshold`]); a query burning
@@ -32,12 +36,22 @@
 //! `--json PATH` writes a `bips-run-report/v1` document with one
 //! section per workload-mix (`full_50_50`, `smoke_99_1`, …; the
 //! default mix keeps bare names). Each section's `sharded` block is
-//! schema-compatible with `server_throughput`'s, so
-//! `server_throughput --mix 50:50 --smoke --check BENCH_PR8.json`
-//! gates its own smoke run against this bench's committed baseline.
-//! `--check FILE` gates barriered seqlock queries/sec (>20% below
-//! baseline fails) and contended seqlock p999 (>20% above baseline
-//! plus a 5 µs jitter floor fails).
+//! schema-compatible with `server_throughput`'s, whose `--check` reads
+//! its tail (and its throughput at non-default mixes) from this
+//! bench's committed `sharded` blocks. `--check FILE` gates each
+//! section it ran against the `mix_throughput` entry of a committed
+//! baseline file (`BENCH.json`; table in
+//! [`bips_bench::gate::mix_throughput`]):
+//!
+//! | field | gate |
+//! |-------|------|
+//! | `burst_model_seqlock.p999_us` | ≤ committed + 20% + 5 µs |
+//! | `sharded.queries_per_sec` | advisory: a warning below committed − 20%, never a failure |
+//!
+//! Throughput is advisory because a smoke query phase is tens of
+//! milliseconds of wall clock, and on shared one-core runners a single
+//! preemption swings it 3x; `server_throughput`'s longer windows carry
+//! the hard throughput gate.
 
 // Bench binary: wall-clock reads feed the perf report, not simulation
 // results.
@@ -46,6 +60,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use bips_bench::gate;
 use bips_bench::loadgen::{
     generate_trace, run_burst_model, run_contended, run_sharded_with, BurstModelResult,
     ContendedResult, Mix, ModeResult, Workload,
@@ -182,61 +197,6 @@ fn print_contended(label: &str, r: &ContendedResult) {
     );
 }
 
-/// Same flat textual extraction as `server_throughput` (documented
-/// schema, no JSON parser needed).
-fn lookup(json: &str, section: &str, path: &[&str]) -> Option<f64> {
-    let mut at = json.find(&format!("\"{section}\""))?;
-    for key in path {
-        at += json[at..].find(&format!("\"{key}\""))?;
-    }
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-struct SectionResult {
-    name: &'static str,
-    sharded: ModeResult,
-    burst_model_seqlock_p999_us: f64,
-}
-
-fn check_against(baseline_json: &str, sections: &[SectionResult]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for s in sections {
-        let name = s.name;
-        // Throughput is advisory here, not gating: a smoke query phase
-        // is tens of milliseconds of wall clock, and on shared one-core
-        // runners a single preemption swings it 3x. The hard qps gate
-        // lives in server_throughput, whose measurement windows are
-        // long enough to average the noise out.
-        if let Some(base_qps) = lookup(baseline_json, name, &["sharded", "queries_per_sec"]) {
-            let qps = s.sharded.queries_per_sec();
-            if qps < base_qps * 0.8 {
-                eprintln!(
-                    "warning: {name}: seqlock throughput {qps:.0} q/s, \
-                     >20% below baseline {base_qps:.0} (advisory, not gated)"
-                );
-            }
-        }
-        // Write-burst tail gate on the deterministic burst model: 20%
-        // over baseline plus a 5 µs jitter floor, the same budget
-        // server_throughput's p999 gate uses.
-        if let Some(base_p999) = lookup(baseline_json, name, &["burst_model_seqlock", "p999_us"]) {
-            let p999 = s.burst_model_seqlock_p999_us;
-            if p999 > base_p999 * 1.2 + 5.0 {
-                violations.push(format!(
-                    "{name}: write-burst p999 {p999:.2} us, >20% above baseline {base_p999:.2} us"
-                ));
-            }
-        }
-    }
-    violations
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
@@ -261,7 +221,7 @@ fn main() {
     report.config("jobs", jobs as u64);
     report.config("readers", readers as u64);
     report.artifact("flight_recorder_dir", FLIGHT_DIR);
-    let mut results: Vec<SectionResult> = Vec::new();
+    let mut rows = Vec::new();
     let mut total_dumps = 0u64;
     for base in bases {
         for mix in Mix::ALL {
@@ -399,36 +359,9 @@ fn main() {
                 .set("burst_model_locked", burst_model_json(&model_lck))
                 .set("speedup", speedup);
             report.section(w.name, section);
-            results.push(SectionResult {
-                name: w.name,
-                sharded,
-                burst_model_seqlock_p999_us: model_seq.hdr.quantile(0.999) as f64 / 1000.0,
-            });
+            rows.extend(gate::mix_throughput(w.name));
         }
     }
     report.artifact("flight_recorder_dumps", total_dumps);
-
-    if let Some(path) = &json_path {
-        report.write_json(path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let violations = check_against(&baseline, &results);
-        if violations.is_empty() {
-            eprintln!("check against {path}: ok");
-        } else {
-            for v in &violations {
-                eprintln!("REGRESSION: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
 }

@@ -26,9 +26,14 @@
 //! `--json PATH` writes a `bips-run-report/v1` document with a section
 //! per workload holding `socket_c{N}` blocks (end-to-end RTT HDR
 //! quantiles — p50/p99/p999 — queries/sec, checksums; schema in
-//! `docs/OBSERVABILITY.md`). `--check FILE` gates end-to-end p99
-//! latency against a committed baseline: more than 20% above the
-//! baseline's `socket_c{N}.p99_us` fails.
+//! `docs/OBSERVABILITY.md`). `--check FILE` gates each `socket_c{N}`
+//! block the run produced against the `net_throughput` entry of a
+//! committed baseline file (`BENCH.json`; table in
+//! [`bips_bench::gate::net_throughput`]):
+//!
+//! | field | gate |
+//! |-------|------|
+//! | `socket_c{N}.p99_us` | ≤ committed + 20% |
 //!
 //! `--connect HOST:PORT` is the two-process mode CI's network smoke
 //! job uses: instead of spawning in-process servers, the client drives
@@ -42,11 +47,12 @@
 
 use std::sync::Arc;
 
+use bips_bench::gate;
 use bips_bench::loadgen::{
-    build_service, generate_trace, run_sharded, run_socket, Dial, Mix, ModeResult, Workload,
+    build_service, generate_trace, run_sharded, run_socket, Dial, ModeResult, Workload,
 };
 use bips_bench::serve::{Bind, Server};
-use bips_bench::telemetry::take_flag;
+use bips_bench::telemetry::{take_flag, take_mix};
 use desim::report::{hdr_json, Json, RunReport};
 
 /// Client connection counts exercised in in-process mode; server flush
@@ -79,48 +85,6 @@ fn print_row(label: &str, r: &ModeResult) {
         hdr.quantile(0.999) as f64 / 1000.0,
         r.query_secs,
     );
-}
-
-/// Same flat textual extraction as `server_throughput` (documented
-/// schema, no JSON parser needed).
-fn lookup(json: &str, section: &str, path: &[&str]) -> Option<f64> {
-    let mut at = json.find(&format!("\"{section}\""))?;
-    for key in path {
-        at += json[at..].find(&format!("\"{key}\""))?;
-    }
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-struct SocketResult {
-    workload_name: &'static str,
-    conns: usize,
-    result: ModeResult,
-}
-
-/// End-to-end p99 gate: each socket config must stay within 20% of the
-/// committed baseline's p99.
-fn check_against(baseline_json: &str, results: &[SocketResult]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for s in results {
-        let key = format!("socket_c{}", s.conns);
-        let Some(base_p99) = lookup(baseline_json, s.workload_name, &[&key, "p99_us"]) else {
-            continue; // baseline lacks this config — nothing to gate on
-        };
-        let p99 = s.result.percentile_us(0.99);
-        if p99 > base_p99 * 1.2 {
-            violations.push(format!(
-                "{}: {key} e2e p99 {p99:.2} us, >20% above baseline {base_p99:.2} us",
-                s.workload_name
-            ));
-        }
-    }
-    violations
 }
 
 /// In-process replay at jobs 1/4/8; all three must agree bit-for-bit.
@@ -168,18 +132,11 @@ fn main() {
     let (args, check_path) = take_flag(args, "--check");
     let (args, connect) = take_flag(args, "--connect");
     let (args, conns_flag) = take_flag(args, "--conns");
-    let (args, mix_arg) = take_flag(args, "--mix");
+    let (args, mix) = take_mix(args);
     let smoke_only = args.iter().any(|a| a == "--smoke");
-    let mix = match &mix_arg {
-        Some(s) => Mix::parse(s).unwrap_or_else(|| {
-            eprintln!("--mix must be one of 80:20, 50:50, 99:1 (got {s})");
-            std::process::exit(2);
-        }),
-        None => Mix::default(),
-    };
 
     let mut report = RunReport::new("net_throughput", Workload::smoke().seed);
-    let mut results: Vec<SocketResult> = Vec::new();
+    let mut rows = Vec::new();
 
     if let Some(addr) = connect {
         // Two-process mode: one run against an external bips-serve.
@@ -215,11 +172,7 @@ fn main() {
         let mut section = Json::object();
         section.set(&format!("socket_c{conns}"), socket_json(&r));
         report.section(w.name, section);
-        results.push(SocketResult {
-            workload_name: w.name,
-            conns,
-            result: r,
-        });
+        rows.extend(gate::net_throughput(w.name, &[conns]));
     } else {
         let workloads = if smoke_only {
             vec![Workload::smoke().with_mix(mix)]
@@ -285,41 +238,14 @@ fn main() {
                 if w.name == "full" && conns == 4 {
                     report.metrics(&metrics);
                 }
-                results.push(SocketResult {
-                    workload_name: w.name,
-                    conns,
-                    result: r,
-                });
             }
             println!(
                 "  all socket checksums match in-process at jobs 1/4/8 ({:016x} / {:016x})",
                 reference.checksum, reference.ack_checksum
             );
             report.section(w.name, section);
+            rows.extend(gate::net_throughput(w.name, &CONNS));
         }
     }
-
-    if let Some(path) = &json_path {
-        report.write_json(path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let violations = check_against(&baseline, &results);
-        if violations.is_empty() {
-            eprintln!("check against {path}: ok");
-        } else {
-            for v in &violations {
-                eprintln!("REGRESSION: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
 }

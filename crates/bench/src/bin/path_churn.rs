@@ -20,12 +20,19 @@
 //!
 //! By default both the `cells_*` full sections and the seconds-scale
 //! `smoke_*` sections run. `--smoke` runs the smoke sections only.
-//! `--json PATH` writes a `BENCH_PR9.json`-schema report (see
-//! `docs/PERF.md`). `--check FILE` gates the run: per-mutation repair
-//! must beat the estimated rebuild by ≥20x, query throughput under
-//! churn must hold ≥0.8x of quiet and ≥0.8x of the committed baseline,
-//! mutation counts must match the baseline exactly (they are
-//! deterministic), and memory-checked sections must stay under 2 GiB.
+//! `--json PATH` writes a `bips-run-report/v1` document with one
+//! section per workload (see `docs/PERF.md`). `--check FILE` gates each
+//! section it ran against the `path_churn` entry of a committed
+//! baseline file (`BENCH.json`; table in
+//! [`bips_bench::gate::path_churn`]):
+//!
+//! | field | gate |
+//! |-------|------|
+//! | `repair_speedup` | ≥ 20 (same run) |
+//! | `queries.churn_over_quiet` | ≥ 0.8 (same run) |
+//! | `vm_hwm_mb` | < 2048 (same run; `*_100k` sections only) |
+//! | `repair.mutations` | = committed (the churn schedule is deterministic) |
+//! | `queries.churn_qps` | ≥ committed − 20% |
 
 // Bench binary: wall-clock reads feed the perf report, not simulation
 // results.
@@ -33,16 +40,12 @@
 
 use std::time::Instant;
 
+use bips_bench::gate;
 use bips_bench::telemetry::take_flag;
 use bips_core::graph::{random_connected_graph, PathEngine, PathEngineKind};
 use desim::metrics::MetricSet;
+use desim::report::{Json, RunReport};
 use desim::SimRng;
-
-/// Gate thresholds (see ISSUE 9 acceptance criteria / docs/PERF.md).
-const MIN_REPAIR_SPEEDUP: f64 = 20.0;
-const MIN_CHURN_OVER_QUIET: f64 = 0.8;
-const MIN_QPS_VS_BASELINE: f64 = 0.8;
-const MAX_VM_HWM_MB: f64 = 2048.0;
 
 /// One churn scenario: `cells` nodes, 1% flapping per virtual minute.
 struct Workload {
@@ -282,115 +285,47 @@ fn run_section(w: &Workload) -> SectionResult {
     }
 }
 
-fn section_json(w: &Workload, r: &SectionResult) -> String {
-    let counters: Vec<String> = r
-        .counters
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    let vm = match r.vm_hwm_mb {
-        Some(mb) => format!("{mb:.1}"),
-        None => "null".to_string(),
-    };
-    format!(
-        "  \"{}\": {{\n    \"config\": {{\"cells\": {}, \"extra_edges\": {}, \"ticks\": {}, \"flaps_per_tick\": {}, \"queries_per_tick\": {}, \"warm_sources\": {}, \"seed\": {}}},\n    \"engine\": \"{}\",\n    \"rebuild_est\": {{\"sampled_sssp\": {}, \"mean_sssp_secs\": {:.9}, \"est_full_secs\": {:.6}}},\n    \"repair\": {{\"mutations\": {}, \"total_secs\": {:.6}, \"mean_secs\": {:.9}}},\n    \"repair_speedup\": {:.1},\n    \"queries\": {{\"churn_qps\": {:.1}, \"quiet_qps\": {:.1}, \"churn_over_quiet\": {:.4}, \"found\": {}, \"unreachable\": {}}},\n    \"vm_hwm_mb\": {},\n    \"metrics\": {{{}}}\n  }}",
-        w.name,
-        w.cells,
-        w.extra_edges,
-        w.ticks,
-        w.flaps_per_tick(),
-        w.queries_per_tick,
-        w.warm_sources,
-        w.seed,
-        r.engine,
-        r.sampled_sssp,
-        r.mean_sssp_secs,
-        r.est_rebuild_secs,
-        r.mutations,
-        r.repair_secs,
-        r.mean_repair_secs(),
-        r.repair_speedup(),
-        r.churn_qps(),
-        r.quiet_qps(),
-        r.churn_over_quiet(),
-        r.found,
-        r.unreachable,
-        vm,
-        counters.join(", "),
-    )
-}
-
-/// Extracts `"key": <number>` below `section` of a BENCH_PR9-schema
-/// report; flat enough for textual extraction (no JSON parser dep).
-fn lookup(json: &str, section: &str, path: &[&str]) -> Option<f64> {
-    let mut at = json.find(&format!("\"{section}\""))?;
-    for key in path {
-        at += json[at..].find(&format!("\"{key}\""))?;
+fn section_json(w: &Workload, r: &SectionResult) -> Json {
+    let mut config = Json::object();
+    config
+        .set("cells", w.cells)
+        .set("extra_edges", w.extra_edges)
+        .set("ticks", w.ticks)
+        .set("flaps_per_tick", w.flaps_per_tick())
+        .set("queries_per_tick", w.queries_per_tick)
+        .set("warm_sources", w.warm_sources)
+        .set("seed", w.seed);
+    let mut rebuild_est = Json::object();
+    rebuild_est
+        .set("sampled_sssp", r.sampled_sssp)
+        .set("mean_sssp_secs", r.mean_sssp_secs)
+        .set("est_full_secs", r.est_rebuild_secs);
+    let mut repair = Json::object();
+    repair
+        .set("mutations", r.mutations)
+        .set("total_secs", r.repair_secs)
+        .set("mean_secs", r.mean_repair_secs());
+    let mut queries = Json::object();
+    queries
+        .set("churn_qps", r.churn_qps())
+        .set("quiet_qps", r.quiet_qps())
+        .set("churn_over_quiet", r.churn_over_quiet())
+        .set("found", r.found)
+        .set("unreachable", r.unreachable);
+    let mut metrics = Json::object();
+    for &(name, value) in &r.counters {
+        metrics.set(name, value);
     }
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Applies the gates; returns the list of violations. The speedup,
-/// churn/quiet, and memory gates are absolute (the run's own numbers);
-/// the qps and mutation-count gates compare against the committed
-/// baseline when it has the section.
-fn check_against(baseline: &str, sections: &[(&Workload, SectionResult)]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (w, r) in sections {
-        if r.repair_speedup() < MIN_REPAIR_SPEEDUP {
-            violations.push(format!(
-                "{}: per-mutation repair only {:.1}x cheaper than rebuild (gate: >={}x)",
-                w.name,
-                r.repair_speedup(),
-                MIN_REPAIR_SPEEDUP
-            ));
-        }
-        if r.churn_over_quiet() < MIN_CHURN_OVER_QUIET {
-            violations.push(format!(
-                "{}: churn qps is {:.2}x quiet qps (gate: >={})",
-                w.name,
-                r.churn_over_quiet(),
-                MIN_CHURN_OVER_QUIET
-            ));
-        }
-        if w.check_memory {
-            match r.vm_hwm_mb {
-                Some(mb) if mb >= MAX_VM_HWM_MB => violations.push(format!(
-                    "{}: VmHWM {mb:.1} MiB (gate: <{MAX_VM_HWM_MB} — an O(n²) table would be ~120 GB)",
-                    w.name
-                )),
-                Some(_) => {}
-                None => violations.push(format!(
-                    "{}: VmHWM unavailable — cannot prove bounded memory",
-                    w.name
-                )),
-            }
-        }
-        if let Some(base_muts) = lookup(baseline, w.name, &["repair", "mutations"]) {
-            if r.mutations as f64 != base_muts {
-                violations.push(format!(
-                    "{}: applied {} mutations, baseline applied {} — churn schedule diverged",
-                    w.name, r.mutations, base_muts
-                ));
-            }
-        }
-        if let Some(base_qps) = lookup(baseline, w.name, &["queries", "churn_qps"]) {
-            let qps = r.churn_qps();
-            if qps < base_qps * MIN_QPS_VS_BASELINE {
-                violations.push(format!(
-                    "{}: churn throughput {qps:.1} q/s, >20% below baseline {base_qps:.1}",
-                    w.name
-                ));
-            }
-        }
-    }
-    violations
+    let mut j = Json::object();
+    j.set("config", config)
+        .set("engine", r.engine)
+        .set("rebuild_est", rebuild_est)
+        .set("repair", repair)
+        .set("repair_speedup", r.repair_speedup())
+        .set("queries", queries)
+        .set("vm_hwm_mb", r.vm_hwm_mb.map_or(Json::Null, Json::Num))
+        .set("metrics", metrics);
+    j
 }
 
 fn main() {
@@ -407,7 +342,8 @@ fn main() {
         all
     };
 
-    let mut results = Vec::new();
+    let mut report = RunReport::new("path_churn", workloads[0].seed);
+    let mut rows = Vec::new();
     for w in &workloads {
         eprintln!(
             "[{}] {} cells, {} ticks x {} flaps + {} queries ...",
@@ -438,35 +374,8 @@ fn main() {
             r.unreachable,
             r.vm_hwm_mb.map_or("?".to_string(), |m| format!("{m:.0}"))
         );
-        results.push((w, r));
+        report.section(w.name, section_json(w, &r));
+        rows.extend(gate::path_churn(w.name, w.check_memory));
     }
-
-    if let Some(path) = &json_path {
-        let sections: Vec<String> = results.iter().map(|(w, r)| section_json(w, r)).collect();
-        let json = format!(
-            "{{\n  \"bench\": \"path_churn\",\n  \"schema\": 1,\n{}\n}}\n",
-            sections.join(",\n")
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let violations = check_against(&baseline, &results);
-        if violations.is_empty() {
-            eprintln!("check against {path}: ok");
-        } else {
-            for v in &violations {
-                eprintln!("REGRESSION: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
 }

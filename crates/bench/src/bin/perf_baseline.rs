@@ -15,11 +15,15 @@
 //! By default both the `full` section (the committed-baseline workload)
 //! and the `smoke` section (a seconds-scale subset for CI) are run.
 //! `--smoke` runs the smoke section only. `--json PATH` writes the run
-//! as a `BENCH_PR3.json`-schema report (see `docs/PERF.md`). `--check
-//! FILE` compares the run against a committed baseline: the job fails
-//! if skip-ahead dispatches >20% more events than the baseline (event
-//! counts are deterministic) or its events-per-wall-second falls >20%
-//! below the baseline figure.
+//! as a `bips-run-report/v1` document with one section per workload
+//! (see `docs/PERF.md`). `--check FILE` gates each section it ran
+//! against the `perf_baseline` entry of a committed baseline file
+//! (`BENCH.json`; table in [`bips_bench::gate::perf_baseline`]):
+//!
+//! | field | gate |
+//! |-------|------|
+//! | `skip_ahead.events` | ≤ committed + 20% |
+//! | `skip_ahead.events_per_wall_sec` | ≥ committed − 20% |
 
 // Bench binary: wall-clock reads feed the perf report
 // (artifacts.wall_secs), not simulation results.
@@ -27,6 +31,7 @@
 
 use std::time::Instant;
 
+use bips_bench::gate;
 use bips_bench::telemetry::take_flag;
 use bt_baseband::hop::Train;
 use bt_baseband::params::{
@@ -34,6 +39,7 @@ use bt_baseband::params::{
 };
 use bt_baseband::world::BasebandWorld;
 use bt_baseband::{BdAddr, MasterConfig, SlaveConfig};
+use desim::report::{Json, RunReport};
 use desim::{SeedDeriver, SimDuration, SimTime};
 
 /// One benchmark workload: the Figure 2 scenario family.
@@ -150,77 +156,32 @@ fn run_workload(w: &Workload) -> (ModeResult, ModeResult) {
     (naive, skip)
 }
 
-fn mode_json(r: &ModeResult) -> String {
-    format!(
-        "{{\"wall_secs\": {:.6}, \"events\": {}, \"events_per_wall_sec\": {:.1}, \"virtual_secs_per_wall_sec\": {:.1}}}",
-        r.wall_secs,
-        r.events,
-        r.events_per_wall_sec(),
-        r.virtual_secs / r.wall_secs
-    )
+fn mode_json(r: &ModeResult) -> Json {
+    let mut j = Json::object();
+    j.set("wall_secs", r.wall_secs)
+        .set("events", r.events)
+        .set("events_per_wall_sec", r.events_per_wall_sec())
+        .set("virtual_secs_per_wall_sec", r.virtual_secs / r.wall_secs);
+    j
 }
 
-fn section_json(w: &Workload, naive: &ModeResult, skip: &ModeResult) -> String {
-    let counts: Vec<String> = w.slave_counts.iter().map(|n| n.to_string()).collect();
-    format!(
-        "  \"{}\": {{\n    \"config\": {{\"slave_counts\": [{}], \"replications\": {}, \"horizon_s\": {}, \"seed\": {}}},\n    \"naive\": {},\n    \"skip_ahead\": {},\n    \"speedup\": {{\"events\": {:.2}, \"wall\": {:.2}}}\n  }}",
-        w.name,
-        counts.join(", "),
-        w.replications,
-        w.horizon.as_secs_f64(),
-        w.seed,
-        mode_json(naive),
-        mode_json(skip),
-        naive.events as f64 / skip.events as f64,
-        naive.wall_secs / skip.wall_secs,
-    )
-}
-
-/// Extracts `"key": <number>` from `section` of a BENCH_PR3-schema
-/// report. The schema is flat enough (see `docs/PERF.md`) for textual
-/// extraction; avoids a JSON-parser dependency.
-fn lookup(json: &str, section: &str, path: &[&str]) -> Option<f64> {
-    let mut at = json.find(&format!("\"{section}\""))?;
-    for key in path {
-        at += json[at..].find(&format!("\"{key}\""))?;
-    }
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Compares the finished run against a committed baseline report;
-/// returns the list of violated gates.
-fn check_against(
-    baseline: &str,
-    sections: &[(&Workload, &ModeResult, &ModeResult)],
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (w, _naive, skip) in sections {
-        let Some(base_events) = lookup(baseline, w.name, &["skip_ahead", "events"]) else {
-            continue; // baseline lacks this section — nothing to gate on
-        };
-        if skip.events as f64 > base_events * 1.2 {
-            violations.push(format!(
-                "{}: skip-ahead dispatched {} events, >20% above baseline {}",
-                w.name, skip.events, base_events
-            ));
-        }
-        if let Some(base_rate) = lookup(baseline, w.name, &["skip_ahead", "events_per_wall_sec"]) {
-            let rate = skip.events_per_wall_sec();
-            if rate < base_rate * 0.8 {
-                violations.push(format!(
-                    "{}: skip-ahead throughput {rate:.1} ev/s, >20% below baseline {base_rate:.1}",
-                    w.name
-                ));
-            }
-        }
-    }
-    violations
+fn section_json(w: &Workload, naive: &ModeResult, skip: &ModeResult) -> Json {
+    let mut config = Json::object();
+    config
+        .set("slave_counts", w.slave_counts.clone())
+        .set("replications", w.replications)
+        .set("horizon_s", w.horizon.as_secs_f64())
+        .set("seed", w.seed);
+    let mut speedup = Json::object();
+    speedup
+        .set("events", naive.events as f64 / skip.events as f64)
+        .set("wall", naive.wall_secs / skip.wall_secs);
+    let mut j = Json::object();
+    j.set("config", config)
+        .set("naive", mode_json(naive))
+        .set("skip_ahead", mode_json(skip))
+        .set("speedup", speedup);
+    j
 }
 
 fn main() {
@@ -235,7 +196,8 @@ fn main() {
         vec![Workload::full(), Workload::smoke()]
     };
 
-    let mut results = Vec::new();
+    let mut report = RunReport::new("perf_baseline", workloads[0].seed);
+    let mut rows = Vec::new();
     for w in &workloads {
         eprintln!(
             "[{}] {} slave counts x {} replications, {:?} horizon ...",
@@ -263,40 +225,8 @@ fn main() {
             naive.events as f64 / skip.events as f64,
             naive.wall_secs / skip.wall_secs
         );
-        results.push((w, naive, skip));
+        report.section(w.name, section_json(w, &naive, &skip));
+        rows.extend(gate::perf_baseline(w.name));
     }
-
-    if let Some(path) = &json_path {
-        let sections: Vec<String> = results
-            .iter()
-            .map(|(w, n, s)| section_json(w, n, s))
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"perf_baseline\",\n  \"schema\": 1,\n{}\n}}\n",
-            sections.join(",\n")
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let sections: Vec<(&Workload, &ModeResult, &ModeResult)> =
-            results.iter().map(|(w, n, s)| (*w, n, s)).collect();
-        let violations = check_against(&baseline, &sections);
-        if violations.is_empty() {
-            eprintln!("check against {path}: ok");
-        } else {
-            for v in &violations {
-                eprintln!("REGRESSION: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
 }

@@ -28,16 +28,22 @@
 //! `docs/OBSERVABILITY.md`) with a section per workload, including HDR
 //! latency quantiles (p50/p99/p999/p9999, relative error < 1.5625%)
 //! and a per-shard breakdown that `bips-top` renders. `--check FILE`
-//! gates sharded *and* traced queries/sec against a committed baseline
-//! (>20% regression fails) and, when the baseline section carries a
-//! sharded `p999_us`, the sharded tail too (>20% above baseline plus a
-//! 5 µs jitter floor fails — that is the mixed-workload gate against
-//! `BENCH_PR8.json`). A same-run tracing-overhead circuit breaker
-//! rounds it out: traced/untraced throughput ≥ 0.70 whenever the
-//! untraced query phase ran long enough to measure (quiet-machine
-//! overhead is 15–25%; the 30% budget catches structural regressions
-//! such as an allocation sneaking onto the record path without flaking
-//! on noise).
+//! gates each section it ran against a committed baseline file
+//! (`BENCH.json`; table in [`bips_bench::gate::server_throughput`]).
+//! The tail and the non-default-mix throughput read the `sharded`
+//! block `mix_throughput` recorded for the same replay:
+//!
+//! | field | committed value | gate |
+//! |-------|-----------------|------|
+//! | `sharded.queries_per_sec` | `server_throughput` (default mix), `mix_throughput` (other mixes) | ≥ committed − 20% |
+//! | `traced.queries_per_sec` | `server_throughput` (default mix only) | ≥ committed − 20% |
+//! | `sharded.p999_us` | `mix_throughput` | ≤ committed + 20% + 5 µs |
+//! | `speedup.tracing_overhead` | — (same run) | ≥ 0.70, when the untraced query phase ran ≥ 0.2 s |
+//!
+//! The last row is a circuit breaker: quiet-machine tracing overhead
+//! is 15–25%, so the 30% budget catches structural regressions such as
+//! an allocation sneaking onto the record path without flaking on
+//! noise; a ratio of two shorter phases is noise, not a gate.
 
 // Bench binary: wall-clock reads feed the perf report
 // (artifacts.wall_secs), not simulation results.
@@ -46,11 +52,12 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use bips_bench::gate;
 use bips_bench::loadgen::{
     generate_trace, merge_shard_hdrs, run_baseline, run_sharded, run_sharded_traced,
     shard_latency_hdrs, Mix, ModeResult, Trace, Workload,
 };
-use bips_bench::telemetry::{take_flag, take_jobs};
+use bips_bench::telemetry::{take_flag, take_jobs, take_mix};
 use desim::metrics::MetricSet;
 use desim::report::{hdr_json, Json, RunReport};
 use desim::tracing::{FlightRecorder, Tracer};
@@ -167,94 +174,13 @@ fn section_json(
     j
 }
 
-/// Extracts `"key": <number>` below `section` — same flat textual
-/// extraction as `perf_baseline` (the schema is documented, no JSON
-/// parser needed).
-fn lookup(json: &str, section: &str, path: &[&str]) -> Option<f64> {
-    let mut at = json.find(&format!("\"{section}\""))?;
-    for key in path {
-        at += json[at..].find(&format!("\"{key}\""))?;
-    }
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-struct SectionResult {
-    workload: Workload,
-    sharded: ModeResult,
-    traced: ModeResult,
-}
-
-fn check_against(baseline_json: &str, sections: &[SectionResult]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for s in sections {
-        let name = s.workload.name;
-        for (mode, r) in [("sharded", &s.sharded), ("traced", &s.traced)] {
-            let Some(base_qps) = lookup(baseline_json, name, &[mode, "queries_per_sec"]) else {
-                continue; // baseline lacks this mode — nothing to gate on
-            };
-            let qps = r.queries_per_sec();
-            if qps < base_qps * 0.8 {
-                violations.push(format!(
-                    "{name}: {mode} throughput {qps:.0} q/s, >20% below baseline {base_qps:.0}"
-                ));
-            }
-        }
-        // Tail gate: only when the baseline records a sharded p999
-        // (BENCH_PR8.json does; the older throughput baselines do
-        // not). 20% over baseline plus a 5 µs jitter floor fails —
-        // the floor keeps sub-10 µs tails from flaking on a single
-        // scheduler hiccup while still catching a seqlock regression,
-        // which costs hundreds of µs at the tail.
-        if let Some(base_p999) = lookup(baseline_json, name, &["sharded", "p999_us"]) {
-            let p999 = s.sharded.latency_hdr().quantile(0.999) as f64 / 1000.0;
-            if p999 > base_p999 * 1.2 + 5.0 {
-                violations.push(format!(
-                    "{name}: sharded p999 {p999:.2} us, >20% above baseline {base_p999:.2} us"
-                ));
-            }
-        }
-        // Same-run overhead circuit breaker: tracing runs 15–25%
-        // behind the untraced engine on a quiet machine, so the budget
-        // is 30% — wide enough to absorb scheduler noise, narrow
-        // enough to catch a structural regression (an allocation or a
-        // lock sneaking onto the record path costs far more than 30%).
-        // A ratio of two sub-0.2 s measurements is noise, not a gate —
-        // workloads with a shorter untraced query phase (the CI smoke)
-        // are covered by the committed `traced` qps gate above instead.
-        if s.sharded.query_secs < 0.2 {
-            continue;
-        }
-        let overhead = s.traced.queries_per_sec() / s.sharded.queries_per_sec();
-        if overhead < 0.7 {
-            violations.push(format!(
-                "{name}: tracing costs {:.0}% throughput (traced/sharded = {overhead:.2}, budget 0.70)",
-                (1.0 - overhead) * 100.0
-            ));
-        }
-    }
-    violations
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
     let (args, check_path) = take_flag(args, "--check");
-    let (args, mix_arg) = take_flag(args, "--mix");
+    let (args, mix) = take_mix(args);
     let (args, jobs) = take_jobs(args);
     let smoke_only = args.iter().any(|a| a == "--smoke");
-    let mix = match &mix_arg {
-        Some(s) => Mix::parse(s).unwrap_or_else(|| {
-            eprintln!("--mix must be one of 80:20, 50:50, 99:1 (got {s})");
-            std::process::exit(2);
-        }),
-        None => Mix::default(),
-    };
 
     let workloads = if smoke_only {
         vec![Workload::smoke().with_mix(mix)]
@@ -268,7 +194,7 @@ fn main() {
     let mut report = RunReport::new("server_throughput", workloads[0].seed);
     report.config("jobs", jobs as u64);
     report.artifact("flight_recorder_dir", FLIGHT_DIR);
-    let mut results: Vec<SectionResult> = Vec::new();
+    let mut rows = Vec::new();
     let mut total_dumps = 0u64;
     for w in workloads {
         eprintln!(
@@ -355,35 +281,8 @@ fn main() {
             &format!("{}_traced_latency_hdr_ns", w.name),
             hdr_json(&merged),
         );
-        results.push(SectionResult {
-            workload: w,
-            sharded,
-            traced,
-        });
+        rows.extend(gate::server_throughput(w.name, mix, sharded.query_secs));
     }
     report.artifact("flight_recorder_dumps", total_dumps);
-
-    if let Some(path) = &json_path {
-        report.write_json(path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let violations = check_against(&baseline, &results);
-        if violations.is_empty() {
-            eprintln!("check against {path}: ok");
-        } else {
-            for v in &violations {
-                eprintln!("REGRESSION: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
 }

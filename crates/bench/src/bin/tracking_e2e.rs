@@ -45,10 +45,6 @@ fn main() {
         let mut report = result.to_report(&cfg);
         report.artifact("wall_secs", wall_secs);
         report.metrics(&metrics);
-        report.write_json(&path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
+        telemetry::write_report(&report, &path);
     }
 }

@@ -19,6 +19,7 @@ pub mod ablations;
 pub mod duty;
 pub mod e2e;
 pub mod figure2;
+pub mod gate;
 pub mod loadgen;
 pub mod serve;
 pub mod table1;

@@ -193,9 +193,9 @@ impl Workload {
     /// come from the preset and, for non-default mixes, the section
     /// name gains a mix suffix (`full` → `full_50_50`) so reports and
     /// baselines never collide across mixes. The default mix keeps the
-    /// bare name — existing baselines (`BENCH_PR6.json`,
-    /// `BENCH_PR7.json`) keep matching. `tiny`'s blocks grow to the
-    /// standard preset sizes; its per-run cost stays seconds-scale.
+    /// bare name, so the committed `server_throughput` and
+    /// `net_throughput` sections keep matching. `tiny`'s blocks grow to
+    /// the standard preset sizes; its per-run cost stays seconds-scale.
     pub fn with_mix(mut self, mix: Mix) -> Workload {
         self.updates_per_tick = mix.updates_per_tick();
         self.queries_per_tick = mix.queries_per_tick();
@@ -480,17 +480,7 @@ pub fn run_baseline(w: &Workload, trace: &Trace) -> ModeResult {
             let Response::LocateResult(out) = resp else {
                 panic!("unexpected response");
             };
-            match out {
-                LocateOutcome::Found {
-                    cell,
-                    path,
-                    distance,
-                } => {
-                    found += 1;
-                    fold(&mut checksum, 0, u64::from(cell), distance.to_bits(), &path);
-                }
-                other => fold(&mut checksum, 1 + other_code(&other), 0, 0, &[]),
-            }
+            fold_locate(&mut checksum, &mut found, &out);
         }
         query_secs += block.elapsed().as_secs_f64();
     }
@@ -551,20 +541,15 @@ pub fn run_sharded_churn(
     churn_seed: u64,
     muts_per_tick: usize,
 ) -> (ModeResult, MetricSet) {
-    let g = grid(w.side);
-    let reg = registry(w.users);
-    let svc =
-        ShardedService::new_dynamic(&reg, PathEngine::new(kind, g), w.shards, ReadPath::Seqlock);
-    let mut ts: u64 = 0;
+    let svc = ShardedService::new_dynamic(
+        &registry(w.users),
+        PathEngine::new(kind, grid(w.side)),
+        w.shards,
+        ReadPath::Seqlock,
+    );
     let mut ack_checksum = CHECKSUM_INIT;
-    for uid in 0..w.users {
-        svc.login(uid, "pw", addr(uid)).expect("setup login");
-    }
-    for uid in 0..w.users {
-        ts += 1;
-        svc.ingest(addr(uid), trace.initial[uid as usize], true, ts);
-    }
-    fold_acks(&mut ack_checksum, &svc.flush(jobs));
+    fold_acks(&mut ack_checksum, &populate(&svc, w, trace, jobs));
+    let mut ts = w.users;
 
     let n = w.cells();
     let side = w.side;
@@ -621,14 +606,7 @@ pub fn run_sharded_churn(
                 }
             }
         }
-        for &(uid, old, new) in
-            &trace.moves[tick * w.updates_per_tick..(tick + 1) * w.updates_per_tick]
-        {
-            ts += 1;
-            svc.ingest(addr(uid), new, true, ts);
-            ts += 1;
-            svc.ingest(addr(uid), old, false, ts);
-        }
+        ingest_tick(&svc, w, trace, tick, &mut ts);
         fold_acks(&mut ack_checksum, &svc.flush(jobs));
         let block = Instant::now();
         for &(querier, target, from_cell) in
@@ -637,21 +615,7 @@ pub fn run_sharded_churn(
             let q = Instant::now();
             let out = svc.where_is(querier, target, from_cell as usize, &mut path);
             latencies_ns.push(q.elapsed().as_nanos() as u64);
-            match out {
-                WhereIs::Found { cell, distance } => {
-                    found += 1;
-                    path32.clear();
-                    path32.extend(path.iter().map(|&n| n as u32));
-                    fold(
-                        &mut checksum,
-                        0,
-                        u64::from(cell),
-                        distance.to_bits(),
-                        &path32,
-                    );
-                }
-                other => fold(&mut checksum, 1 + where_code(&other), 0, 0, &[]),
-            }
+            fold_where(&mut checksum, &mut found, &out, &path, &mut path32);
         }
         query_secs += block.elapsed().as_secs_f64();
     }
@@ -691,24 +655,14 @@ fn run_sharded_impl(
     read_path: ReadPath,
     tracing: Option<(&Arc<Tracer>, Option<&FlightRecorder>)>,
 ) -> (ModeResult, MetricSet) {
-    let g = grid(w.side);
-    let reg = registry(w.users);
-    let mut svc =
-        ShardedService::new_with_read_path(&reg, g.precompute_all_pairs(), w.shards, read_path);
+    let mut svc = new_service(w, read_path);
     if let Some((tracer, _)) = tracing {
         svc.attach_tracer(Arc::clone(tracer));
     }
     let shard_mask = (w.shards as u64).saturating_sub(1);
-    let mut ts: u64 = 0;
     let mut ack_checksum = CHECKSUM_INIT;
-    for uid in 0..w.users {
-        svc.login(uid, "pw", addr(uid)).expect("setup login");
-    }
-    for uid in 0..w.users {
-        ts += 1;
-        svc.ingest(addr(uid), trace.initial[uid as usize], true, ts);
-    }
-    fold_acks(&mut ack_checksum, &svc.flush(jobs));
+    fold_acks(&mut ack_checksum, &populate(&svc, w, trace, jobs));
+    let mut ts = w.users;
 
     let mut latencies_ns = Vec::with_capacity(trace.queries.len());
     let mut checksum = CHECKSUM_INIT;
@@ -718,14 +672,7 @@ fn run_sharded_impl(
     let mut path32 = Vec::new();
     let start = Instant::now();
     for tick in 0..w.ticks {
-        for &(uid, old, new) in
-            &trace.moves[tick * w.updates_per_tick..(tick + 1) * w.updates_per_tick]
-        {
-            ts += 1;
-            svc.ingest(addr(uid), new, true, ts);
-            ts += 1;
-            svc.ingest(addr(uid), old, false, ts);
-        }
+        ingest_tick(&svc, w, trace, tick, &mut ts);
         fold_acks(&mut ack_checksum, &svc.flush(jobs));
         let block = Instant::now();
         let mut prev = block;
@@ -744,21 +691,7 @@ fn run_sharded_impl(
             if let Some((_, Some(rec))) = tracing {
                 rec.observe_latency_ns(span, (querier & shard_mask) as usize, lat);
             }
-            match out {
-                WhereIs::Found { cell, distance } => {
-                    found += 1;
-                    path32.clear();
-                    path32.extend(path.iter().map(|&n| n as u32));
-                    fold(
-                        &mut checksum,
-                        0,
-                        u64::from(cell),
-                        distance.to_bits(),
-                        &path32,
-                    );
-                }
-                other => fold(&mut checksum, 1 + where_code(&other), 0, 0, &[]),
-            }
+            fold_where(&mut checksum, &mut found, &out, &path, &mut path32);
         }
         query_secs += block.elapsed().as_secs_f64();
     }
@@ -790,14 +723,80 @@ pub fn build_service(w: &Workload) -> ShardedService {
 
 /// [`build_service`] with an explicit slot-read protocol.
 pub fn build_service_with(w: &Workload, read_path: ReadPath) -> ShardedService {
-    let g = grid(w.side);
-    let reg = registry(w.users);
-    let svc =
-        ShardedService::new_with_read_path(&reg, g.precompute_all_pairs(), w.shards, read_path);
+    let svc = new_service(w, read_path);
+    login_all(&svc, w);
+    svc
+}
+
+/// The workload's [`ShardedService`] over the frozen grid table, with
+/// nobody logged in.
+fn new_service(w: &Workload, read_path: ReadPath) -> ShardedService {
+    let apsp = grid(w.side).precompute_all_pairs();
+    ShardedService::new_with_read_path(&registry(w.users), apsp, w.shards, read_path)
+}
+
+fn login_all(svc: &ShardedService, w: &Workload) {
     for uid in 0..w.users {
         svc.login(uid, "pw", addr(uid)).expect("setup login");
     }
-    svc
+}
+
+/// Logs every user in, then ingests each user's initial cell (since
+/// stamps `1..=users`) and flushes once; returns the flush's acks.
+/// Later stamps continue from `w.users`.
+fn populate(svc: &ShardedService, w: &Workload, trace: &Trace, jobs: usize) -> Vec<bool> {
+    login_all(svc, w);
+    for uid in 0..w.users {
+        svc.ingest(addr(uid), trace.initial[uid as usize], true, uid + 1);
+    }
+    svc.flush(jobs)
+}
+
+/// Ingests tick `tick`'s moves, each as present-in-new then
+/// absent-from-old, stamped on from `*ts + 1`.
+fn ingest_tick(svc: &ShardedService, w: &Workload, trace: &Trace, tick: usize, ts: &mut u64) {
+    let upt = w.updates_per_tick;
+    for &(uid, old, new) in &trace.moves[tick * upt..(tick + 1) * upt] {
+        *ts += 1;
+        svc.ingest(addr(uid), new, true, *ts);
+        *ts += 1;
+        svc.ingest(addr(uid), old, false, *ts);
+    }
+}
+
+/// Folds one [`WhereIs`] answer into `checksum`, counting `Found`s;
+/// `path` is the answer's path, `path32` scratch for its `u32` form.
+fn fold_where(
+    checksum: &mut u64,
+    found: &mut u64,
+    out: &WhereIs,
+    path: &[usize],
+    path32: &mut Vec<u32>,
+) {
+    match out {
+        WhereIs::Found { cell, distance } => {
+            *found += 1;
+            path32.clear();
+            path32.extend(path.iter().map(|&n| n as u32));
+            fold(checksum, 0, u64::from(*cell), distance.to_bits(), path32);
+        }
+        other => fold(checksum, 1 + where_code(other), 0, 0, &[]),
+    }
+}
+
+/// Folds one [`LocateOutcome`] into `checksum`, counting `Found`s.
+fn fold_locate(checksum: &mut u64, found: &mut u64, out: &LocateOutcome) {
+    match out {
+        LocateOutcome::Found {
+            cell,
+            path,
+            distance,
+        } => {
+            *found += 1;
+            fold(checksum, 0, u64::from(*cell), distance.to_bits(), path);
+        }
+        other => fold(checksum, 1 + other_code(other), 0, 0, &[]),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -931,16 +930,10 @@ pub fn run_contended(
     assert!(readers >= 1, "need at least one reader");
     assert!(burst_ticks >= 1, "need at least one tick per write burst");
     assert!(passes >= 1, "need at least one writer pass");
-    let svc = build_service_with(w, read_path);
-    let mut setup_ts: u64 = 0;
-    for uid in 0..w.users {
-        setup_ts += 1;
-        svc.ingest(addr(uid), trace.initial[uid as usize], true, setup_ts);
-    }
-    svc.flush(1);
+    let svc = new_service(w, read_path);
+    populate(&svc, w, trace, 1);
 
     let cells = w.cells() as u32;
-    let upt = w.updates_per_tick;
     let shard_mask = (w.shards as u64).saturating_sub(1);
     let done = AtomicBool::new(false);
     let flushing = AtomicBool::new(false);
@@ -950,7 +943,7 @@ pub fn run_contended(
         let done = &done;
         let flushing = &flushing;
         let writer = s.spawn(move || {
-            let mut ts = setup_ts;
+            let mut ts = w.users;
             let mut since_flush = 0usize;
             let burst_flush = |svc: &ShardedService| {
                 flushing.store(true, Ordering::Release);
@@ -959,12 +952,7 @@ pub fn run_contended(
             };
             for _pass in 0..passes {
                 for tick in 0..w.ticks {
-                    for &(uid, old, new) in &trace.moves[tick * upt..(tick + 1) * upt] {
-                        ts += 1;
-                        svc.ingest(addr(uid), new, true, ts);
-                        ts += 1;
-                        svc.ingest(addr(uid), old, false, ts);
-                    }
+                    ingest_tick(svc, w, trace, tick, &mut ts);
                     since_flush += 1;
                     if since_flush >= burst_ticks {
                         burst_flush(svc);
@@ -1140,15 +1128,10 @@ pub fn run_burst_model(
         !service_hdr.is_empty(),
         "need a measured service distribution"
     );
-    let svc = build_service_with(w, read_path);
-    let mut ts: u64 = 0;
-    for uid in 0..w.users {
-        ts += 1;
-        svc.ingest(addr(uid), trace.initial[uid as usize], true, ts);
-    }
-    svc.flush(1);
+    let svc = new_service(w, read_path);
+    populate(&svc, w, trace, 1);
+    let mut ts = w.users;
 
-    let upt = w.updates_per_tick;
     // Burst 0 warms allocator and caches; bursts 1.. are measured.
     const BURSTS: usize = 4;
     let mut ingest_secs = 0.0;
@@ -1157,12 +1140,7 @@ pub fn run_burst_model(
     for burst in 0..BURSTS {
         let t0 = Instant::now();
         for _ in 0..burst_ticks {
-            for &(uid, old, new) in &trace.moves[tick * upt..(tick + 1) * upt] {
-                ts += 1;
-                svc.ingest(addr(uid), new, true, ts);
-                ts += 1;
-                svc.ingest(addr(uid), old, false, ts);
-            }
+            ingest_tick(&svc, w, trace, tick, &mut ts);
             tick = (tick + 1) % w.ticks;
         }
         let ingested = t0.elapsed().as_secs_f64();
@@ -1472,17 +1450,7 @@ pub fn run_socket(
             let Some(out) = slot.take() else {
                 return Err(proto_err("missing query result"));
             };
-            match out {
-                LocateOutcome::Found {
-                    cell,
-                    path,
-                    distance,
-                } => {
-                    found += 1;
-                    fold(&mut checksum, 0, u64::from(cell), distance.to_bits(), &path);
-                }
-                other => fold(&mut checksum, 1 + other_code(&other), 0, 0, &[]),
-            }
+            fold_locate(&mut checksum, &mut found, &out);
         }
     }
     let total_secs = start.elapsed().as_secs_f64();

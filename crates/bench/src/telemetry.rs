@@ -11,6 +11,9 @@
 
 use bips_core::system::{BipsSystem, SysEvent, SystemConfig, UserSpec};
 use desim::probe::EngineProbe;
+use desim::report::RunReport;
+
+use crate::loadgen::Mix;
 use desim::{MetricSet, SimDuration, SimTime};
 
 /// Classifies a [`SysEvent`] for per-event-type engine profiling.
@@ -110,6 +113,29 @@ pub fn take_jobs(args: Vec<String>) -> (Vec<String>, usize) {
         })
         .unwrap_or(0);
     (rest, jobs)
+}
+
+/// Strips `--mix Q:U` from the CLI args, returning the remaining args
+/// and the preset (the default mix when absent).
+pub fn take_mix(args: Vec<String>) -> (Vec<String>, Mix) {
+    let (rest, value) = take_flag(args, "--mix");
+    let mix = value.map_or(Mix::default(), |s| {
+        Mix::parse(&s).unwrap_or_else(|| {
+            eprintln!("--mix must be one of 80:20, 50:50, 99:1 (got {s})");
+            std::process::exit(2);
+        })
+    });
+    (rest, mix)
+}
+
+/// Writes `report` to `path` (the `--json PATH` flag), exiting with
+/// status 2 when the file cannot be written.
+pub fn write_report(report: &RunReport, path: &str) {
+    report.write_json(path).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
+    });
+    eprintln!("wrote {path}");
 }
 
 #[cfg(test)]

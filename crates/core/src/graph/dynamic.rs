@@ -493,15 +493,6 @@ impl DynApsp {
         matches!(self.tables, Tables::Dense(_))
     }
 
-    /// `"dense"` or `"sparse"`.
-    pub fn mode(&self) -> &'static str {
-        if self.is_dense() {
-            "dense"
-        } else {
-            "sparse"
-        }
-    }
-
     /// The current live graph (down nodes appear isolated).
     pub fn graph(&self) -> &WsGraph {
         &self.topo.graph

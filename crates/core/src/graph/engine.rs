@@ -11,7 +11,7 @@ use super::dynamic::{DynApsp, EdgeUpdate, NodeToggle, Topo, TopologyError, WarmQ
 use super::walk::PathWalkError;
 use super::{Apsp, NodeId, WsGraph};
 
-/// Engine selection, parseable from CLI flags / env.
+/// Engine selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathEngineKind {
     /// Full `precompute_all_pairs` rebuild per mutation (reference).
@@ -25,19 +25,7 @@ pub enum PathEngineKind {
 }
 
 impl PathEngineKind {
-    /// Parses `"rebuild"`, `"dynamic"`/`"dyn"`, `"dyn-dense"`, or
-    /// `"dyn-sparse"`.
-    pub fn parse(s: &str) -> Option<PathEngineKind> {
-        match s {
-            "rebuild" => Some(PathEngineKind::Rebuild),
-            "dynamic" | "dyn" => Some(PathEngineKind::Dynamic),
-            "dyn-dense" => Some(PathEngineKind::DynamicDense),
-            "dyn-sparse" => Some(PathEngineKind::DynamicSparse),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling [`PathEngineKind::parse`] accepts.
+    /// The kind's name in reports and test messages.
     pub fn name(self) -> &'static str {
         match self {
             PathEngineKind::Rebuild => "rebuild",
@@ -248,20 +236,6 @@ impl PathEngine {
 mod tests {
     use super::super::random_connected_graph;
     use super::*;
-
-    #[test]
-    fn kinds_round_trip_through_parse() {
-        for kind in [
-            PathEngineKind::Rebuild,
-            PathEngineKind::Dynamic,
-            PathEngineKind::DynamicDense,
-            PathEngineKind::DynamicSparse,
-        ] {
-            assert_eq!(PathEngineKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(PathEngineKind::parse("dyn"), Some(PathEngineKind::Dynamic));
-        assert_eq!(PathEngineKind::parse("nope"), None);
-    }
 
     #[test]
     fn all_variants_agree_under_churn() {

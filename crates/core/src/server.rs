@@ -33,23 +33,12 @@ pub struct BipsServer {
 
 impl BipsServer {
     /// A server over the given registry and workstation graph, with the
-    /// dynamic path engine (the paper's offline precomputation survives
-    /// as [`PathEngineKind::Rebuild`], selectable via
-    /// [`new_with_engine`](BipsServer::new_with_engine)).
+    /// dynamic path engine.
     pub fn new(registry: Registry, graph: &WsGraph) -> BipsServer {
-        BipsServer::new_with_engine(registry, graph, PathEngineKind::Dynamic)
-    }
-
-    /// A server with an explicit path-engine choice.
-    pub fn new_with_engine(
-        registry: Registry,
-        graph: &WsGraph,
-        kind: PathEngineKind,
-    ) -> BipsServer {
         BipsServer {
             registry,
             db: LocationDb::new(),
-            engine: PathEngine::new(kind, graph.clone()),
+            engine: PathEngine::new(PathEngineKind::Dynamic, graph.clone()),
             epoch: 0,
             path_scratch: Vec::new(),
         }
