@@ -90,19 +90,6 @@ impl Train {
     pub fn contains(self, f: InquiryFreq) -> bool {
         Train::containing(f) == self
     }
-
-    /// The offset of frequency `f` within this train (inverse of
-    /// [`freq`](Train::freq)), or `None` if `f` belongs to the other
-    /// train. Used by the skip-ahead scheduler to solve "when does the
-    /// master next transmit the frequency a slave listens on" in closed
-    /// form.
-    pub fn offset_of(self, f: InquiryFreq) -> Option<u8> {
-        if self.contains(f) {
-            Some(f.index() % TRAIN_LEN)
-        } else {
-            None
-        }
-    }
 }
 
 /// A position in the 32-frequency inquiry (or page) hopping sequence.
@@ -267,12 +254,6 @@ pub fn basic_hop(addr: BdAddr, clk: u64) -> Channel {
     let z3 = perm5(z2, control);
     let idx = ((z3 as u32 + e + f + y2) % NUM_CHANNELS as u32) as u8;
     channel_list(idx)
-}
-
-/// The channel used at clock `clk` by a connection whose master is `addr`
-/// (convenience wrapper naming the intent at call sites).
-pub fn connection_channel(master: BdAddr, clk: u64) -> Channel {
-    basic_hop(master, clk)
 }
 
 #[cfg(test)]

@@ -315,7 +315,6 @@ impl std::fmt::Display for NoLinkError {
 impl std::error::Error for NoLinkError {}
 
 struct MasterDev {
-    addr: BdAddr,
     clock: NativeClock,
     plan: PhasePlan,
     inq: InquiryState,
@@ -622,7 +621,6 @@ impl Baseband {
         };
         let id = self.masters.len();
         self.masters.push(MasterDev {
-            addr: cfg.addr,
             clock,
             plan: PhasePlan::new(cfg.duty_cycle(), SimTime::ZERO),
             inq: InquiryState::new(start_train, cfg.train_policy()),
@@ -683,15 +681,6 @@ impl Baseband {
     /// Number of slaves.
     pub fn num_slaves(&self) -> usize {
         self.slaves.len()
-    }
-
-    /// A master's device address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a valid id for this medium.
-    pub fn master_addr(&self, m: MasterId) -> BdAddr {
-        self.masters[m.0].addr
     }
 
     /// A slave's device address.
@@ -760,11 +749,6 @@ impl Baseband {
                 );
             }
         }
-    }
-
-    /// True if `slave` is in `master`'s coverage.
-    pub fn is_in_range(&self, master: MasterId, slave: SlaveId) -> bool {
-        self.in_range.contains(master.0, slave.0)
     }
 
     /// Switches a slave's radio on or off. Deactivating drops any link

@@ -86,16 +86,6 @@ impl PhasePlan {
         }
     }
 
-    /// Start of the inquiry phase containing or preceding `t` (`None`
-    /// before the origin).
-    pub fn current_cycle_start(&self, t: SimTime) -> Option<SimTime> {
-        let since = t.checked_sub(self.origin)?;
-        if self.duty.is_always_inquiry() {
-            return Some(self.origin);
-        }
-        Some(t - (since % self.duty.period()))
-    }
-
     /// Remaining time in the current inquiry phase at `t`
     /// ([`SimDuration::ZERO`] if not inquiring).
     pub fn inquiry_remaining(&self, t: SimTime) -> SimDuration {

@@ -46,18 +46,6 @@ impl BasebandWorld {
             .expect("world not started; call into_engine")
     }
 
-    /// Mutable access to the medium (e.g. to drain notifications or reset
-    /// discovery records between measurement phases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`into_engine`](BasebandWorld::into_engine).
-    pub fn baseband_mut(&mut self) -> &mut Baseband {
-        self.bb
-            .as_mut()
-            .expect("world not started; call into_engine")
-    }
-
     /// The id of the `i`-th configured master.
     pub fn master(&self, i: usize) -> MasterId {
         assert!(i < self.masters.len(), "master {i} not configured");

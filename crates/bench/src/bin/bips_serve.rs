@@ -10,14 +10,12 @@
 //! Usage:
 //!   cargo run -p bips-bench --bin bips-serve --release -- \
 //!       [--workload full|smoke|tiny] [--listen HOST:PORT] [--uds PATH] \
-//!       [--jobs N] [--mix Q:U] [--mode seqlock|locked]
+//!       [--jobs N] [--mix Q:U]
 //!
 //! Defaults: smoke workload, TCP on `127.0.0.1:0` (the `LISTENING`
-//! line carries the actual port), flush jobs 4, the 80:20 mix, and
-//! the seqlock read path. `--mix` re-tunes the workload's per-tick
-//! blocks (clients must drive the same mix for checksums to line up);
-//! `--mode locked` serves on the legacy lock-based slot reads for
-//! locked-vs-seqlock socket comparisons. At exit the run's `serve.*`
+//! line carries the actual port), flush jobs 4, and the 80:20 mix.
+//! `--mix` re-tunes the workload's per-tick blocks (clients must drive
+//! the same mix for checksums to line up). At exit the run's `serve.*`
 //! counters print to stderr.
 
 use std::io::Write;
@@ -25,10 +23,9 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bips_bench::loadgen::{build_service_with, Workload};
+use bips_bench::loadgen::{build_service, Workload};
 use bips_bench::serve::{Bind, Server};
-use bips_bench::telemetry::{take_flag, take_mix};
-use bips_core::service::ReadPath;
+use bips_bench::telemetry::{reject_unknown, take_flag, take_mix};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,11 +34,7 @@ fn main() {
     let (args, uds) = take_flag(args, "--uds");
     let (args, jobs) = take_flag(args, "--jobs");
     let (args, mix) = take_mix(args);
-    let (args, mode) = take_flag(args, "--mode");
-    if let Some(stray) = args.first() {
-        eprintln!("unknown argument: {stray}");
-        std::process::exit(2);
-    }
+    reject_unknown(&args);
 
     let w = match workload.as_deref().unwrap_or("smoke") {
         "full" => Workload::full(),
@@ -53,13 +46,6 @@ fn main() {
         }
     }
     .with_mix(mix);
-    let read_path = match &mode {
-        Some(s) => ReadPath::parse(s).unwrap_or_else(|| {
-            eprintln!("--mode must be seqlock or locked (got {s})");
-            std::process::exit(2);
-        }),
-        None => ReadPath::default(),
-    };
     let jobs: usize = jobs.map_or(4, |v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--jobs must be a non-negative integer");
@@ -76,14 +62,13 @@ fn main() {
     };
 
     eprintln!(
-        "[bips-serve] building {} workload: {} users, {} cells, {} shards, {} reads ...",
+        "[bips-serve] building {} workload: {} users, {} cells, {} shards ...",
         w.name,
         w.users,
         w.cells(),
-        w.shards,
-        read_path.name()
+        w.shards
     );
-    let svc = Arc::new(build_service_with(&w, read_path));
+    let svc = Arc::new(build_service(&w));
     let server = Server::bind(&bind, svc, jobs).unwrap_or_else(|e| {
         eprintln!("cannot bind {bind:?}: {e}");
         std::process::exit(1);

@@ -65,7 +65,7 @@ use bips_bench::loadgen::{
     generate_trace, run_burst_model, run_contended, run_sharded_with, BurstModelResult,
     ContendedResult, Mix, ModeResult, Workload,
 };
-use bips_bench::telemetry::{take_flag, take_jobs};
+use bips_bench::telemetry::{reject_unknown, take_flag, take_jobs, take_switch};
 use bips_core::service::ReadPath;
 use desim::report::{hdr_json, Json, RunReport};
 use desim::tracing::{FlightRecorder, Tracer};
@@ -203,7 +203,8 @@ fn main() {
     let (args, check_path) = take_flag(args, "--check");
     let (args, readers_arg) = take_flag(args, "--readers");
     let (args, jobs) = take_jobs(args);
-    let smoke_only = args.iter().any(|a| a == "--smoke");
+    let (args, smoke_only) = take_switch(args, "--smoke");
+    reject_unknown(&args);
     let readers: usize = readers_arg.map_or_else(default_readers, |v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--readers must be a positive integer");

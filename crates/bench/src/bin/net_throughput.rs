@@ -52,7 +52,7 @@ use bips_bench::loadgen::{
     build_service, generate_trace, run_sharded, run_socket, Dial, ModeResult, Workload,
 };
 use bips_bench::serve::{Bind, Server};
-use bips_bench::telemetry::{take_flag, take_mix};
+use bips_bench::telemetry::{reject_unknown, take_flag, take_mix, take_switch};
 use desim::report::{hdr_json, Json, RunReport};
 
 /// Client connection counts exercised in in-process mode; server flush
@@ -133,7 +133,8 @@ fn main() {
     let (args, connect) = take_flag(args, "--connect");
     let (args, conns_flag) = take_flag(args, "--conns");
     let (args, mix) = take_mix(args);
-    let smoke_only = args.iter().any(|a| a == "--smoke");
+    let (args, smoke_only) = take_switch(args, "--smoke");
+    reject_unknown(&args);
 
     let mut report = RunReport::new("net_throughput", Workload::smoke().seed);
     let mut rows = Vec::new();

@@ -41,7 +41,7 @@
 use std::time::Instant;
 
 use bips_bench::gate;
-use bips_bench::telemetry::take_flag;
+use bips_bench::telemetry::{reject_unknown, take_flag, take_switch};
 use bips_core::graph::{random_connected_graph, PathEngine, PathEngineKind};
 use desim::metrics::MetricSet;
 use desim::report::{Json, RunReport};
@@ -332,7 +332,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
     let (args, check_path) = take_flag(args, "--check");
-    let smoke_only = args.iter().any(|a| a == "--smoke");
+    let (args, smoke_only) = take_switch(args, "--smoke");
+    reject_unknown(&args);
 
     let workloads = if smoke_only {
         Workload::smoke()

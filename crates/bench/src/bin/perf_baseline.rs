@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use bips_bench::gate;
-use bips_bench::telemetry::take_flag;
+use bips_bench::telemetry::{reject_unknown, take_flag, take_switch};
 use bt_baseband::hop::Train;
 use bt_baseband::params::{
     DutyCycle, MediumConfig, ScanFreqModel, ScanPattern, StartFreq, StartTrain, TrainPolicy,
@@ -188,7 +188,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
     let (args, check_path) = take_flag(args, "--check");
-    let smoke_only = args.iter().any(|a| a == "--smoke");
+    let (args, smoke_only) = take_switch(args, "--smoke");
+    reject_unknown(&args);
 
     let workloads = if smoke_only {
         vec![Workload::smoke()]

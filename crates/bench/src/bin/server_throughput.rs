@@ -57,7 +57,7 @@ use bips_bench::loadgen::{
     generate_trace, merge_shard_hdrs, run_baseline, run_sharded, run_sharded_traced,
     shard_latency_hdrs, Mix, ModeResult, Trace, Workload,
 };
-use bips_bench::telemetry::{take_flag, take_jobs, take_mix};
+use bips_bench::telemetry::{reject_unknown, take_flag, take_jobs, take_mix, take_switch};
 use desim::metrics::MetricSet;
 use desim::report::{hdr_json, Json, RunReport};
 use desim::tracing::{FlightRecorder, Tracer};
@@ -180,7 +180,8 @@ fn main() {
     let (args, check_path) = take_flag(args, "--check");
     let (args, mix) = take_mix(args);
     let (args, jobs) = take_jobs(args);
-    let smoke_only = args.iter().any(|a| a == "--smoke");
+    let (args, smoke_only) = take_switch(args, "--smoke");
+    reject_unknown(&args);
 
     let workloads = if smoke_only {
         vec![Workload::smoke().with_mix(mix)]

@@ -5,23 +5,27 @@
 //! [`Workload`] describes a building's worth of users moving between
 //! cells while a pool of queriers asks where everyone is; a [`Trace`]
 //! is the pre-generated, mode-independent schedule of moves and
-//! queries derived from the seed. Three replay modes exist:
+//! queries derived from the seed. Six deterministic replay modes exist:
 //!
 //! * [`run_baseline`] — the seed [`BipsServer`] (string-keyed, fresh
 //!   allocations per answer);
-//! * [`run_sharded`] — the sharded engine with tracing off;
+//! * [`run_sharded`] — the sharded engine with tracing off, and
+//!   [`run_sharded_with`] selecting its slot-read protocol
+//!   ([`ReadPath`]) for locked-vs-seqlock comparisons;
 //! * [`run_sharded_traced`] — the same engine with a
 //!   [`Tracer`] attached and a fresh span per query;
+//! * [`run_sharded_churn`] — the same engine over a dynamic path engine,
+//!   with seeded topology mutations before each tick;
 //! * [`run_socket`] — the same engine behind `bips-serve`, driven over
 //!   a real socket by a closed-loop multi-connection client.
 //!
-//! A fourth, non-deterministic mode — [`run_contended`] — races reader
-//! threads against a continuously flushing writer to measure tail
-//! latency under genuine write contention; it asserts outcome validity
-//! rather than checksums. [`Workload::with_mix`] re-tunes any workload
-//! to a [`Mix`] preset (80:20, 50:50, 99:1 query:update), and the
-//! `*_with` variants select the engine's slot-read protocol
-//! ([`ReadPath`]) for locked-vs-seqlock comparisons.
+//! Two measurement modes sit beside them. [`run_contended`] races
+//! reader threads against a continuously flushing writer to measure
+//! tail latency under genuine write contention; it asserts outcome
+//! validity rather than checksums. [`run_burst_model`] composes measured
+//! flush and query times into a deterministic model of that tail.
+//! [`Workload::with_mix`] re-tunes any workload to a [`Mix`] preset
+//! (80:20, 50:50, 99:1 query:update).
 //!
 //! Every answer is folded into an FNV-1a checksum and every flush ack
 //! into a second one, so "tracing is non-perturbing" is a one-line
@@ -510,7 +514,7 @@ pub fn other_code(out: &LocateOutcome) -> u64 {
 /// Replays the trace against the sharded engine, tracing off, on the
 /// default (seqlock) read path.
 pub fn run_sharded(w: &Workload, trace: &Trace, jobs: usize) -> (ModeResult, MetricSet) {
-    run_sharded_impl(w, trace, jobs, ReadPath::Seqlock, None)
+    run_sharded_with(w, trace, jobs, ReadPath::Seqlock)
 }
 
 /// [`run_sharded`] with an explicit slot-read protocol — the
@@ -522,13 +526,13 @@ pub fn run_sharded_with(
     jobs: usize,
     read_path: ReadPath,
 ) -> (ModeResult, MetricSet) {
-    run_sharded_impl(w, trace, jobs, read_path, None)
+    run_sharded_impl(w, trace, jobs, new_service(w, read_path), None, None)
 }
 
 /// [`run_sharded`] over a dynamic path engine with topology churn
 /// folded in at tick boundaries: each tick applies `muts_per_tick`
 /// seeded mutations (mostly grid-edge reweights, occasionally a node
-/// down/up toggle) before its query block. Every mutation's applied
+/// down/up toggle) before its ingest. Every mutation's applied
 /// flag and resulting epoch fold into the answer checksum, so
 /// divergence in mutation handling — not just in answers — is caught.
 /// Identical `(workload, trace, kind-independent seed)` inputs must
@@ -547,91 +551,8 @@ pub fn run_sharded_churn(
         w.shards,
         ReadPath::Seqlock,
     );
-    let mut ack_checksum = CHECKSUM_INIT;
-    fold_acks(&mut ack_checksum, &populate(&svc, w, trace, jobs));
-    let mut ts = w.users;
-
-    let n = w.cells();
-    let side = w.side;
-    let mut rng = desim::SimRng::seed_from(churn_seed);
-    let engine_lock = svc.path_engine().expect("dynamic service");
-    let mut latencies_ns = Vec::with_capacity(trace.queries.len());
-    let mut checksum = CHECKSUM_INIT;
-    let mut found = 0u64;
-    let mut query_secs = 0.0;
-    let mut path = Vec::new();
-    let mut path32 = Vec::new();
-    let start = Instant::now();
-    for tick in 0..w.ticks {
-        {
-            let mut eng = engine_lock.write().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..muts_per_tick {
-                if rng.below(8) == 0 {
-                    let x = rng.below(n as u64) as usize;
-                    let up = rng.below(2) == 0;
-                    let applied = eng.set_node_up(x, up).unwrap_or(false);
-                    fold(
-                        &mut checksum,
-                        96 + u64::from(applied),
-                        x as u64,
-                        eng.epoch(),
-                        &[],
-                    );
-                } else {
-                    let a = rng.below(n as u64) as usize;
-                    let (r, c) = (a / side, a % side);
-                    let mut nbrs = Vec::with_capacity(4);
-                    if c + 1 < side {
-                        nbrs.push(a + 1);
-                    }
-                    if r + 1 < side {
-                        nbrs.push(a + side);
-                    }
-                    if c > 0 {
-                        nbrs.push(a - 1);
-                    }
-                    if r > 0 {
-                        nbrs.push(a - side);
-                    }
-                    let b = nbrs[rng.below(nbrs.len() as u64) as usize];
-                    let wgt = rng.uniform(0.5, 50.0);
-                    let applied = eng.set_edge_weight(a, b, wgt).unwrap_or(false);
-                    fold(
-                        &mut checksum,
-                        98 + u64::from(applied),
-                        a as u64,
-                        eng.epoch(),
-                        &[],
-                    );
-                }
-            }
-        }
-        ingest_tick(&svc, w, trace, tick, &mut ts);
-        fold_acks(&mut ack_checksum, &svc.flush(jobs));
-        let block = Instant::now();
-        for &(querier, target, from_cell) in
-            &trace.queries[tick * w.queries_per_tick..(tick + 1) * w.queries_per_tick]
-        {
-            let q = Instant::now();
-            let out = svc.where_is(querier, target, from_cell as usize, &mut path);
-            latencies_ns.push(q.elapsed().as_nanos() as u64);
-            fold_where(&mut checksum, &mut found, &out, &path, &mut path32);
-        }
-        query_secs += block.elapsed().as_secs_f64();
-    }
-    let mut metrics = MetricSet::new();
-    svc.export_metrics(&mut metrics);
-    (
-        ModeResult {
-            query_secs,
-            total_secs: start.elapsed().as_secs_f64(),
-            latencies_ns,
-            checksum,
-            ack_checksum,
-            found,
-        },
-        metrics,
-    )
+    let churn = (desim::SimRng::seed_from(churn_seed), muts_per_tick);
+    run_sharded_impl(w, trace, jobs, svc, None, Some(churn))
 }
 
 /// Replays the trace against the sharded engine with `tracer`
@@ -645,17 +566,22 @@ pub fn run_sharded_traced(
     tracer: &Arc<Tracer>,
     recorder: Option<&FlightRecorder>,
 ) -> (ModeResult, MetricSet) {
-    run_sharded_impl(w, trace, jobs, ReadPath::Seqlock, Some((tracer, recorder)))
+    let svc = new_service(w, ReadPath::Seqlock);
+    run_sharded_impl(w, trace, jobs, svc, Some((tracer, recorder)), None)
 }
 
+/// The one sharded replay loop, over `svc` with nobody logged in. Each
+/// tick applies `churn`'s topology mutations (its RNG and mutations per
+/// tick) if any, ingests the tick's moves, flushes, then serves its
+/// queries.
 fn run_sharded_impl(
     w: &Workload,
     trace: &Trace,
     jobs: usize,
-    read_path: ReadPath,
+    mut svc: ShardedService,
     tracing: Option<(&Arc<Tracer>, Option<&FlightRecorder>)>,
+    mut churn: Option<(desim::SimRng, usize)>,
 ) -> (ModeResult, MetricSet) {
-    let mut svc = new_service(w, read_path);
     if let Some((tracer, _)) = tracing {
         svc.attach_tracer(Arc::clone(tracer));
     }
@@ -672,6 +598,9 @@ fn run_sharded_impl(
     let mut path32 = Vec::new();
     let start = Instant::now();
     for tick in 0..w.ticks {
+        if let Some((rng, muts_per_tick)) = &mut churn {
+            mutate_topology(&svc, w.side, rng, *muts_per_tick, &mut checksum);
+        }
         ingest_tick(&svc, w, trace, tick, &mut ts);
         fold_acks(&mut ack_checksum, &svc.flush(jobs));
         let block = Instant::now();
@@ -713,17 +642,71 @@ fn run_sharded_impl(
     )
 }
 
+/// Applies `muts` seeded mutations to `svc`'s dynamic path engine on a
+/// `side`×`side` grid: mostly grid-edge reweights, one in eight a node
+/// down/up toggle. Each mutation's applied flag and resulting epoch fold
+/// into `checksum`.
+fn mutate_topology(
+    svc: &ShardedService,
+    side: usize,
+    rng: &mut desim::SimRng,
+    muts: usize,
+    checksum: &mut u64,
+) {
+    let n = side * side;
+    let mut eng = svc
+        .path_engine()
+        .expect("churn runs on a dynamic service")
+        .write()
+        .unwrap_or_else(|e| e.into_inner());
+    for _ in 0..muts {
+        if rng.below(8) == 0 {
+            let x = rng.below(n as u64) as usize;
+            let up = rng.below(2) == 0;
+            let applied = eng.set_node_up(x, up).unwrap_or(false);
+            fold(
+                checksum,
+                96 + u64::from(applied),
+                x as u64,
+                eng.epoch(),
+                &[],
+            );
+        } else {
+            let a = rng.below(n as u64) as usize;
+            let (r, c) = (a / side, a % side);
+            let mut nbrs = Vec::with_capacity(4);
+            if c + 1 < side {
+                nbrs.push(a + 1);
+            }
+            if r + 1 < side {
+                nbrs.push(a + side);
+            }
+            if c > 0 {
+                nbrs.push(a - 1);
+            }
+            if r > 0 {
+                nbrs.push(a - side);
+            }
+            let b = nbrs[rng.below(nbrs.len() as u64) as usize];
+            let wgt = rng.uniform(0.5, 50.0);
+            let applied = eng.set_edge_weight(a, b, wgt).unwrap_or(false);
+            fold(
+                checksum,
+                98 + u64::from(applied),
+                a as u64,
+                eng.epoch(),
+                &[],
+            );
+        }
+    }
+}
+
 /// A [`ShardedService`] for the workload with every user logged in —
 /// the server-side state `bips-serve` starts from. Presence is NOT
 /// pre-applied: the socket client ingests the initial cells itself, so
 /// its ack checksum covers the same flushes as [`run_sharded`]'s.
 pub fn build_service(w: &Workload) -> ShardedService {
-    build_service_with(w, ReadPath::Seqlock)
-}
-
-/// [`build_service`] with an explicit slot-read protocol.
-pub fn build_service_with(w: &Workload, read_path: ReadPath) -> ShardedService {
-    let svc = new_service(w, read_path);
+    let svc = new_service(w, ReadPath::Seqlock);
     login_all(&svc, w);
     svc
 }

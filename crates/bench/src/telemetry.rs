@@ -99,6 +99,26 @@ pub fn take_flag(args: Vec<String>, flag: &str) -> (Vec<String>, Option<String>)
     (rest, value)
 }
 
+/// Removes every `switch` (a flag that takes no value) from a raw
+/// argument list, returning the remaining arguments and whether it was
+/// present.
+pub fn take_switch(args: Vec<String>, switch: &str) -> (Vec<String>, bool) {
+    let before = args.len();
+    let rest: Vec<String> = args.into_iter().filter(|a| a != switch).collect();
+    let present = rest.len() < before;
+    (rest, present)
+}
+
+/// Exits with status 2, naming the first argument, if any argument is
+/// left once the caller has taken every flag it knows: a mistyped flag
+/// must fail the run, not silently change what runs or turn a gate off.
+pub fn reject_unknown(args: &[String]) {
+    if let Some(stray) = args.first() {
+        eprintln!("unknown argument: {stray}");
+        std::process::exit(2);
+    }
+}
+
 /// Strips `--jobs N` from the CLI args, returning the remaining args and
 /// the requested replication-worker count. `0` (the default) means
 /// ambient: `BIPS_JOBS` if set, else the machine width (`desim::par`).

@@ -7,7 +7,7 @@
 //! packets — the simulator charges one slot pair per 17 bytes, so message
 //! size is physically meaningful.
 
-use crate::protocol::LocateOutcome;
+use crate::protocol::{HistoryOutcome, LocateOutcome};
 use crate::wire::{DecodeError, Reader, Writer};
 
 const TAG_LOGIN_UP: u8 = 1;
@@ -16,14 +16,6 @@ const TAG_QUERY_UP: u8 = 3;
 const TAG_QUERY_DOWN: u8 = 4;
 const TAG_HISTORY_UP: u8 = 5;
 const TAG_HISTORY_DOWN: u8 = 6;
-
-const OUT_FOUND: u8 = 0;
-const OUT_NOT_LOGGED_IN: u8 = 1;
-const OUT_OUT_OF_COVERAGE: u8 = 2;
-const OUT_NO_SUCH_USER: u8 = 3;
-const OUT_DENIED: u8 = 4;
-const OUT_QUERIER_NOT_LOGGED_IN: u8 = 5;
-const OUT_BAD_QUERY: u8 = 6;
 
 /// A message on the handheld ↔ workstation link.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +49,7 @@ pub enum HandheldMsg {
         to_us: u64,
     },
     /// Workstation → handheld: the movement trace to display.
-    HistoryDown(crate::protocol::HistoryOutcome),
+    HistoryDown(HistoryOutcome),
 }
 
 impl HandheldMsg {
@@ -84,71 +76,13 @@ impl HandheldMsg {
                     .u64(*from_us)
                     .u64(*to_us);
             }
-            HandheldMsg::HistoryDown(out) => {
-                use crate::protocol::HistoryOutcome;
-                w.u8(TAG_HISTORY_DOWN);
-                match out {
-                    HistoryOutcome::Trace(steps) => {
-                        w.u8(0).u32(steps.len() as u32);
-                        for st in steps {
-                            w.u32(st.cell).bool(st.present).u64(st.at_us);
-                        }
-                    }
-                    HistoryOutcome::Denied => {
-                        w.u8(1);
-                    }
-                    HistoryOutcome::NoSuchUser => {
-                        w.u8(2);
-                    }
-                    HistoryOutcome::QuerierNotLoggedIn => {
-                        w.u8(3);
-                    }
-                }
-            }
             HandheldMsg::QueryDown(out) => {
                 w.u8(TAG_QUERY_DOWN);
-                match out {
-                    LocateOutcome::Found {
-                        cell,
-                        path,
-                        distance,
-                    } => {
-                        w.u8(OUT_FOUND)
-                            .u32(*cell)
-                            .f64(*distance)
-                            .u32(path.len() as u32);
-                        for c in path {
-                            w.u32(*c);
-                        }
-                    }
-                    LocateOutcome::NotLoggedIn => {
-                        w.u8(OUT_NOT_LOGGED_IN);
-                    }
-                    LocateOutcome::OutOfCoverage => {
-                        w.u8(OUT_OUT_OF_COVERAGE);
-                    }
-                    LocateOutcome::NoSuchUser => {
-                        w.u8(OUT_NO_SUCH_USER);
-                    }
-                    LocateOutcome::Denied => {
-                        w.u8(OUT_DENIED);
-                    }
-                    LocateOutcome::QuerierNotLoggedIn => {
-                        w.u8(OUT_QUERIER_NOT_LOGGED_IN);
-                    }
-                    LocateOutcome::BadQuery(crate::protocol::ProtocolError::CellOutOfRange {
-                        cell,
-                        num_cells,
-                    }) => {
-                        w.u8(OUT_BAD_QUERY).u8(0).u32(*cell).u32(*num_cells);
-                    }
-                    LocateOutcome::BadQuery(crate::protocol::ProtocolError::PathCorrupt {
-                        from,
-                        to,
-                    }) => {
-                        w.u8(OUT_BAD_QUERY).u8(1).u32(*from).u32(*to);
-                    }
-                }
+                out.encode_into(&mut w);
+            }
+            HandheldMsg::HistoryDown(out) => {
+                w.u8(TAG_HISTORY_DOWN);
+                out.encode_into(&mut w);
             }
         }
         w.into_bytes()
@@ -175,72 +109,8 @@ impl HandheldMsg {
                 from_us: r.u64()?,
                 to_us: r.u64()?,
             },
-            TAG_HISTORY_DOWN => {
-                use crate::protocol::{HistoryOutcome, HistoryStep};
-                let out = match r.u8()? {
-                    0 => {
-                        let n = r.u32()? as usize;
-                        if n > crate::wire::MAX_FIELD_LEN / 13 {
-                            return Err(DecodeError::FieldTooLong);
-                        }
-                        let mut steps = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            steps.push(HistoryStep {
-                                cell: r.u32()?,
-                                present: r.bool()?,
-                                at_us: r.u64()?,
-                            });
-                        }
-                        HistoryOutcome::Trace(steps)
-                    }
-                    1 => HistoryOutcome::Denied,
-                    2 => HistoryOutcome::NoSuchUser,
-                    3 => HistoryOutcome::QuerierNotLoggedIn,
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                HandheldMsg::HistoryDown(out)
-            }
-            TAG_QUERY_DOWN => {
-                let out = match r.u8()? {
-                    OUT_FOUND => {
-                        let cell = r.u32()?;
-                        let distance = r.f64()?;
-                        let n = r.u32()? as usize;
-                        if n > crate::wire::MAX_FIELD_LEN / 4 {
-                            return Err(DecodeError::FieldTooLong);
-                        }
-                        let mut path = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            path.push(r.u32()?);
-                        }
-                        LocateOutcome::Found {
-                            cell,
-                            path,
-                            distance,
-                        }
-                    }
-                    OUT_NOT_LOGGED_IN => LocateOutcome::NotLoggedIn,
-                    OUT_OUT_OF_COVERAGE => LocateOutcome::OutOfCoverage,
-                    OUT_NO_SUCH_USER => LocateOutcome::NoSuchUser,
-                    OUT_DENIED => LocateOutcome::Denied,
-                    OUT_QUERIER_NOT_LOGGED_IN => LocateOutcome::QuerierNotLoggedIn,
-                    OUT_BAD_QUERY => match r.u8()? {
-                        0 => LocateOutcome::BadQuery(
-                            crate::protocol::ProtocolError::CellOutOfRange {
-                                cell: r.u32()?,
-                                num_cells: r.u32()?,
-                            },
-                        ),
-                        1 => LocateOutcome::BadQuery(crate::protocol::ProtocolError::PathCorrupt {
-                            from: r.u32()?,
-                            to: r.u32()?,
-                        }),
-                        t => return Err(DecodeError::BadTag(t)),
-                    },
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                HandheldMsg::QueryDown(out)
-            }
+            TAG_QUERY_DOWN => HandheldMsg::QueryDown(LocateOutcome::decode_from(&mut r)?),
+            TAG_HISTORY_DOWN => HandheldMsg::HistoryDown(HistoryOutcome::decode_from(&mut r)?),
             t => return Err(DecodeError::BadTag(t)),
         };
         r.finish()?;
@@ -286,7 +156,7 @@ mod tests {
 
     #[test]
     fn history_messages_round_trip() {
-        use crate::protocol::{HistoryOutcome, HistoryStep};
+        use crate::protocol::HistoryStep;
         round_trip(HandheldMsg::HistoryUp {
             target: "bob".into(),
             from_us: 5,

@@ -583,6 +583,150 @@ fn addr(raw: u64) -> Result<BdAddr, DecodeError> {
     BdAddr::try_from(raw).map_err(|_| DecodeError::BadTag(0xFF))
 }
 
+/// The location answer's wire form, shared by the LAN
+/// [`Response::LocateResult`] and the handheld link's
+/// [`HandheldMsg::QueryDown`](crate::handheld::HandheldMsg::QueryDown):
+/// an outcome code, then for `Found` the cell, distance and path, and for
+/// `BadQuery` an error code and its two fields.
+impl LocateOutcome {
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        match self {
+            LocateOutcome::Found {
+                cell,
+                path,
+                distance,
+            } => {
+                w.u8(OUTCOME_FOUND)
+                    .u32(*cell)
+                    .f64(*distance)
+                    .u32(path.len() as u32);
+                for c in path {
+                    w.u32(*c);
+                }
+            }
+            LocateOutcome::NotLoggedIn => {
+                w.u8(OUTCOME_NOT_LOGGED_IN);
+            }
+            LocateOutcome::OutOfCoverage => {
+                w.u8(OUTCOME_OUT_OF_COVERAGE);
+            }
+            LocateOutcome::NoSuchUser => {
+                w.u8(OUTCOME_NO_SUCH_USER);
+            }
+            LocateOutcome::Denied => {
+                w.u8(OUTCOME_DENIED);
+            }
+            LocateOutcome::QuerierNotLoggedIn => {
+                w.u8(OUTCOME_QUERIER_NOT_LOGGED_IN);
+            }
+            LocateOutcome::BadQuery(ProtocolError::CellOutOfRange { cell, num_cells }) => {
+                w.u8(OUTCOME_BAD_QUERY)
+                    .u8(PROTO_ERR_CELL_OUT_OF_RANGE)
+                    .u32(*cell)
+                    .u32(*num_cells);
+            }
+            LocateOutcome::BadQuery(ProtocolError::PathCorrupt { from, to }) => {
+                w.u8(OUTCOME_BAD_QUERY)
+                    .u8(PROTO_ERR_PATH_CORRUPT)
+                    .u32(*from)
+                    .u32(*to);
+            }
+        }
+    }
+
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<LocateOutcome, DecodeError> {
+        Ok(match r.u8()? {
+            OUTCOME_FOUND => {
+                let cell = r.u32()?;
+                let distance = r.f64()?;
+                let n = r.u32()? as usize;
+                if n > crate::wire::MAX_FIELD_LEN / 4 {
+                    return Err(DecodeError::FieldTooLong);
+                }
+                let mut path = Vec::with_capacity(n);
+                for _ in 0..n {
+                    path.push(r.u32()?);
+                }
+                LocateOutcome::Found {
+                    cell,
+                    path,
+                    distance,
+                }
+            }
+            OUTCOME_NOT_LOGGED_IN => LocateOutcome::NotLoggedIn,
+            OUTCOME_OUT_OF_COVERAGE => LocateOutcome::OutOfCoverage,
+            OUTCOME_NO_SUCH_USER => LocateOutcome::NoSuchUser,
+            OUTCOME_DENIED => LocateOutcome::Denied,
+            OUTCOME_QUERIER_NOT_LOGGED_IN => LocateOutcome::QuerierNotLoggedIn,
+            OUTCOME_BAD_QUERY => match r.u8()? {
+                PROTO_ERR_CELL_OUT_OF_RANGE => {
+                    LocateOutcome::BadQuery(ProtocolError::CellOutOfRange {
+                        cell: r.u32()?,
+                        num_cells: r.u32()?,
+                    })
+                }
+                PROTO_ERR_PATH_CORRUPT => LocateOutcome::BadQuery(ProtocolError::PathCorrupt {
+                    from: r.u32()?,
+                    to: r.u32()?,
+                }),
+                t => return Err(DecodeError::BadTag(t)),
+            },
+            t => return Err(DecodeError::BadTag(t)),
+        })
+    }
+}
+
+/// The history answer's wire form, shared by the LAN
+/// [`Response::HistoryResult`] and the handheld link's
+/// [`HandheldMsg::HistoryDown`](crate::handheld::HandheldMsg::HistoryDown):
+/// an outcome code, then for `Trace` the step count and each step's cell,
+/// presence and time.
+impl HistoryOutcome {
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        match self {
+            HistoryOutcome::Trace(steps) => {
+                w.u8(HISTORY_OK).u32(steps.len() as u32);
+                for st in steps {
+                    w.u32(st.cell).bool(st.present).u64(st.at_us);
+                }
+            }
+            HistoryOutcome::Denied => {
+                w.u8(HISTORY_DENIED);
+            }
+            HistoryOutcome::NoSuchUser => {
+                w.u8(HISTORY_NO_USER);
+            }
+            HistoryOutcome::QuerierNotLoggedIn => {
+                w.u8(HISTORY_NOT_LOGGED_IN);
+            }
+        }
+    }
+
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<HistoryOutcome, DecodeError> {
+        Ok(match r.u8()? {
+            HISTORY_OK => {
+                let n = r.u32()? as usize;
+                if n > crate::wire::MAX_FIELD_LEN / 13 {
+                    return Err(DecodeError::FieldTooLong);
+                }
+                let mut steps = Vec::with_capacity(n);
+                for _ in 0..n {
+                    steps.push(HistoryStep {
+                        cell: r.u32()?,
+                        present: r.bool()?,
+                        at_us: r.u64()?,
+                    });
+                }
+                HistoryOutcome::Trace(steps)
+            }
+            HISTORY_DENIED => HistoryOutcome::Denied,
+            HISTORY_NO_USER => HistoryOutcome::NoSuchUser,
+            HISTORY_NOT_LOGGED_IN => HistoryOutcome::QuerierNotLoggedIn,
+            t => return Err(DecodeError::BadTag(t)),
+        })
+    }
+}
+
 impl Response {
     /// Encodes the response.
     pub fn encode(&self) -> Vec<u8> {
@@ -604,48 +748,7 @@ impl Response {
             }
             Response::LocateResult(out) => {
                 w.u8(TAG_LOCATE_RESULT);
-                match out {
-                    LocateOutcome::Found {
-                        cell,
-                        path,
-                        distance,
-                    } => {
-                        w.u8(OUTCOME_FOUND)
-                            .u32(*cell)
-                            .f64(*distance)
-                            .u32(path.len() as u32);
-                        for c in path {
-                            w.u32(*c);
-                        }
-                    }
-                    LocateOutcome::NotLoggedIn => {
-                        w.u8(OUTCOME_NOT_LOGGED_IN);
-                    }
-                    LocateOutcome::OutOfCoverage => {
-                        w.u8(OUTCOME_OUT_OF_COVERAGE);
-                    }
-                    LocateOutcome::NoSuchUser => {
-                        w.u8(OUTCOME_NO_SUCH_USER);
-                    }
-                    LocateOutcome::Denied => {
-                        w.u8(OUTCOME_DENIED);
-                    }
-                    LocateOutcome::QuerierNotLoggedIn => {
-                        w.u8(OUTCOME_QUERIER_NOT_LOGGED_IN);
-                    }
-                    LocateOutcome::BadQuery(ProtocolError::CellOutOfRange { cell, num_cells }) => {
-                        w.u8(OUTCOME_BAD_QUERY)
-                            .u8(PROTO_ERR_CELL_OUT_OF_RANGE)
-                            .u32(*cell)
-                            .u32(*num_cells);
-                    }
-                    LocateOutcome::BadQuery(ProtocolError::PathCorrupt { from, to }) => {
-                        w.u8(OUTCOME_BAD_QUERY)
-                            .u8(PROTO_ERR_PATH_CORRUPT)
-                            .u32(*from)
-                            .u32(*to);
-                    }
-                }
+                out.encode_into(&mut w);
             }
             Response::PresenceBatchAck { changed } => {
                 w.u8(TAG_PRESENCE_BATCH_ACK).u32(*changed);
@@ -680,23 +783,7 @@ impl Response {
             }
             Response::HistoryResult(out) => {
                 w.u8(TAG_HISTORY_RESULT);
-                match out {
-                    HistoryOutcome::Trace(steps) => {
-                        w.u8(HISTORY_OK).u32(steps.len() as u32);
-                        for st in steps {
-                            w.u32(st.cell).bool(st.present).u64(st.at_us);
-                        }
-                    }
-                    HistoryOutcome::Denied => {
-                        w.u8(HISTORY_DENIED);
-                    }
-                    HistoryOutcome::NoSuchUser => {
-                        w.u8(HISTORY_NO_USER);
-                    }
-                    HistoryOutcome::QuerierNotLoggedIn => {
-                        w.u8(HISTORY_NOT_LOGGED_IN);
-                    }
-                }
+                out.encode_into(&mut w);
             }
         }
         w.into_bytes()
@@ -725,50 +812,7 @@ impl Response {
                 }
             }
             TAG_LOGOUT_RESULT => Response::LogoutResult { ok: r.bool()? },
-            TAG_LOCATE_RESULT => {
-                let code = r.u8()?;
-                let out = match code {
-                    OUTCOME_FOUND => {
-                        let cell = r.u32()?;
-                        let distance = r.f64()?;
-                        let n = r.u32()? as usize;
-                        if n > crate::wire::MAX_FIELD_LEN / 4 {
-                            return Err(DecodeError::FieldTooLong);
-                        }
-                        let mut path = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            path.push(r.u32()?);
-                        }
-                        LocateOutcome::Found {
-                            cell,
-                            path,
-                            distance,
-                        }
-                    }
-                    OUTCOME_NOT_LOGGED_IN => LocateOutcome::NotLoggedIn,
-                    OUTCOME_OUT_OF_COVERAGE => LocateOutcome::OutOfCoverage,
-                    OUTCOME_NO_SUCH_USER => LocateOutcome::NoSuchUser,
-                    OUTCOME_DENIED => LocateOutcome::Denied,
-                    OUTCOME_QUERIER_NOT_LOGGED_IN => LocateOutcome::QuerierNotLoggedIn,
-                    OUTCOME_BAD_QUERY => match r.u8()? {
-                        PROTO_ERR_CELL_OUT_OF_RANGE => {
-                            LocateOutcome::BadQuery(ProtocolError::CellOutOfRange {
-                                cell: r.u32()?,
-                                num_cells: r.u32()?,
-                            })
-                        }
-                        PROTO_ERR_PATH_CORRUPT => {
-                            LocateOutcome::BadQuery(ProtocolError::PathCorrupt {
-                                from: r.u32()?,
-                                to: r.u32()?,
-                            })
-                        }
-                        t => return Err(DecodeError::BadTag(t)),
-                    },
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                Response::LocateResult(out)
-            }
+            TAG_LOCATE_RESULT => Response::LocateResult(LocateOutcome::decode_from(&mut r)?),
             TAG_PRESENCE_BATCH_ACK => Response::PresenceBatchAck { changed: r.u32()? },
             TAG_HEARTBEAT_ACK => Response::HeartbeatAck,
             TAG_NOTIFY_BATCH_ACK => Response::NotifyBatchAck { changed: r.u32()? },
@@ -798,31 +842,7 @@ impl Response {
                 applied: r.bool()?,
                 epoch: r.u64()?,
             },
-            TAG_HISTORY_RESULT => {
-                let code = r.u8()?;
-                let out = match code {
-                    HISTORY_OK => {
-                        let n = r.u32()? as usize;
-                        if n > crate::wire::MAX_FIELD_LEN / 13 {
-                            return Err(DecodeError::FieldTooLong);
-                        }
-                        let mut steps = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            steps.push(HistoryStep {
-                                cell: r.u32()?,
-                                present: r.bool()?,
-                                at_us: r.u64()?,
-                            });
-                        }
-                        HistoryOutcome::Trace(steps)
-                    }
-                    HISTORY_DENIED => HistoryOutcome::Denied,
-                    HISTORY_NO_USER => HistoryOutcome::NoSuchUser,
-                    HISTORY_NOT_LOGGED_IN => HistoryOutcome::QuerierNotLoggedIn,
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                Response::HistoryResult(out)
-            }
+            TAG_HISTORY_RESULT => Response::HistoryResult(HistoryOutcome::decode_from(&mut r)?),
             t => return Err(DecodeError::BadTag(t)),
         };
         r.finish()?;

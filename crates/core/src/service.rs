@@ -137,20 +137,11 @@ pub enum ReadPath {
 }
 
 impl ReadPath {
-    /// Stable lower-case name, for bench reports and CLI flags.
+    /// Stable lower-case name, for bench reports.
     pub fn name(&self) -> &'static str {
         match self {
             ReadPath::Seqlock => "seqlock",
             ReadPath::Locked => "locked",
-        }
-    }
-
-    /// Parses a CLI spelling (`seqlock` / `locked`).
-    pub fn parse(s: &str) -> Option<ReadPath> {
-        match s {
-            "seqlock" => Some(ReadPath::Seqlock),
-            "locked" => Some(ReadPath::Locked),
-            _ => None,
         }
     }
 }

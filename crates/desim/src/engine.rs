@@ -546,11 +546,6 @@ impl<W: World> Engine<W> {
         while self.steps - before < max_steps && self.step() {}
         self.steps - before
     }
-
-    /// Consumes the engine, returning the final world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
 }
 
 #[cfg(test)]

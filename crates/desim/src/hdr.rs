@@ -1,9 +1,7 @@
 //! Log-linear high-dynamic-range histograms with bounded relative error.
 //!
-//! The fixed-bucket [`crate::stats::Histogram`] is fine for shapes known
-//! in advance, but serving latencies at 1M users span five orders of
-//! magnitude and the tail (p999, p9999) is exactly where fixed buckets
-//! lose resolution. [`HdrHistogram`] records unsigned integer values
+//! Serving latencies at 1M users span five orders of magnitude, and the
+//! tail (p999, p9999) is exactly where fixed buckets lose resolution. [`HdrHistogram`] records unsigned integer values
 //! (by convention nanoseconds) into log-linear buckets: values below
 //! `2^sub_bucket_bits` are exact, and every power-of-two octave above
 //! that is split into `2^(sub_bucket_bits-1)` linear sub-buckets.

@@ -18,9 +18,8 @@
 //!   [`rng::SeedDeriver`], so replications and parallel parameter sweeps
 //!   are reproducible and independent.
 //! * **Statistics** ([`stats`]) provide the estimators used by every
-//!   experiment in the paper: sample means with confidence intervals,
-//!   empirical CDFs (Figure 2 is an empirical discovery-time CDF), and
-//!   histograms.
+//!   experiment in the paper: sample means with confidence intervals and
+//!   empirical CDFs (Figure 2 is an empirical discovery-time CDF).
 //! * **Parallel replication** ([`par`]) fans independent replications out
 //!   over scoped worker threads with per-index seeds and an ordered
 //!   reduction, so `--jobs N` scales throughput to the hardware while
@@ -76,7 +75,6 @@ pub mod report;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod tracing;
 
 pub use engine::{Context, Engine, EventId, Observer, World};

@@ -8,14 +8,13 @@
 //! rendered for humans ([`fmt::Display`]) or exported as JSON (see
 //! [`crate::report`]).
 //!
-//! Four metric kinds cover the telemetry in this repository:
+//! Three metric kinds cover the telemetry in this repository:
 //!
 //! * [`Metric::Counter`] — monotone event counts;
 //! * [`Metric::Gauge`] — last-written point-in-time values (rates,
 //!   averages computed at export time);
 //! * [`Metric::Stats`] — full streaming distributions
-//!   ([`OnlineStats`]: mean, CI, extrema);
-//! * [`Metric::Hist`] — fixed-range [`Histogram`]s.
+//!   ([`OnlineStats`]: mean, CI, extrema).
 //!
 //! Names are plain strings; the dot hierarchy is a convention, not a
 //! structure the registry enforces. Recording into an existing name with a
@@ -38,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::stats::{Histogram, OnlineStats};
+use crate::stats::OnlineStats;
 
 /// One named metric value.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +48,6 @@ pub enum Metric {
     Gauge(f64),
     /// A streaming distribution (mean / CI / extrema).
     Stats(OnlineStats),
-    /// A fixed-range histogram.
-    Hist(Histogram),
 }
 
 impl Metric {
@@ -59,7 +56,6 @@ impl Metric {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Stats(_) => "stats",
-            Metric::Hist(_) => "histogram",
         }
     }
 }
@@ -70,21 +66,6 @@ impl fmt::Display for Metric {
             Metric::Counter(v) => write!(f, "{v}"),
             Metric::Gauge(v) => write!(f, "{v}"),
             Metric::Stats(s) => write!(f, "{s}"),
-            Metric::Hist(h) => {
-                write!(
-                    f,
-                    "total={} underflow={} overflow={} nans={} bins={}",
-                    h.total(),
-                    h.underflow(),
-                    h.overflow(),
-                    h.nans(),
-                    h.num_bins()
-                )?;
-                if h.merge_mismatches() > 0 {
-                    write!(f, " merge_mismatches={}", h.merge_mismatches())?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -175,20 +156,6 @@ impl MetricSet {
         }
     }
 
-    /// The histogram `name`, created over `[lo, hi)` with `bins` buckets if
-    /// absent. Existing histograms keep their original bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already holds a non-histogram metric, or on the
-    /// [`Histogram::new`] preconditions when creating.
-    pub fn histogram(&mut self, name: &str, lo: f64, hi: f64, bins: usize) -> &mut Histogram {
-        match self.entry(name, Metric::Hist(Histogram::new(lo, hi, bins))) {
-            Metric::Hist(h) => h,
-            other => mismatch(name, "histogram", other.kind()),
-        }
-    }
-
     fn entry(&mut self, name: &str, default: Metric) -> &mut Metric {
         if !self.metrics.contains_key(name) {
             self.metrics.insert(name.to_string(), default);
@@ -251,17 +218,8 @@ impl MetricSet {
     }
 
     /// Merges `other` into this registry, name by name: counters add,
-    /// gauges take `other`'s value, stats merge (parallel Welford), and
-    /// histograms merge bin-wise. Names present only in `other` are copied.
-    ///
-    /// Two histograms under one name with different bounds or bin counts
-    /// are *not* summed: the merge is skipped and recorded on the
-    /// receiving histogram as the
-    /// [`merge_mismatches`](crate::stats::Histogram::merge_mismatches)
-    /// counter plus a typed
-    /// [`HistMergeError`](crate::stats::HistMergeError) naming both
-    /// shapes, which run reports surface — see
-    /// [`Histogram::merge`](crate::stats::Histogram::merge).
+    /// gauges take `other`'s value, and stats merge (parallel Welford).
+    /// Names present only in `other` are copied.
     ///
     /// # Panics
     ///
@@ -276,7 +234,6 @@ impl MetricSet {
                     (Metric::Counter(a), Metric::Counter(b)) => *a += b,
                     (Metric::Gauge(a), Metric::Gauge(b)) => *a = *b,
                     (Metric::Stats(a), Metric::Stats(b)) => a.merge(b),
-                    (Metric::Hist(a), Metric::Hist(b)) => a.merge(b),
                     (mine, theirs) => mismatch(name, mine.kind(), theirs.kind()),
                 },
             }
@@ -332,17 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms_register_and_fill() {
-        let mut m = MetricSet::new();
-        m.histogram("h", 0.0, 10.0, 5).push(3.0);
-        m.histogram("h", 0.0, 10.0, 5).push(7.0);
-        match m.get("h").unwrap() {
-            Metric::Hist(h) => assert_eq!(h.total(), 2),
-            other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "is a counter, not a gauge")]
     fn kind_mismatch_panics() {
         let mut m = MetricSet::new();
@@ -356,13 +302,11 @@ mod tests {
         a.add("c", 2);
         a.gauge("g", 1.0);
         a.observe("s", 1.0);
-        a.histogram("h", 0.0, 1.0, 2).push(0.1);
 
         let mut b = MetricSet::new();
         b.add("c", 3);
         b.gauge("g", 9.0);
         b.observe("s", 3.0);
-        b.histogram("h", 0.0, 1.0, 2).push(0.9);
         b.inc("only_in_b");
 
         a.merge(&b);
@@ -370,33 +314,6 @@ mod tests {
         assert_eq!(a.gauge_value("g"), Some(9.0));
         assert_eq!(a.stats("s").unwrap().mean(), 2.0);
         assert_eq!(a.counter_value("only_in_b"), Some(1));
-        match a.get("h").unwrap() {
-            Metric::Hist(h) => assert_eq!(h.total(), 2),
-            other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    /// Histograms under one name with different shapes must never be
-    /// summed bin-by-bin: the merge is skipped in every build profile
-    /// and surfaced as the `merge_mismatches` counter plus the typed
-    /// `HistMergeError` retained on the receiving histogram.
-    #[test]
-    fn merge_hist_shape_mismatch_is_surfaced() {
-        let mut a = MetricSet::new();
-        a.histogram("h", 0.0, 1.0, 2).push(0.5);
-        let mut b = MetricSet::new();
-        b.histogram("h", 0.0, 2.0, 2).push(1.5);
-        a.merge(&b);
-        match a.get("h").unwrap() {
-            Metric::Hist(h) => {
-                assert_eq!(h.merge_mismatches(), 1);
-                assert_eq!(h.total(), 1, "mismatched merge must not add counts");
-                let err = h.last_merge_error().expect("typed error retained");
-                assert_eq!(err.ours.hi, 1.0);
-                assert_eq!(err.theirs.hi, 2.0);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
     }
 
     #[test]

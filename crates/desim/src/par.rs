@@ -14,11 +14,11 @@
 //!   results tagged with their replication index;
 //! * the collector folds outcomes and merges per-trial
 //!   [`MetricSet`]s **in replication-index order**. Ordered reduction is
-//!   what makes the merge deterministic: counters and histograms are
-//!   commutative, but gauge merge is last-writer-wins and Welford
-//!   statistics merge is only *mathematically* (not bitwise)
-//!   associative, so any completion-order reduction would leak the
-//!   thread schedule into the result.
+//!   what makes the merge deterministic: counters are commutative, but
+//!   gauge merge is last-writer-wins and Welford statistics merge is
+//!   only *mathematically* (not bitwise) associative, so any
+//!   completion-order reduction would leak the thread schedule into the
+//!   result.
 //!
 //! The worker count comes from three places, strongest first: an
 //! explicit `--jobs N` CLI flag, the `BIPS_JOBS` environment variable,
@@ -168,7 +168,6 @@ mod tests {
                 trial.inc("trials");
                 trial.observe("value", (i as f64).sin());
                 trial.gauge("last_index", i as f64);
-                trial.histogram("h", 0.0, 25.0, 5).push(i as f64);
                 (i, trial)
             });
             (outs, m)

@@ -43,7 +43,7 @@ use std::io;
 use std::path::Path;
 
 use crate::metrics::{Metric, MetricSet};
-use crate::stats::{Histogram, OnlineStats};
+use crate::stats::OnlineStats;
 
 /// The schema identifier stamped into every report.
 pub const SCHEMA: &str = "bips-run-report/v1";
@@ -544,31 +544,8 @@ fn stats_json(s: &OnlineStats) -> Json {
     o
 }
 
-fn histogram_json(h: &Histogram) -> Json {
-    let (lo, _) = h.bin_bounds(0);
-    let (_, hi) = h.bin_bounds(h.num_bins() - 1);
-    let mut o = Json::object();
-    o.set("lo", lo);
-    o.set("hi", hi);
-    o.set(
-        "counts",
-        Json::Arr((0..h.num_bins()).map(|i| Json::UInt(h.count(i))).collect()),
-    );
-    o.set("underflow", h.underflow());
-    o.set("overflow", h.overflow());
-    o.set("nans", h.nans());
-    if h.merge_mismatches() > 0 {
-        o.set("merge_mismatches", h.merge_mismatches());
-    }
-    if let Some(err) = h.last_merge_error() {
-        o.set("merge_error", err.to_string());
-    }
-    o
-}
-
 /// Converts an HDR histogram into its report form: resolution, the
-/// documented relative-error bound, and the tail quantiles the
-/// fixed-bucket histogram cannot resolve.
+/// documented relative-error bound, and the tail quantiles.
 pub fn hdr_json(h: &crate::hdr::HdrHistogram) -> Json {
     let mut o = Json::object();
     o.set("sub_bucket_bits", u64::from(h.sub_bucket_bits()));
@@ -602,10 +579,6 @@ pub fn metrics_to_json(metrics: &MetricSet) -> Json {
             Metric::Stats(s) => {
                 o.set("kind", "stats");
                 o.set("value", stats_json(s));
-            }
-            Metric::Hist(h) => {
-                o.set("kind", "histogram");
-                o.set("value", histogram_json(h));
             }
         }
         root.set(name, o);
@@ -745,7 +718,6 @@ mod tests {
         m.inc("a.count");
         m.gauge("a.rate", 2.0);
         m.observe("a.lat", 1.0);
-        m.histogram("a.h", 0.0, 1.0, 2).push(0.4);
 
         let mut r = RunReport::new("unit", 9);
         r.config("users", 3u64);
@@ -759,8 +731,6 @@ mod tests {
         let counter = metrics.get("a.count").unwrap();
         assert_eq!(counter.get("kind"), Some(&Json::from("counter")));
         assert_eq!(counter.get("value"), Some(&Json::UInt(1)));
-        let hist = metrics.get("a.h").unwrap().get("value").unwrap();
-        assert_eq!(hist.get("underflow"), Some(&Json::UInt(0)));
     }
 
     #[test]
@@ -805,23 +775,6 @@ mod tests {
         }
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(Json::parse(&deep).is_err(), "accepted unbounded nesting");
-    }
-
-    #[test]
-    fn histogram_merge_error_is_surfaced_in_report() {
-        let mut m = MetricSet::new();
-        m.histogram("h", 0.0, 1.0, 2).push(0.5);
-        let mut other = MetricSet::new();
-        other.histogram("h", 0.0, 2.0, 2).push(1.5);
-        m.merge(&other);
-        let j = metrics_to_json(&m);
-        let hist = j.get("h").unwrap().get("value").unwrap();
-        assert_eq!(hist.get("merge_mismatches"), Some(&Json::UInt(1)));
-        let err = hist.get("merge_error").expect("typed error surfaced");
-        assert_eq!(
-            err,
-            &Json::from("incompatible histograms: [0, 1)×2 vs [0, 2)×2")
-        );
     }
 
     #[test]

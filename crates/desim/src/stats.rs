@@ -1,12 +1,11 @@
 //! Estimators used by the experiment harness.
 //!
-//! Three shapes cover every table and figure in the paper:
+//! Two shapes cover every table and figure in the paper:
 //!
 //! * [`OnlineStats`] — streaming mean/variance (Welford), for the Table-1
 //!   average discovery times and their confidence intervals;
 //! * [`EmpiricalCdf`] — the discovery-probability-vs-time curves of
-//!   Figure 2 are empirical CDFs of discovery times, evaluated on a grid;
-//! * [`Histogram`] — distribution shape checks and ablation reporting.
+//!   Figure 2 are empirical CDFs of discovery times, evaluated on a grid.
 
 use std::fmt;
 
@@ -199,9 +198,7 @@ impl EmpiricalCdf {
 
     /// Adds an observed sample. NaN samples are counted separately (see
     /// [`nans`](EmpiricalCdf::nans)) and never enter the sample set or
-    /// the trial population — the same policy as [`Histogram::push`],
-    /// and what used to make [`probability_at`](EmpiricalCdf::probability_at)
-    /// panic inside its sort.
+    /// the trial population.
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {
             self.nans += 1;
@@ -312,224 +309,6 @@ impl FromIterator<f64> for EmpiricalCdf {
     }
 }
 
-/// A fixed-range, uniform-bin histogram with under/overflow buckets.
-///
-/// # Example
-///
-/// ```
-/// use desim::stats::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.push(0.5);
-/// h.push(9.9);
-/// h.push(42.0); // overflow
-/// assert_eq!(h.count(0), 1);
-/// assert_eq!(h.count(4), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    nans: u64,
-    merge_mismatches: u64,
-    last_merge_error: Option<HistMergeError>,
-}
-
-/// The shape of a [`Histogram`]: its bounds and bin count. Two
-/// histograms are mergeable exactly when their shapes are equal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistShape {
-    /// Inclusive lower bound of the binned range.
-    pub lo: f64,
-    /// Exclusive upper bound of the binned range.
-    pub hi: f64,
-    /// Number of uniform buckets.
-    pub bins: usize,
-}
-
-impl fmt::Display for HistShape {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {})×{}", self.lo, self.hi, self.bins)
-    }
-}
-
-/// A rejected [`Histogram::try_merge`]: the two shapes that failed to
-/// line up. Carried on the receiving histogram (see
-/// [`Histogram::last_merge_error`]) and surfaced in exported reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistMergeError {
-    /// Shape of the receiving histogram.
-    pub ours: HistShape,
-    /// Shape of the histogram that was being merged in.
-    pub theirs: HistShape,
-}
-
-impl fmt::Display for HistMergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "incompatible histograms: {} vs {}",
-            self.ours, self.theirs
-        )
-    }
-}
-
-impl std::error::Error for HistMergeError {}
-
-impl Histogram {
-    /// A histogram over `[lo, hi)` with `bins` uniform buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "zero bins");
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            nans: 0,
-            merge_mismatches: 0,
-            last_merge_error: None,
-        }
-    }
-
-    /// Adds one observation. NaN observations are counted separately (see
-    /// [`nans`](Histogram::nans)) rather than silently landing in bucket 0,
-    /// which is what the `(NaN as usize)` cast used to do.
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            self.nans += 1;
-        } else if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let last = self.bins.len() - 1;
-            self.bins[idx.min(last)] += 1;
-        }
-    }
-
-    /// The count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of buckets.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// NaN observations (counted, never binned).
-    pub fn nans(&self) -> u64 {
-        self.nans
-    }
-
-    /// Total observations, including under/overflow and NaNs.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.nans + self.bins.iter().sum::<u64>()
-    }
-
-    /// Merges another histogram with identical bounds and bin count into
-    /// this one (bin-wise sum, used when combining replications).
-    ///
-    /// Mismatched shapes are a programming error: merging `[0,1)×4`
-    /// counts into `[0,10)×8` counts would silently relabel every
-    /// observation. The merge is therefore **skipped**, counted in
-    /// [`merge_mismatches`](Histogram::merge_mismatches), and the typed
-    /// [`HistMergeError`] is retained (see
-    /// [`last_merge_error`](Histogram::last_merge_error)) so exported
-    /// telemetry names both offending shapes instead of corrupting
-    /// bins — identically in debug and release builds. Callers that
-    /// want to handle the error use
-    /// [`try_merge`](Histogram::try_merge).
-    pub fn merge(&mut self, other: &Histogram) {
-        let _ = self.try_merge(other);
-    }
-
-    /// Fallible [`merge`](Histogram::merge): returns the typed
-    /// [`HistMergeError`] (and bumps the
-    /// [`merge_mismatches`](Histogram::merge_mismatches) counter,
-    /// leaving every bin untouched) when the bounds or bin counts
-    /// differ.
-    pub fn try_merge(&mut self, other: &Histogram) -> Result<(), HistMergeError> {
-        if self.lo != other.lo || self.hi != other.hi || self.bins.len() != other.bins.len() {
-            let err = HistMergeError {
-                ours: self.shape(),
-                theirs: other.shape(),
-            };
-            self.merge_mismatches += 1;
-            self.last_merge_error = Some(err);
-            return Err(err);
-        }
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.nans += other.nans;
-        self.merge_mismatches += other.merge_mismatches;
-        if self.last_merge_error.is_none() {
-            self.last_merge_error = other.last_merge_error;
-        }
-        Ok(())
-    }
-
-    /// This histogram's shape (bounds and bin count).
-    pub fn shape(&self) -> HistShape {
-        HistShape {
-            lo: self.lo,
-            hi: self.hi,
-            bins: self.bins.len(),
-        }
-    }
-
-    /// Merges rejected because the other histogram's bounds or bin count
-    /// differed (0 in a healthy run).
-    pub fn merge_mismatches(&self) -> u64 {
-        self.merge_mismatches
-    }
-
-    /// The most recent rejected merge, if any — the detail behind
-    /// [`merge_mismatches`](Histogram::merge_mismatches), surfaced in
-    /// run reports.
-    pub fn last_merge_error(&self) -> Option<HistMergeError> {
-        self.last_merge_error
-    }
-
-    /// The `[lo, hi)` bounds of bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len(), "bin {i} out of range");
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,144 +412,10 @@ mod tests {
         assert_eq!(c.probability_at(1.5), 0.5);
     }
 
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [0.0, 0.24, 0.25, 0.5, 0.99, -0.1, 1.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(0), 2);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(2), 1);
-        assert_eq!(h.count(3), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_bounds(1), (0.25, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "zero bins")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    /// Regression: NaN used to fall through both range guards and the
-    /// `as usize` cast saturated it into bucket 0, silently corrupting the
-    /// lowest bin. It must be counted apart from every bucket.
-    #[test]
-    fn histogram_nan_is_not_bin_zero() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.push(f64::NAN);
-        h.push(0.1);
-        assert_eq!(h.count(0), 1, "only the real observation lands in bin 0");
-        assert_eq!(h.nans(), 1);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.total(), 2);
-    }
-
-    #[test]
-    fn histogram_merge_sums_everything() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        a.push(0.1);
-        a.push(-1.0);
-        let mut b = Histogram::new(0.0, 1.0, 2);
-        b.push(0.9);
-        b.push(2.0);
-        b.push(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.count(0), 1);
-        assert_eq!(a.count(1), 1);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.nans(), 1);
-        assert_eq!(a.total(), 5);
-    }
-
-    /// Regression: mismatched-bucket merges used to be a
-    /// `debug_assert` panic (debug builds) or a bare counter bump
-    /// (release builds). Now both build profiles behave identically:
-    /// the merge is skipped and the typed error names both shapes.
-    #[test]
-    fn histogram_merge_rejects_mismatched_shapes() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        a.push(0.5);
-        a.merge(&Histogram::new(0.0, 1.0, 3));
-        assert_eq!(a.merge_mismatches(), 1);
-        assert_eq!(a.total(), 1, "rejected merge must not add counts");
-        let err = a.last_merge_error().expect("typed error retained");
-        assert_eq!(
-            err.ours,
-            HistShape {
-                lo: 0.0,
-                hi: 1.0,
-                bins: 2
-            }
-        );
-        assert_eq!(
-            err.theirs,
-            HistShape {
-                lo: 0.0,
-                hi: 1.0,
-                bins: 3
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "incompatible histograms: [0, 1)×2 vs [0, 1)×3"
-        );
-    }
-
-    /// Regression: mismatched-shape merges used to be a hard panic in
-    /// every build; now they surface as a counter plus a typed error
-    /// instead of either corrupting bins or killing a release sweep.
-    #[test]
-    fn histogram_try_merge_counts_mismatches_and_leaves_bins_alone() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        a.push(0.1);
-        for other in [
-            Histogram::new(0.0, 1.0, 3),  // bin count differs
-            Histogram::new(0.0, 2.0, 2),  // upper bound differs
-            Histogram::new(-1.0, 1.0, 2), // lower bound differs
-        ] {
-            let err = a.try_merge(&other).expect_err("shape differs");
-            assert_eq!(err.theirs, other.shape());
-            assert_eq!(a.last_merge_error(), Some(err));
-        }
-        assert_eq!(a.merge_mismatches(), 3);
-        assert_eq!(a.count(0), 1, "failed merges must not touch bins");
-        assert_eq!(a.count(1), 0);
-        // The retained error describes the most recent rejection.
-        let last = a.last_merge_error().expect("retained");
-        assert_eq!(
-            last.theirs,
-            HistShape {
-                lo: -1.0,
-                hi: 1.0,
-                bins: 2
-            }
-        );
-
-        // A compatible merge still works and carries mismatch state.
-        let mut b = Histogram::new(0.0, 1.0, 2);
-        b.push(0.9);
-        assert!(b.try_merge(&a).is_ok());
-        assert_eq!(b.count(0), 1);
-        assert_eq!(b.count(1), 1);
-        assert_eq!(b.merge_mismatches(), 3, "mismatch count must merge too");
-        assert_eq!(
-            b.last_merge_error(),
-            Some(last),
-            "mismatch detail must propagate through compatible merges"
-        );
-    }
-
     /// Regression: `probability_at` used to sort with
     /// `partial_cmp(..).expect("no NaN")` and `push` asserted on NaN —
     /// one bad sample (e.g. a 0/0 rate) killed a whole replication
-    /// sweep. NaN now follows the `Histogram::push` policy: counted
-    /// separately, never in the population.
+    /// sweep. NaN is now counted separately, never in the population.
     #[test]
     fn cdf_nan_is_counted_not_fatal() {
         let mut c = EmpiricalCdf::new();

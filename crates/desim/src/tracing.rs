@@ -342,11 +342,6 @@ impl Tracer {
         }
     }
 
-    /// Number of rings.
-    pub fn num_rings(&self) -> usize {
-        self.rings.len()
-    }
-
     /// Borrow ring `i` for inspection, if it exists.
     pub fn ring(&self, i: usize) -> Option<&TraceRing> {
         self.rings.get(i)

@@ -141,11 +141,6 @@ impl Lan {
         id
     }
 
-    /// Number of attached hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts
-    }
-
     /// Counters.
     pub fn stats(&self) -> LanStats {
         self.stats
@@ -205,16 +200,6 @@ impl Lan {
     /// this after each [`handle`](Lan::handle).
     pub fn drain_deliveries(&mut self) -> Vec<Datagram> {
         std::mem::take(&mut self.inbox)
-    }
-
-    /// The earliest possible delivery latency under this configuration.
-    pub fn min_latency(&self) -> SimDuration {
-        self.cfg.latency
-    }
-
-    /// A latency bound no delivery exceeds.
-    pub fn max_latency(&self) -> SimDuration {
-        self.cfg.latency + self.cfg.jitter
     }
 }
 

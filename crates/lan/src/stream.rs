@@ -15,9 +15,6 @@
 //! consumed space is reclaimed by moving the unconsumed tail only when
 //! it has grown past a threshold (amortized O(1) per byte).
 
-use crate::network::HostId;
-use crate::rpc::{RpcCodec, RpcFrame};
-
 /// Upper bound on a single stream frame, in bytes. Generous: the
 /// largest legitimate frame (a `NotifyBatch` at the codec's field cap)
 /// is about 1 MiB; anything near `MAX_FRAME_LEN` is a corrupt or
@@ -156,14 +153,6 @@ impl StreamReframer {
             self.pos = 0;
         }
     }
-}
-
-/// Decodes one deframed stream frame as an RPC frame attributed to
-/// `peer`. Shorthand for [`RpcCodec::decode_ref_bytes`] — the stream
-/// carries exactly the bytes `lan::rpc` would put in a transport
-/// message.
-pub fn decode_stream_rpc(peer: HostId, frame: &[u8]) -> Option<RpcFrame<'_>> {
-    RpcCodec::decode_ref_bytes(peer, frame)
 }
 
 #[cfg(test)]

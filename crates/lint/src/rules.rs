@@ -149,7 +149,6 @@ pub const METRIC_METHODS: &[&str] = &[
     "gauge",
     "observe",
     "observe_stats",
-    "histogram",
 ];
 
 /// Runs all per-file rules (suppressions are applied by the caller).

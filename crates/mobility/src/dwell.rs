@@ -90,13 +90,6 @@ pub fn monte_carlo_dwell_secs(
     total / trials as f64
 }
 
-/// The master operational-cycle length implied by a dwell time: the paper
-/// sets the cycle equal to the average cell-crossing time (15.4 s) so a
-/// walker is inquired at least once per cell.
-pub fn operational_cycle_secs(dwell_secs: f64) -> f64 {
-    dwell_secs
-}
-
 /// Tracking load: the fraction of the operational cycle spent in inquiry
 /// (paper: 3.84 s / 15.4 s ≈ 24 %).
 pub fn tracking_load(inquiry_secs: f64, cycle_secs: f64) -> f64 {

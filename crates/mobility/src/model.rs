@@ -228,11 +228,6 @@ impl MobilityModel {
         id
     }
 
-    /// Number of walkers.
-    pub fn num_walkers(&self) -> usize {
-        self.walkers.len()
-    }
-
     /// A walker's position at time `now`.
     pub fn position(&self, w: WalkerId, now: SimTime) -> Point {
         let rt = &self.walkers[w.0];
