@@ -34,7 +34,7 @@ use crate::page::{completion_time, PageAttempt};
 use crate::params::{
     MasterConfig, MediumConfig, PageModel, ScanFreqModel, SlaveConfig, StartTrain,
 };
-use crate::scan::{ScanAction, ScanMachine, ScanPhase, WindowSchedule};
+use crate::scan::{ScanAction, ScanKind, ScanMachine, ScanPhase, WindowSchedule};
 use crate::schedule::{Phase, PhasePlan};
 
 /// The train selected by a clock at an instant: bit 14 of CLKN flips
@@ -85,6 +85,17 @@ impl SlaveId {
     }
 }
 
+/// When an event was scheduled: the instant, then a medium-local stamp
+/// that orders the medium's schedules and backoff draws in execution
+/// order. Within the medium, stamps are monotone with the calendar's
+/// sequence numbers, so comparing two arms tells which of two
+/// same-instant events the calendar dequeues first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Arm {
+    at: SimTime,
+    stamp: u64,
+}
+
 /// A baseband event. Opaque: embedders wrap it in their own event enum and
 /// hand it back to [`Baseband::handle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,6 +112,7 @@ enum Ev {
         master: usize,
         epoch: u32,
         deferred: bool,
+        armed: Arm,
     },
     /// Master duty-cycle boundary.
     PhaseBoundary { master: usize, epoch: u32 },
@@ -124,7 +136,11 @@ enum Ev {
         attempt: u32,
     },
     /// Slot-accurate paging: the master's next page-ID transmission.
-    PageTx { master: usize, attempt: u32 },
+    PageTx {
+        master: usize,
+        attempt: u32,
+        armed: Arm,
+    },
     /// A data message finishes its transfer.
     DataDelivered {
         master: usize,
@@ -181,6 +197,37 @@ impl BbEvent {
     /// Scripted [`Baseband::set_slave_active`].
     pub fn set_slave_active(slave: SlaveId, active: bool) -> BbEvent {
         BbEvent(Ev::Cmd(Command::SetSlaveActive(slave, active)))
+    }
+
+    /// A short name for the event's kind, for a per-kind event census:
+    /// `inq_tx`, `inq_tx_deferred` (a skip-ahead transmission requeued
+    /// behind its instant), `phase_boundary`, `window_open`,
+    /// `window_close`, `backoff_end`, `fhs_rx`, `page_resolve`, `page_tx`,
+    /// `data_delivered`, `supervision_check` or `cmd` (a scripted command
+    /// or the bootstrap).
+    pub fn kind(&self) -> &'static str {
+        &self.census_label()["bb.".len()..]
+    }
+
+    /// [`kind`](BbEvent::kind) under the `bb.` prefix, the class an
+    /// engine probe counts the event in (`engine.events.bb.<kind>`).
+    pub fn census_label(&self) -> &'static str {
+        match self.0 {
+            Ev::InqTx {
+                deferred: false, ..
+            } => "bb.inq_tx",
+            Ev::InqTx { deferred: true, .. } => "bb.inq_tx_deferred",
+            Ev::PhaseBoundary { .. } => "bb.phase_boundary",
+            Ev::WindowOpen { .. } => "bb.window_open",
+            Ev::WindowClose { .. } => "bb.window_close",
+            Ev::BackoffEnd { .. } => "bb.backoff_end",
+            Ev::FhsRx { .. } => "bb.fhs_rx",
+            Ev::PageResolve { .. } => "bb.page_resolve",
+            Ev::PageTx { .. } => "bb.page_tx",
+            Ev::DataDelivered { .. } => "bb.data_delivered",
+            Ev::SupervisionCheck { .. } => "bb.supervision_check",
+            Ev::Start | Ev::Cmd(_) => "bb.cmd",
+        }
     }
 }
 
@@ -372,15 +419,24 @@ struct SlaveDev {
     /// When the pending `WindowOpen` was scheduled — the skip-ahead
     /// scheduler compares this against the instant the naive chain would
     /// have scheduled a same-instant `InqTx` to reproduce the naive
-    /// processing order exactly.
-    window_armed_at: SimTime,
+    /// processing order exactly. A closed-form open and the close armed
+    /// with it order against a running `InqTx` or `PageTx` by the full
+    /// [`Arm`].
+    window_armed: Arm,
     /// Start of the window that pending `WindowOpen` will open. A
     /// sleeping machine is deaf before this even if the schedule shows
     /// an earlier window on paper (re-armed chains skip partial windows).
     next_window_start: SimTime,
     /// When the pending `BackoffEnd` was scheduled (ordering proxy, as
-    /// for `window_armed_at`).
-    backoff_armed_at: SimTime,
+    /// for `window_armed`).
+    backoff_armed: Arm,
+    /// Index of the window opening at `next_window_start`.
+    next_index: u64,
+    /// Whether the pending open is a closed-form timer (skip-ahead)
+    /// rather than a scheduled `WindowOpen` event.
+    window_virtual: bool,
+    /// Closed-form close of the last opened window (`MAX` if none).
+    close_at: SimTime,
 }
 
 impl SlaveDev {
@@ -389,6 +445,39 @@ impl SlaveDev {
     fn scan_freq(&self, now: SimTime) -> InquiryFreq {
         let steps = now.elapsed().div_duration(crate::clock::CLKN_12_PERIOD);
         InquiryFreq::new(((self.freq_rot as u64 + steps) % NUM_INQUIRY_FREQS as u64) as u8)
+    }
+
+    /// Opens window `k` in closed form, as the eager `WindowOpen` handler
+    /// does, arming its close and the next open at `(W_k, stamp)`.
+    /// Returns `true` if the open breaks the predictor's extrapolation:
+    /// a page window interrupting a primed slave's open-ended listen.
+    fn open_window(&mut self, k: u64, stamp: u64) -> bool {
+        let at = self.windows.window_start(k);
+        let close = at + self.windows.pattern().window();
+        let kind = self.windows.window_kind(k);
+        let breaks = kind == ScanKind::Page && self.machine.is_primed();
+        self.machine.open_window(at, kind, close);
+        self.close_at = close;
+        self.window_armed = Arm { at, stamp };
+        self.next_index = k + 1;
+        self.next_window_start = self.windows.window_start(k + 1);
+        self.window_virtual = true;
+        breaks
+    }
+
+    /// The earliest scan transition pending — a closed-form timer or the
+    /// chain's scheduled first window — or `MAX`.
+    fn next_due(&self) -> SimTime {
+        let open = if self.scanning {
+            self.next_window_start
+        } else {
+            SimTime::MAX
+        };
+        let backoff = match self.machine.phase() {
+            ScanPhase::Backoff { until } => until,
+            _ => SimTime::MAX,
+        };
+        self.close_at.min(open).min(backoff)
     }
 }
 
@@ -426,14 +515,6 @@ impl PairBits {
         }
     }
 
-    #[inline]
-    fn contains(&self, r: usize, c: usize) -> bool {
-        self.rows
-            .get(r)
-            .and_then(|row| row.get(c / 64))
-            .is_some_and(|&word| word >> (c % 64) & 1 == 1)
-    }
-
     /// Number of words in row `r`.
     #[inline]
     fn row_words(&self, r: usize) -> usize {
@@ -455,31 +536,82 @@ impl PairBits {
     }
 }
 
-/// Radio coverage as a (master, slave) pair bitset, kept twice: by master
-/// for the inquiry loops that walk one master's slaves, and transposed,
-/// by slave, for the wake-ups that walk the masters covering one slave.
+/// One slave in a master's coverage, with the master's cached
+/// skip-ahead prediction for it.
+#[derive(Clone, Copy)]
+struct Covered {
+    slave: u32,
+    /// The slave's prediction generation this entry was solved under;
+    /// 0 marks a dropped prediction.
+    gen: u32,
+    /// The predicted pair: every pair on the master's grid before it is
+    /// deaf for this slave (see `slave_next_audible`).
+    pair: SimTime,
+    /// The chain may reuse `pair` while its first unaccounted pair is at
+    /// or before this instant; a solve from any such pair gives the same
+    /// answer.
+    valid_until: SimTime,
+}
+
+/// Radio coverage, kept twice: by master, as an ascending list of
+/// covered slaves carrying the master's cached predictions, for the
+/// inquiry loops that walk one master's slaves; and transposed, as a
+/// pair bitset by slave, for the wake-ups that walk the masters covering
+/// one slave. Both orders are ascending — the order of a scan over all
+/// devices, which the RNG draws and wake-ups rely on.
 #[derive(Default)]
 struct RangeMatrix {
-    /// Row `m` holds the slaves in master `m`'s coverage.
-    by_master: PairBits,
+    /// `by_master[m]` lists the slaves in master `m`'s coverage.
+    by_master: Vec<Vec<Covered>>,
     /// Row `sl` holds the masters covering slave `sl`.
     by_slave: PairBits,
 }
 
 impl RangeMatrix {
+    /// Puts `sl` in `m`'s coverage with no prediction cached.
     fn insert(&mut self, m: usize, sl: usize) {
-        self.by_master.insert(m, sl);
+        if self.by_master.len() <= m {
+            self.by_master.resize_with(m + 1, Vec::new);
+        }
+        let row = &mut self.by_master[m];
+        let entry = Covered {
+            slave: sl as u32,
+            gen: 0,
+            pair: SimTime::ZERO,
+            valid_until: SimTime::ZERO,
+        };
+        match row.binary_search_by_key(&(sl as u32), |c| c.slave) {
+            Ok(i) => row[i] = entry,
+            Err(i) => row.insert(i, entry),
+        }
         self.by_slave.insert(sl, m);
     }
 
     fn remove(&mut self, m: usize, sl: usize) {
-        self.by_master.remove(m, sl);
+        if let Some(row) = self.by_master.get_mut(m) {
+            if let Ok(i) = row.binary_search_by_key(&(sl as u32), |c| c.slave) {
+                row.remove(i);
+            }
+        }
         self.by_slave.remove(sl, m);
     }
 
-    #[inline]
     fn contains(&self, m: usize, sl: usize) -> bool {
-        self.by_master.contains(m, sl)
+        self.by_master
+            .get(m)
+            .is_some_and(|row| row.binary_search_by_key(&(sl as u32), |c| c.slave).is_ok())
+    }
+
+    /// Number of slaves in master `m`'s coverage.
+    #[inline]
+    fn covered(&self, m: usize) -> usize {
+        self.by_master.get(m).map_or(0, Vec::len)
+    }
+
+    /// The `i`-th slave (ascending) in master `m`'s coverage.
+    #[inline]
+    fn entry(&self, m: usize, i: usize) -> Covered {
+        self.by_master[m][i]
     }
 }
 
@@ -561,6 +693,19 @@ pub struct Baseband {
     /// Scan rotation shared by all slaves under
     /// [`ScanFreqModel::SharedSequence`], resolved at first slave add.
     shared_rot: Option<u8>,
+    /// `due[sl]` is the earliest closed-form scan timer slave `sl` has
+    /// pending, or `MAX`. Kept apart from [`SlaveDev`] so a settle that
+    /// finds nothing due never loads the slave.
+    due: Vec<SimTime>,
+    /// `pred_gen[sl]` is slave `sl`'s prediction generation: bumping it
+    /// drops every master's cached prediction for the slave. Never 0.
+    pred_gen: Vec<u32>,
+    /// Source of [`Arm`] stamps.
+    stamp: u64,
+    /// The [`Arm`] of the running `InqTx` or `PageTx`, whose same-instant
+    /// order against closed-form timers is decidable, and a stamp taken
+    /// when it was dispatched; `None` in every other handler.
+    running: Option<(Arm, u64)>,
 }
 
 impl std::fmt::Debug for Baseband {
@@ -600,6 +745,10 @@ impl Baseband {
             stats: BbStats::default(),
             started: false,
             shared_rot: None,
+            due: Vec::new(),
+            pred_gen: Vec::new(),
+            stamp: 0,
+            running: None,
         }
     }
 
@@ -666,10 +815,15 @@ impl Baseband {
             halt_when_discovered: cfg.halts_when_discovered(),
             connected_to: None,
             scanning: false,
-            window_armed_at: SimTime::ZERO,
+            window_armed: Arm::default(),
             next_window_start: SimTime::MAX,
-            backoff_armed_at: SimTime::ZERO,
+            backoff_armed: Arm::default(),
+            next_index: 0,
+            window_virtual: false,
+            close_at: SimTime::MAX,
         });
+        self.due.push(SimTime::MAX);
+        self.pred_gen.push(1);
         SlaveId(id)
     }
 
@@ -771,11 +925,8 @@ impl Baseband {
             if let Some(m) = self.slaves[slave.0].connected_to {
                 self.tear_down_link(s.now(), m.0, slave.0);
             }
-            let dev = &mut self.slaves[slave.0];
-            dev.active = false;
-            dev.epoch += 1;
-            dev.machine.stop();
-            dev.scanning = false;
+            self.slaves[slave.0].active = false;
+            self.stop_scanning(slave.0);
         }
     }
 
@@ -954,7 +1105,8 @@ impl Baseband {
                 master,
                 epoch,
                 deferred,
-            } => self.on_inq_tx(s, master, epoch, deferred),
+                armed,
+            } => self.on_inq_tx(s, master, epoch, deferred, armed),
             Ev::PhaseBoundary { master, epoch } => {
                 if self.masters[master].epoch == epoch {
                     self.enter_phase(s, master);
@@ -978,7 +1130,11 @@ impl Baseband {
                 slave,
                 attempt,
             } => self.on_page_resolve(s, master, slave, attempt),
-            Ev::PageTx { master, attempt } => self.on_page_tx(s, master, attempt),
+            Ev::PageTx {
+                master,
+                attempt,
+                armed,
+            } => self.on_page_tx(s, master, attempt, armed),
             Ev::DataDelivered {
                 master,
                 slave,
@@ -1037,7 +1193,13 @@ impl Baseband {
             self.aims[m] = SimTime::MAX;
         }
         self.masters[m].epoch += 1;
-        let epoch = self.masters[m].epoch;
+        // The train walker restarts and the phase bound moves: every
+        // cached prediction of this master is void.
+        if let Some(row) = self.in_range.by_master.get_mut(m) {
+            for c in row {
+                c.gen = 0;
+            }
+        }
         let phase = self.masters[m].plan.phase_at(now);
         match phase {
             Phase::Inquiry => {
@@ -1053,22 +1215,15 @@ impl Baseband {
                 self.masters[m].start_train = train;
                 self.masters[m].inq.restart(train);
                 let first_tx = self.masters[m].clock.next_even_slot(now);
+                // Under skip-ahead the first pair is scheduled eagerly,
+                // from the same handler position as the naive chain, so
+                // it carries the naive sequence number and wins or loses
+                // same-instant ties identically (wakes between now and
+                // `first_tx` re-aim to the same instant and must not
+                // replace this event). The solver takes over once it
+                // fires.
+                let id = self.schedule_inq_tx(s, m, first_tx, false);
                 if self.cfg.skip_ahead {
-                    // The first pair is scheduled eagerly, from the same
-                    // handler position as the naive chain, so it carries
-                    // the naive sequence number and wins or loses
-                    // same-instant ties identically (wakes between now
-                    // and `first_tx` re-aim to the same instant and must
-                    // not replace this event). The solver takes over
-                    // once it fires.
-                    let id = s.schedule(
-                        first_tx,
-                        BbEvent(Ev::InqTx {
-                            master: m,
-                            epoch,
-                            deferred: false,
-                        }),
-                    );
                     self.masters[m].skip = Some(SkipChain {
                         from: first_tx,
                         event: Some(id),
@@ -1076,15 +1231,6 @@ impl Baseband {
                         first_pair: first_tx,
                     });
                     self.aims[m] = first_tx;
-                } else {
-                    s.schedule(
-                        first_tx,
-                        BbEvent(Ev::InqTx {
-                            master: m,
-                            epoch,
-                            deferred: false,
-                        }),
-                    );
                 }
             }
             Phase::Service => {
@@ -1092,8 +1238,60 @@ impl Baseband {
             }
         }
         if let Some((at, _next)) = self.masters[m].plan.next_boundary(now) {
+            let epoch = self.masters[m].epoch;
             s.schedule(at, BbEvent(Ev::PhaseBoundary { master: m, epoch }));
         }
+    }
+
+    /// A fresh [`Arm`] for something the medium schedules or draws now.
+    fn arm(&mut self, now: SimTime) -> Arm {
+        self.stamp += 1;
+        Arm {
+            at: now,
+            stamp: self.stamp,
+        }
+    }
+
+    /// Schedules master `m`'s `InqTx` for the pair at `at` in its current
+    /// epoch, stamped with when it was scheduled.
+    fn schedule_inq_tx<S: SubScheduler<BbEvent>>(
+        &mut self,
+        s: &mut S,
+        m: usize,
+        at: SimTime,
+        deferred: bool,
+    ) -> EventId {
+        let armed = self.arm(s.now());
+        let epoch = self.masters[m].epoch;
+        s.schedule(
+            at,
+            BbEvent(Ev::InqTx {
+                master: m,
+                epoch,
+                deferred,
+                armed,
+            }),
+        )
+    }
+
+    /// Schedules master `m`'s next slot-accurate page ID of attempt `seq`,
+    /// stamped with when it was scheduled.
+    fn schedule_page_tx<S: SubScheduler<BbEvent>>(
+        &mut self,
+        s: &mut S,
+        m: usize,
+        seq: u32,
+        at: SimTime,
+    ) {
+        let armed = self.arm(s.now());
+        s.schedule(
+            at,
+            BbEvent(Ev::PageTx {
+                master: m,
+                attempt: seq,
+                armed,
+            }),
+        );
     }
 
     fn on_inq_tx<S: SubScheduler<BbEvent>>(
@@ -1102,6 +1300,7 @@ impl Baseband {
         m: usize,
         epoch: u32,
         deferred: bool,
+        armed: Arm,
     ) {
         if self.masters[m].epoch != epoch {
             return;
@@ -1116,15 +1315,11 @@ impl Baseband {
                 chain.event = None;
                 self.aims[m] = SimTime::MAX;
             }
+            let dispatched = self.arm(now).stamp;
+            self.running = Some((armed, dispatched));
             if self.should_defer(m, now, deferred) {
-                let id = s.schedule(
-                    now,
-                    BbEvent(Ev::InqTx {
-                        master: m,
-                        epoch,
-                        deferred: true,
-                    }),
-                );
+                self.running = None;
+                let id = self.schedule_inq_tx(s, m, now, true);
                 if let Some(chain) = self.masters[m].skip.as_mut() {
                     chain.event = Some(id);
                     self.aims[m] = now;
@@ -1144,15 +1339,9 @@ impl Baseband {
                 chain.from = now + SLOT_PAIR;
             }
             self.rearm_inquiry(s, m);
+            self.running = None;
         } else {
-            s.schedule(
-                now + SLOT_PAIR,
-                BbEvent(Ev::InqTx {
-                    master: m,
-                    epoch,
-                    deferred: false,
-                }),
-            );
+            self.schedule_inq_tx(s, m, now + SLOT_PAIR, false);
         }
     }
 
@@ -1170,7 +1359,9 @@ impl Baseband {
 
     /// Whether the skip-ahead `InqTx` firing at `now` must requeue itself
     /// behind the other events of this instant to reproduce the naive
-    /// processing order.
+    /// processing order. Also settles every slave in `m`'s coverage as of
+    /// this firing, so the answer reads the state the eager timers would
+    /// have left.
     ///
     /// The naive chain scheduled the `InqTx` for pair `now` while
     /// processing the previous pair (or at phase entry, for the first
@@ -1183,10 +1374,7 @@ impl Baseband {
     /// (`deferred`) skips these one-shot checks but still yields to
     /// naive-earlier sibling masters sharing the instant, so coincident
     /// chains fire in naive precedence order (see below).
-    fn should_defer(&self, m: usize, now: SimTime, deferred: bool) -> bool {
-        if self.masters[m].skip.is_none() {
-            return false;
-        }
+    fn should_defer(&mut self, m: usize, now: SimTime, deferred: bool) -> bool {
         // Sibling masters whose chains are pending at this same instant:
         // the naive order is by arm instant, and on a tie (coincident
         // slot grids arm both during the previous shared pair, all the
@@ -1203,6 +1391,7 @@ impl Baseband {
                 .entered_at,
             m,
         );
+        let mut defer = false;
         // Shared instants are rare: a branch-free count over the aims
         // (which vectorizes) rules most calls out before the ordered
         // walk. `m`'s own aim was cleared when its event fired.
@@ -1216,34 +1405,32 @@ impl Baseband {
                     .as_ref()
                     .expect("an aimed master has a chain");
                 if (self.naive_arm_instant(other, now), chain.entered_at, other) < key {
-                    return true;
+                    defer = true;
+                    break;
                 }
             }
-        }
-        if deferred {
-            return false;
         }
         let naive_sched = key.0;
-        for w in 0..self.in_range.by_master.row_words(m) {
-            let mut bits = self.in_range.by_master.word(m, w);
-            while bits != 0 {
-                let sl = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() || !dev.scanning {
-                    continue;
-                }
-                if dev.next_window_start == now && dev.window_armed_at < naive_sched {
-                    return true;
-                }
-                if matches!(dev.machine.phase(), ScanPhase::Backoff { until } if until == now)
-                    && dev.backoff_armed_at < naive_sched
-                {
-                    return true;
-                }
+        for i in 0..self.in_range.covered(m) {
+            let sl = self.in_range.entry(m, i).slave as usize;
+            // Nothing due by now: no same-instant tie to find either.
+            if self.due[sl] > now {
+                continue;
             }
+            self.settle_slave(sl, now);
+            if defer || deferred {
+                continue;
+            }
+            let dev = &self.slaves[sl];
+            if !dev.active || dev.connected_to.is_some() || !dev.scanning {
+                continue;
+            }
+            let window_tie = dev.next_window_start == now && dev.window_armed.at < naive_sched;
+            let backoff_tie = matches!(dev.machine.phase(), ScanPhase::Backoff { until } if until == now)
+                && dev.backoff_armed.at < naive_sched;
+            defer = window_tie || backoff_tie;
         }
-        false
+        defer
     }
 
     /// Accounts every pending slot pair strictly before `up_to` on master
@@ -1273,6 +1460,8 @@ impl Baseband {
     /// slot pair any in-range, active, unconnected, scanning slave could
     /// hear and schedules the next `InqTx` there — or leaves the chain
     /// dormant when no such pair exists before the phase boundary.
+    /// Only predictions that were dropped, or that a solve from `from`
+    /// could change, are solved again.
     ///
     /// Requires `skip` to be `Some` with `from` settled past `now`.
     fn rearm_inquiry<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize) {
@@ -1282,22 +1471,37 @@ impl Baseband {
         let from = chain.from;
         let armed = chain.event.is_some();
         let aimed_at = self.aims[m];
+        let now = s.now();
         let bound = self.masters[m]
             .plan
-            .next_boundary(s.now())
+            .next_boundary(now)
             .map_or(SimTime::MAX, |(t, _)| t);
+        // Each slave's answer is solved against the phase bound, not the
+        // running minimum, so the cached value belongs to that slave
+        // alone; the minimum is the same either way.
         let mut target = bound;
-        for w in 0..self.in_range.by_master.row_words(m) {
-            let mut bits = self.in_range.by_master.word(m, w);
-            while bits != 0 {
-                let sl = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() || !dev.scanning {
-                    continue;
-                }
-                target = target.min(self.slave_next_audible(m, sl, from, target));
+        for i in 0..self.in_range.covered(m) {
+            let c = self.in_range.entry(m, i);
+            let sl = c.slave as usize;
+            // Settling first lets a break in the extrapolation drop the
+            // prediction before it is reused.
+            self.settle_slave(sl, now);
+            if c.gen == self.pred_gen[sl] && from <= c.valid_until {
+                target = target.min(c.pair);
+                continue;
             }
+            let dev = &self.slaves[sl];
+            if !dev.active || dev.connected_to.is_some() || !dev.scanning {
+                continue;
+            }
+            let (pair, valid_until) = self.slave_next_audible(m, sl, from, bound);
+            self.in_range.by_master[m][i] = Covered {
+                slave: c.slave,
+                gen: self.pred_gen[sl],
+                pair,
+                valid_until,
+            };
+            target = target.min(pair);
         }
         if armed && target >= aimed_at {
             // Never move an armed aim later (and keep an unchanged aim):
@@ -1309,21 +1513,13 @@ impl Baseband {
             // reorder the InqTx behind events queued in between.
             return;
         }
-        let epoch = self.masters[m].epoch;
         let chain = self.masters[m].skip.as_mut().expect("chain present");
         if let Some(ev) = chain.event.take() {
             s.cancel(ev);
         }
         if target < bound {
-            let id = s.schedule(
-                target,
-                BbEvent(Ev::InqTx {
-                    master: m,
-                    epoch,
-                    deferred: false,
-                }),
-            );
-            chain.event = Some(id);
+            let id = self.schedule_inq_tx(s, m, target, false);
+            self.masters[m].skip.as_mut().expect("chain present").event = Some(id);
             self.aims[m] = target;
         } else {
             self.aims[m] = SimTime::MAX;
@@ -1380,16 +1576,36 @@ impl Baseband {
     /// boundary, or a window that closed again) — the fired event re-runs
     /// the exact audibility gates, so a false alarm only costs one event.
     ///
+    /// Also returns the last chain position the answer holds for: a solve
+    /// from any later pair up to it returns the same pair, as long as the
+    /// slave's scan state only follows its timetable. Jumps over deaf
+    /// spans land on the same pair from anywhere inside the span, so the
+    /// answer holds up to the first pair where the slave turns receptive;
+    /// a primed slave then listens without gaps (the page windows that
+    /// interrupt it drop the prediction), so its answer holds up to the
+    /// answer itself.
+    ///
     /// Requires `m`'s train walker to be settled to the pair at `from`.
-    fn slave_next_audible(&self, m: usize, sl: usize, from: SimTime, bound: SimTime) -> SimTime {
+    fn slave_next_audible(
+        &self,
+        m: usize,
+        sl: usize,
+        from: SimTime,
+        bound: SimTime,
+    ) -> (SimTime, SimTime) {
         /// Bounds the work per query; on exhaustion the current pair is
         /// returned as a conservative wake-up.
         const SOLVER_CAP: usize = 64;
         let dev = &self.slaves[sl];
+        let mut receptive = None;
+        let holds = |answer: SimTime, receptive: Option<SimTime>| match receptive {
+            Some(t) if !dev.machine.is_primed() => (answer, t),
+            _ => (answer, answer),
+        };
         let mut t = from;
         for _ in 0..SOLVER_CAP {
             if t >= bound {
-                return bound;
+                return holds(bound, receptive);
             }
             // Deaf spans with a known end (sleep between windows, backoff)
             // are jumped in one step: resume at the first pair whose
@@ -1398,7 +1614,7 @@ impl Baseband {
                 .machine
                 .next_receptive_after(t, &dev.windows, dev.next_window_start);
             if r == SimTime::MAX {
-                return bound;
+                return holds(bound, receptive);
             }
             if r > t + TICK {
                 let gap = (r - TICK) - t;
@@ -1409,6 +1625,7 @@ impl Baseband {
                 t += SLOT_PAIR * j;
                 continue;
             }
+            receptive.get_or_insert(t);
             // The scan frequency is constant within the current absolute
             // 1.28 s block; ask the train walker for the first pair that
             // covers it.
@@ -1444,12 +1661,13 @@ impl Baseband {
                 t + SLOT_PAIR * j
             };
             match candidate {
-                Some(tc) if tc <= straddle => return tc.min(bound),
-                _ if straddle < block_end => return straddle.min(bound),
+                Some(tc) if tc <= straddle => return holds(tc.min(bound), receptive),
+                _ if straddle < block_end => return holds(straddle.min(bound), receptive),
                 _ => t = straddle, // lands in the next block; re-solve
             }
         }
-        t.min(bound)
+        // Out of budget: the answer is only good for this exact query.
+        (t.min(bound), from)
     }
 
     /// Delivers one ID packet to every slave that can hear it.
@@ -1460,55 +1678,74 @@ impl Baseband {
         freq: InquiryFreq,
         at: SimTime,
     ) {
-        // Walk only the slaves in this master's coverage bitset, ascending
-        // (same probe order — and therefore RNG draw order — as a linear
-        // scan over all slaves).
-        for w in 0..self.in_range.by_master.row_words(m) {
-            let mut bits = self.in_range.by_master.word(m, w);
-            while bits != 0 {
-                let sl = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() {
-                    continue;
-                }
-                if !dev.machine.hears_inquiry(at) || dev.scan_freq(at) != freq {
-                    continue;
-                }
-                // Channel errors: the paper assumes an error-free environment;
-                // packet_success < 1 models a lossy cell edge.
-                if self.cfg.packet_success < 1.0 && !s.rng().chance(self.cfg.packet_success) {
-                    continue;
-                }
-                self.stats.ids_heard += 1;
-                let action = {
-                    let dev = &mut self.slaves[sl];
-                    dev.machine.hear_id(at, s.rng())
-                };
-                let epoch = self.slaves[sl].epoch;
-                match action {
-                    ScanAction::StartBackoff(until) => {
-                        self.stats.backoffs += 1;
-                        self.slaves[sl].backoff_armed_at = s.now();
-                        s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, epoch }));
-                        self.wake_other_masters(s, m, sl);
-                    }
-                    ScanAction::Respond {
-                        at: tx,
-                        backoff_until,
-                    } => {
-                        self.stats.fhs_transmitted += 1;
-                        let key = tx.elapsed().div_duration(SimDuration::from_units_0125us(1));
-                        if self.fhs_buckets.push((m, key), sl) {
-                            s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
-                        }
-                        self.slaves[sl].backoff_armed_at = s.now();
-                        s.schedule(backoff_until, BbEvent(Ev::BackoffEnd { slave: sl, epoch }));
-                        self.wake_other_masters(s, m, sl);
-                    }
-                    ScanAction::None => {}
-                }
+        let now = s.now();
+        // Walk this master's coverage ascending (same probe order — and
+        // therefore RNG draw order — as a linear scan over all slaves),
+        // passing over the slaves a live prediction proves deaf at this
+        // pair without loading them.
+        for i in 0..self.in_range.covered(m) {
+            let c = self.in_range.entry(m, i);
+            let sl = c.slave as usize;
+            if c.gen == self.pred_gen[sl] && c.pair > now {
+                continue;
             }
+            let dev = &self.slaves[sl];
+            if !dev.active || dev.connected_to.is_some() {
+                continue;
+            }
+            if !dev.machine.hears_inquiry(at) || dev.scan_freq(at) != freq {
+                continue;
+            }
+            // Channel errors: the paper assumes an error-free environment;
+            // packet_success < 1 models a lossy cell edge.
+            if self.cfg.packet_success < 1.0 && !s.rng().chance(self.cfg.packet_success) {
+                continue;
+            }
+            self.stats.ids_heard += 1;
+            let action = {
+                let dev = &mut self.slaves[sl];
+                dev.machine.hear_id(at, s.rng())
+            };
+            self.drop_predictions(sl);
+            let epoch = self.slaves[sl].epoch;
+            let until = match action {
+                ScanAction::StartBackoff(until) => {
+                    self.stats.backoffs += 1;
+                    until
+                }
+                ScanAction::Respond {
+                    at: tx,
+                    backoff_until,
+                } => {
+                    self.stats.fhs_transmitted += 1;
+                    let key = tx.elapsed().div_duration(SimDuration::from_units_0125us(1));
+                    if self.fhs_buckets.push((m, key), sl) {
+                        s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
+                    }
+                    backoff_until
+                }
+                ScanAction::None => continue,
+            };
+            self.arm_backoff(s, sl, until, epoch);
+            self.wake_other_masters(s, m, sl);
+        }
+    }
+
+    /// Times slave `sl`'s response backoff ending at `until`: a
+    /// `BackoffEnd` event, or a closed-form timer under skip-ahead.
+    fn arm_backoff<S: SubScheduler<BbEvent>>(
+        &mut self,
+        s: &mut S,
+        sl: usize,
+        until: SimTime,
+        epoch: u32,
+    ) {
+        let armed = self.arm(s.now());
+        self.slaves[sl].backoff_armed = armed;
+        if self.cfg.skip_ahead {
+            self.due[sl] = self.due[sl].min(until);
+        } else {
+            s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, epoch }));
         }
     }
 
@@ -1557,10 +1794,7 @@ impl Baseband {
             if self.slaves[sl].halt_when_discovered {
                 // The handheld proceeds to page scan / enrollment and
                 // stops answering inquiries.
-                let dev = &mut self.slaves[sl];
-                dev.epoch += 1;
-                dev.machine.stop();
-                dev.scanning = false;
+                self.stop_scanning(sl);
             }
         }
         self.fhs_buckets.recycle(responders);
@@ -1593,13 +1827,7 @@ impl Baseband {
                 // Transmit page IDs from the next even slot; also arm the
                 // timeout via a resolve at the deadline.
                 let first = self.masters[m].clock.next_even_slot(now);
-                s.schedule(
-                    first,
-                    BbEvent(Ev::PageTx {
-                        master: m,
-                        attempt: seq,
-                    }),
-                );
+                self.schedule_page_tx(s, m, seq, first);
                 s.schedule(
                     attempt.deadline,
                     BbEvent(Ev::PageResolve {
@@ -1616,7 +1844,7 @@ impl Baseband {
     /// the paged slave's current page frequency (known from the FHS
     /// clock). If the slave is actually listening in a page-scan window,
     /// the handshake completes a few slots later.
-    fn on_page_tx<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, seq: u32) {
+    fn on_page_tx<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, seq: u32, armed: Arm) {
         let now = s.now();
         let Some((attempt, cur_seq)) = self.masters[m].paging else {
             return;
@@ -1631,13 +1859,7 @@ impl Baseband {
             // Paging pauses during inquiry; retry at the next service
             // phase.
             if let Some((t, _)) = self.masters[m].plan.next_boundary(now) {
-                s.schedule(
-                    t.min(attempt.deadline),
-                    BbEvent(Ev::PageTx {
-                        master: m,
-                        attempt: seq,
-                    }),
-                );
+                self.schedule_page_tx(s, m, seq, t.min(attempt.deadline));
             }
             return;
         }
@@ -1645,6 +1867,12 @@ impl Baseband {
         let reachable = self.in_range.contains(m, sl)
             && self.slaves[sl].active
             && self.slaves[sl].connected_to.is_none();
+        if reachable {
+            let dispatched = self.arm(now).stamp;
+            self.running = Some((armed, dispatched));
+            self.settle_slave(sl, now);
+            self.running = None;
+        }
         if reachable && self.slaves[sl].machine.hears_page(now) {
             // Channel errors apply to the page exchange as a whole.
             if self.cfg.packet_success >= 1.0 || s.rng().chance(self.cfg.packet_success) {
@@ -1664,13 +1892,7 @@ impl Baseband {
             }
         }
         // Keep paging every even slot.
-        s.schedule(
-            (now + SLOT_PAIR).min(attempt.deadline),
-            BbEvent(Ev::PageTx {
-                master: m,
-                attempt: seq,
-            }),
-        );
+        self.schedule_page_tx(s, m, seq, (now + SLOT_PAIR).min(attempt.deadline));
     }
 
     fn schedule_page_resolve<S: SubScheduler<BbEvent>>(
@@ -1737,11 +1959,8 @@ impl Baseband {
             self.stats.pages_completed += 1;
             self.links
                 .insert((m, sl), Link::new(MasterId(m), SlaveId(sl), now));
-            let dev = &mut self.slaves[sl];
-            dev.connected_to = Some(MasterId(m));
-            dev.epoch += 1; // kill pending scan events
-            dev.machine.stop();
-            dev.scanning = false;
+            self.slaves[sl].connected_to = Some(MasterId(m));
+            self.stop_scanning(sl);
             self.notifications.push(BbNotification::LinkEstablished {
                 master: MasterId(m),
                 slave: SlaveId(sl),
@@ -1769,19 +1988,100 @@ impl Baseband {
                     // The transmit chain keeps trying on its own; nothing
                     // to re-arm here unless it has gone quiet (handshake
                     // failed the reachability re-check).
-                    s.schedule(
-                        (now + SLOT_PAIR).min(attempt.deadline),
-                        BbEvent(Ev::PageTx {
-                            master: m,
-                            attempt: seq,
-                        }),
-                    );
+                    self.schedule_page_tx(s, m, seq, (now + SLOT_PAIR).min(attempt.deadline));
                 }
             }
         }
     }
 
     // ----- slave machinery --------------------------------------------
+
+    /// Brings slave `sl`'s scan state to what the eager timer events would
+    /// have left at this point of the run. Must precede every read of
+    /// the scan state under skip-ahead; tests the compact `due` array
+    /// first, so a slave with nothing due is never loaded.
+    #[inline]
+    fn settle_slave(&mut self, sl: usize, now: SimTime) {
+        let due = self.due[sl];
+        if due < now || (due == now && self.running.is_some()) {
+            self.apply_timers(sl, now);
+        }
+    }
+
+    /// Applies, in closed form, slave `sl`'s window opens and closes and
+    /// backoff end whose eager events would already have run: all before
+    /// `now`, and those at `now` that the calendar dequeues before the
+    /// running `InqTx` or `PageTx` — the ones armed before it. Outside
+    /// those handlers the same-instant order is unknown, so timers at
+    /// `now` stay pending.
+    fn apply_timers(&mut self, sl: usize, now: SimTime) {
+        let running = self.running;
+        let dev = &mut self.slaves[sl];
+        let mut breaks = false;
+        loop {
+            let open = if dev.window_virtual {
+                dev.next_window_start
+            } else {
+                SimTime::MAX
+            };
+            let backoff = match dev.machine.phase() {
+                ScanPhase::Backoff { until } => until,
+                _ => SimTime::MAX,
+            };
+            let t = dev.close_at.min(open).min(backoff);
+            if t > now {
+                break;
+            }
+            if t == now {
+                let Some((armed, dispatched)) = running else {
+                    break;
+                };
+                // The window timers were armed together, by the previous
+                // open; the close was scheduled first.
+                let window_first = dev.window_armed < armed;
+                if dev.close_at == now && window_first {
+                    dev.machine.close_window(now);
+                    dev.close_at = SimTime::MAX;
+                }
+                if open == now && window_first {
+                    breaks |= dev.open_window(dev.next_index, dispatched);
+                }
+                let backoff_first = dev.backoff_armed < armed;
+                if backoff == now && backoff_first {
+                    dev.machine.end_backoff(now, SimTime::MAX);
+                }
+                break;
+            }
+            if dev.close_at == t {
+                dev.machine.close_window(t);
+                dev.close_at = SimTime::MAX;
+            } else if open == t {
+                // With no close pending and no backoff ending before
+                // `now`, later windows simply overwrite this one: jump to
+                // the last that opened before `now`. Where in its instant
+                // it opened is unknown here; its successors count as
+                // armed first in that instant.
+                let mut k = dev.next_index;
+                if backoff >= now {
+                    k = k.max(dev.windows.first_window_at_or_after(now) - 1);
+                }
+                breaks |= dev.open_window(k, 0);
+            } else {
+                dev.machine.end_backoff(t, SimTime::MAX);
+            }
+        }
+        self.due[sl] = dev.next_due();
+        if breaks {
+            self.drop_predictions(sl);
+        }
+    }
+
+    /// Invalidates every master's cached prediction for slave `sl`: its
+    /// scan state changed in a way the predictor does not extrapolate.
+    fn drop_predictions(&mut self, sl: usize) {
+        let gen = &mut self.pred_gen[sl];
+        *gen = gen.wrapping_add(1).max(1);
+    }
 
     /// Arms a (re)starting scan chain's bookkeeping: resolves the first
     /// window at or after `now` and records it for the skip-ahead
@@ -1791,22 +2091,27 @@ impl Baseband {
         let dev = &mut self.slaves[sl];
         let idx = dev.windows.first_window_at_or_after(now);
         dev.scanning = true;
-        dev.window_armed_at = now;
+        dev.window_armed = Arm { at: now, stamp: 0 };
+        dev.next_index = idx;
         dev.next_window_start = dev.windows.window_start(idx);
+        if self.cfg.skip_ahead {
+            self.due[sl] = dev.next_window_start;
+        }
+        self.drop_predictions(sl);
     }
 
     /// Schedules the `WindowOpen` for the chain most recently armed by
-    /// [`arm_scan_chain`].
+    /// [`arm_scan_chain`]. Under skip-ahead this is the chain's only
+    /// scheduled window; the ones after it are closed-form timers.
     fn schedule_first_window<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
         let dev = &self.slaves[sl];
-        let idx = dev.windows.first_window_at_or_after(s.now());
         let epoch = dev.epoch;
         s.schedule(
             dev.next_window_start,
             BbEvent(Ev::WindowOpen {
                 slave: sl,
                 epoch,
-                index: idx,
+                index: dev.next_index,
             }),
         );
     }
@@ -1819,16 +2124,28 @@ impl Baseband {
         index: u64,
     ) {
         let now = s.now();
-        let dev = &mut self.slaves[sl];
+        let dev = &self.slaves[sl];
         if dev.epoch != epoch || !dev.active || dev.connected_to.is_some() {
             return;
         }
+        if self.cfg.skip_ahead {
+            // The chain's first window: from here on its windows open and
+            // close in closed form (`apply_timers`).
+            let stamp = self.arm(now).stamp;
+            let dev = &mut self.slaves[sl];
+            // A re-armed chain is unprimed: its first window keeps the
+            // predictor's extrapolation.
+            dev.open_window(index, stamp);
+            self.due[sl] = dev.next_due();
+            return;
+        }
+        let dev = &mut self.slaves[sl];
         let kind = dev.windows.window_kind(index);
         let close = now + dev.windows.pattern().window();
         dev.machine.open_window(now, kind, close);
         s.schedule(close, BbEvent(Ev::WindowClose { slave: sl, epoch }));
         let next_at = dev.windows.window_start(index + 1);
-        dev.window_armed_at = now;
+        dev.window_armed = Arm { at: now, stamp: 0 };
         dev.next_window_start = next_at;
         s.schedule(
             next_at,
@@ -1854,13 +2171,23 @@ impl Baseband {
         dev.machine.end_backoff(now, SimTime::MAX);
     }
 
-    fn restart_slave_scanning<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
+    /// Kills slave `sl`'s scan chain: pending scan events go stale (epoch)
+    /// and closed-form timers are dropped.
+    fn stop_scanning(&mut self, sl: usize) {
         let dev = &mut self.slaves[sl];
-        dev.connected_to = None;
         dev.epoch += 1;
         dev.machine.stop();
         dev.scanning = false;
-        if dev.active && self.started {
+        dev.window_virtual = false;
+        dev.close_at = SimTime::MAX;
+        self.due[sl] = SimTime::MAX;
+        self.drop_predictions(sl);
+    }
+
+    fn restart_slave_scanning<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
+        self.slaves[sl].connected_to = None;
+        self.stop_scanning(sl);
+        if self.slaves[sl].active && self.started {
             // Re-aim every inquiring master *between* arming the chain
             // bookkeeping and scheduling the WindowOpen: audibility just
             // increased, and a chain InqTx landing exactly on the first
@@ -2187,6 +2514,23 @@ mod tests {
             1,
             "slave keeps responding, so it is rediscovered after reset"
         );
+    }
+
+    #[test]
+    fn census_labels_prefix_each_kind() {
+        let tx = |deferred| {
+            BbEvent(Ev::InqTx {
+                master: 0,
+                epoch: 0,
+                deferred,
+                armed: Arm::default(),
+            })
+        };
+        assert_eq!(tx(false).kind(), "inq_tx");
+        assert_eq!(tx(true).census_label(), "bb.inq_tx_deferred");
+        let cmd = BbEvent::set_in_range(MasterId::new(0), SlaveId::new(0), true);
+        assert_eq!(cmd.census_label(), "bb.cmd");
+        assert_eq!(BbEvent::start().kind(), "cmd");
     }
 
     #[test]

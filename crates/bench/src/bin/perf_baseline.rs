@@ -23,7 +23,7 @@
 //! | field | gate |
 //! |-------|------|
 //! | `skip_ahead.events` | ≤ committed + 20% |
-//! | `skip_ahead.events_per_wall_sec` | ≥ committed − 20% |
+//! | `skip_ahead.virtual_secs_per_wall_sec` | ≥ committed − 20% |
 
 // Bench binary: wall-clock reads feed the perf report
 // (artifacts.wall_secs), not simulation results.

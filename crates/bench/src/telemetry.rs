@@ -19,7 +19,7 @@ use desim::{MetricSet, SimDuration, SimTime};
 /// Classifies a [`SysEvent`] for per-event-type engine profiling.
 pub fn classify_sys(ev: &SysEvent) -> &'static str {
     match ev {
-        SysEvent::Bb(_) => "bb",
+        SysEvent::Bb(ev) => ev.census_label(),
         SysEvent::Lan(_) => "lan",
         SysEvent::Tr(_) => "transport",
         SysEvent::Mob(_) => "mobility",

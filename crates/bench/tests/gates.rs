@@ -272,7 +272,7 @@ fn ci_gates_are_exactly_the_listed_rows() {
     let tail = "Ceiling { tol: 0.2, slack: 5.0 }";
     let expected = [
         format!("smoke.skip_ahead.events <- perf_baseline.smoke.skip_ahead.events {ceiling}"),
-        format!("smoke.skip_ahead.events_per_wall_sec <- perf_baseline.smoke.skip_ahead.events_per_wall_sec {floor}"),
+        format!("smoke.skip_ahead.virtual_secs_per_wall_sec <- perf_baseline.smoke.skip_ahead.virtual_secs_per_wall_sec {floor}"),
         format!("smoke.sharded.queries_per_sec <- server_throughput.smoke.sharded.queries_per_sec {floor}"),
         format!("smoke.traced.queries_per_sec <- server_throughput.smoke.traced.queries_per_sec {floor}"),
         format!("smoke.sharded.p999_us <- mix_throughput.smoke.sharded.p999_us {tail}"),

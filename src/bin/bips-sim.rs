@@ -129,7 +129,7 @@ fn build_building(spec: &str) -> Building {
 /// Event classification for the engine probe's per-type profiles.
 fn classify(ev: &SysEvent) -> &'static str {
     match ev {
-        SysEvent::Bb(_) => "bb",
+        SysEvent::Bb(ev) => ev.census_label(),
         SysEvent::Lan(_) => "lan",
         SysEvent::Tr(_) => "transport",
         SysEvent::Mob(_) => "mobility",

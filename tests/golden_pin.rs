@@ -8,7 +8,16 @@
 //! and every rewrite since must reproduce them bit for bit: same events
 //! dispatched, same RNG draws, same answers. A change that alters the
 //! event stream on purpose re-records them and says why.
+//!
+//! Re-recorded: `steps` fell from 72,069 to 29,298 when the skip-ahead
+//! medium stopped scheduling slave scan-window and backoff events and
+//! settled them in closed form instead. Every other field held, and the
+//! eager medium (`skip_ahead = false`) must still reproduce them, under
+//! both page models: that is the system-level check of the skip-ahead
+//! scheduler, with a dozen masters sharing slot grids and a duty-cycle
+//! origin, pages, links and mobility-driven range flaps.
 
+use bips::baseband::params::{MediumConfig, PageModel};
 use bips::core::system::{BipsSystem, SysEvent, SystemConfig, UserSpec};
 use bips::mobility::walker::WalkMode;
 use bips::mobility::Building;
@@ -29,12 +38,13 @@ struct TrackingPin {
 /// 24 walkers in a two-floor office (12 rooms) for 900 virtual seconds,
 /// with a random pair's `Locate` every 30 s — the `tracking` benchmark
 /// workload at a size debug builds run in seconds.
-fn tracking_run() -> TrackingPin {
+fn tracking_run(medium: MediumConfig) -> TrackingPin {
     const WALKERS: u64 = 24;
     const SECS: u64 = 900;
     const SEED: u64 = 2003;
     let sys = SystemConfig {
         building: Building::multi_floor_office(2),
+        medium,
         ..SystemConfig::default()
     };
     let mut builder = BipsSystem::builder(sys);
@@ -75,18 +85,61 @@ fn tracking_run() -> TrackingPin {
     }
 }
 
+const RECORDED: TrackingPin = TrackingPin {
+    steps: 29_298,
+    db_applied: 730,
+    ids_transmitted: 4_349_952,
+    fhs_collisions: 50,
+    accuracy_bits: 4_604_955_638_984_261_995,
+    detect_mean_bits: 4_624_864_973_130_314_755,
+};
+
 #[test]
 fn tracking_run_matches_the_recorded_event_stream() {
+    assert_eq!(tracking_run(MediumConfig::default()), RECORDED);
+}
+
+/// The eager medium — every slot pair, scan window and backoff an event —
+/// reproduces every recorded field but the event count.
+#[test]
+fn eager_medium_reproduces_the_recorded_run() {
+    let eager = tracking_run(MediumConfig {
+        skip_ahead: false,
+        ..MediumConfig::default()
+    });
+    assert!(eager.steps > RECORDED.steps, "{} events", eager.steps);
     assert_eq!(
-        tracking_run(),
         TrackingPin {
-            steps: 72_069,
-            db_applied: 730,
-            ids_transmitted: 4_349_952,
-            fhs_collisions: 50,
-            accuracy_bits: 4_604_955_638_984_261_995,
-            detect_mean_bits: 4_624_864_973_130_314_755,
-        }
+            steps: RECORDED.steps,
+            ..eager
+        },
+        RECORDED
+    );
+}
+
+/// The same eager-against-default check with slot-accurate paging, whose
+/// page-ID transmissions read the slaves' scan state too.
+#[test]
+fn eager_medium_matches_skip_ahead_with_slot_accurate_paging() {
+    let medium = |skip_ahead| MediumConfig {
+        page_model: PageModel::SlotAccurate,
+        skip_ahead,
+        ..MediumConfig::default()
+    };
+    let eager = tracking_run(medium(false));
+    let skip = tracking_run(medium(true));
+    assert!(
+        eager.steps > skip.steps,
+        "{} vs {}",
+        eager.steps,
+        skip.steps
+    );
+    assert_eq!(
+        TrackingPin {
+            steps: skip.steps,
+            ..eager
+        },
+        skip
     );
 }
 
