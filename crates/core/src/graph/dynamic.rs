@@ -1,18 +1,19 @@
-//! Incremental all-pairs shortest paths under topology churn.
+//! Shortest paths under topology churn: the [`PathEngine`].
 //!
 //! The paper computes every pair offline and never touches the tables
 //! again (§3). That is O(n²) memory and a full n-source rebuild per
 //! topology change — fine for ~20 workstations, fatal for a 100k-cell
-//! campus where cells flap and congestion reweights edges continuously
-//! (ROADMAP item 3). [`DynApsp`] keeps path answers *bit-identical* to
-//! a full rebuild while doing only incremental work:
+//! campus where cells flap and congestion reweights edges continuously.
+//! [`PathEngine`] keeps path answers *bit-identical* to a full rebuild
+//! while doing only incremental work:
 //!
-//! - **Dense mode** (`n ≤` [`DENSE_MAX_NODES`]): the exact flat table
-//!   is kept, and every mutation runs a Ramalingam–Reps-style dynamic
-//!   SSSP repair per source row, touching only vertices whose distance
-//!   actually changes (weight decreases/edge adds seed a restricted
-//!   Dijkstra from the changed edge; increases/node-downs rebuild just
-//!   the affected shortest-path subtree).
+//! - **Dense mode** (`n ≤` [`DENSE_MAX_NODES`]): the exact [`Apsp`]
+//!   table the frozen service serves is kept, and every mutation runs a
+//!   Ramalingam–Reps-style dynamic SSSP repair per source row, touching
+//!   only vertices whose distance actually changes (weight
+//!   decreases/edge adds seed a restricted Dijkstra from the changed
+//!   edge; increases/node-downs rebuild just the affected shortest-path
+//!   subtree).
 //! - **Sparse mode** (larger `n`): the O(n²) table is dropped for an
 //!   LRU cache of hot per-source shortest-path trees, computed on
 //!   demand with the existing Dijkstra and *repaired in place* on
@@ -21,6 +22,11 @@
 //!   instead leaves the slot stale (an epoch invalidation) to be
 //!   recomputed on next use. Memory is O(slots · n); a warm-tree query
 //!   is the same zero-alloc `prev`-row walk as the static table.
+//! - **Rebuild** ([`PathEngineKind::Rebuild`]): the dense table
+//!   recomputed by [`WsGraph::precompute_all_pairs`] after every applied
+//!   mutation — the paper's semantics, kept as the differential
+//!   reference and as the baseline the `path_churn` bench gates
+//!   against. It runs none of the repair code it checks.
 //!
 //! **Why repairs are bit-identical.** `WsGraph::dijkstra` relaxes with
 //! a strict `<` and pops a min-heap ordered by `(dist, node)` via
@@ -41,10 +47,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::walk::{walk_prev_row, PathWalkError};
-use super::{HeapEntry, NodeId, WsGraph, NO_PREV};
+use super::{Apsp, HeapEntry, NodeId, WsGraph, NO_PREV};
 
-/// Largest node count for which [`DynApsp::new`] keeps the exact flat
-/// O(n²) table (dense mode); larger graphs get the sparse tree cache.
+/// Largest node count for which [`PathEngineKind::Dynamic`] keeps the
+/// exact flat O(n²) table (dense mode); larger graphs get the sparse
+/// tree cache.
 pub const DENSE_MAX_NODES: usize = 1024;
 
 /// Default number of cached source trees in sparse mode.
@@ -59,6 +66,32 @@ const REPAIR_BUDGET_DIV: usize = 4;
 
 /// Sentinel for an unoccupied cache slot.
 const NO_SRC: u32 = u32::MAX;
+
+/// Engine selection: every kind answers identically; only the
+/// maintenance cost differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathEngineKind {
+    /// Full `precompute_all_pairs` rebuild per mutation (reference).
+    Rebuild,
+    /// Incremental, in its size-chosen mode (dense ≤ [`DENSE_MAX_NODES`]).
+    Dynamic,
+    /// Incremental, forced dense.
+    DynamicDense,
+    /// Incremental, forced sparse ([`DEFAULT_CACHE_SLOTS`] slots).
+    DynamicSparse,
+}
+
+impl PathEngineKind {
+    /// The kind's name in reports and test messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            PathEngineKind::Rebuild => "rebuild",
+            PathEngineKind::Dynamic => "dynamic",
+            PathEngineKind::DynamicDense => "dyn-dense",
+            PathEngineKind::DynamicSparse => "dyn-sparse",
+        }
+    }
+}
 
 /// A rejected topology mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +131,7 @@ impl std::error::Error for TopologyError {}
 
 /// Outcome of a validated edge-weight mutation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EdgeUpdate {
+enum EdgeUpdate {
     /// The weight was already bitwise-equal: nothing changed.
     NoOp,
     /// A new edge was inserted.
@@ -112,7 +145,7 @@ pub(crate) enum EdgeUpdate {
 
 /// Outcome of a validated node up/down toggle.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum NodeToggle {
+enum NodeToggle {
     /// The node was already in the requested state.
     NoOp,
     /// The node went down; `removed` lists the incident edges taken
@@ -131,21 +164,22 @@ pub(crate) enum NodeToggle {
 }
 
 /// The mutable topology: the live graph plus stashed incident-edge
-/// lists for down nodes. Shared by both [`super::PathEngine`] variants
-/// so the reference `Rebuild` engine and [`DynApsp`] apply identical
-/// mutation semantics (same validation, same adjacency order).
+/// lists for down nodes. Every [`PathEngineKind`] applies mutations
+/// through it, so the `Rebuild` reference and the incremental modes
+/// share identical mutation semantics (same validation, same
+/// adjacency order).
 ///
 /// Invariant: every logical edge lives either in the graph (both
 /// endpoints up) or in exactly one down-node stash.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Topo {
-    pub(crate) graph: WsGraph,
+struct Topo {
+    graph: WsGraph,
     /// Down node → incident edges removed when it went down.
-    pub(crate) down: BTreeMap<u32, Vec<(u32, f64)>>,
+    down: BTreeMap<u32, Vec<(u32, f64)>>,
 }
 
 impl Topo {
-    pub(crate) fn new(graph: WsGraph) -> Topo {
+    fn new(graph: WsGraph) -> Topo {
         Topo {
             graph,
             down: BTreeMap::new(),
@@ -163,7 +197,7 @@ impl Topo {
         Ok(())
     }
 
-    pub(crate) fn set_edge_weight(
+    fn set_edge_weight(
         &mut self,
         a: NodeId,
         b: NodeId,
@@ -201,7 +235,7 @@ impl Topo {
         }
     }
 
-    pub(crate) fn set_node_up(&mut self, x: NodeId, up: bool) -> Result<NodeToggle, TopologyError> {
+    fn set_node_up(&mut self, x: NodeId, up: bool) -> Result<NodeToggle, TopologyError> {
         self.check_node(x)?;
         let xk = x as u32;
         if up {
@@ -238,17 +272,17 @@ impl Topo {
         }
     }
 
-    pub(crate) fn is_node_up(&self, x: NodeId) -> bool {
+    fn is_node_up(&self, x: NodeId) -> bool {
         !self.down.contains_key(&(x as u32))
     }
 }
 
-/// One source row: distances and `prev` links for a single source, in
-/// the same encoding as one row of the flat [`super::Apsp`] tables.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Row {
-    dist: Vec<f64>,
-    prev: Vec<u32>,
+/// One source row under repair: distances and `prev` links for a single
+/// source, in the encoding of one row of the flat [`Apsp`] table —
+/// borrowed from that table (dense mode) or from a cached tree.
+struct RowMut<'a> {
+    dist: &'a mut [f64],
+    prev: &'a mut [u32],
 }
 
 /// A cached source tree (sparse mode).
@@ -258,7 +292,8 @@ struct TreeSlot {
     src: u32,
     /// Epoch the tree is consistent with; stale ⇒ recompute on use.
     epoch: u64,
-    row: Row,
+    dist: Vec<f64>,
+    prev: Vec<u32>,
     /// LRU stamp; atomic so lookups can touch it through `&self`.
     last_used: AtomicU64,
 }
@@ -268,7 +303,8 @@ impl Clone for TreeSlot {
         TreeSlot {
             src: self.src,
             epoch: self.epoch,
-            row: self.row.clone(),
+            dist: self.dist.clone(),
+            prev: self.prev.clone(),
             last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
         }
     }
@@ -291,7 +327,12 @@ impl Clone for TreeCache {
 
 #[derive(Debug, Clone)]
 enum Tables {
-    Dense(Vec<Row>),
+    /// The exact all-pairs table: repaired in place per mutation, or
+    /// recomputed from scratch when `rebuild`.
+    Dense {
+        table: Apsp,
+        rebuild: bool,
+    },
     Sparse(TreeCache),
 }
 
@@ -314,6 +355,16 @@ impl Clone for Counters {
             epoch_invalidations: self.epoch_invalidations,
             cache_misses: self.cache_misses,
             cache_hits: AtomicU64::new(self.cache_hits.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl Counters {
+    /// Counts one completed row repair that moved `touched` vertices.
+    fn repaired(&mut self, touched: usize) {
+        if touched > 0 {
+            self.tree_repairs += 1;
+            self.vertices_touched += touched as u64;
         }
     }
 }
@@ -381,22 +432,23 @@ enum RowOutcome {
     Exceeded,
 }
 
-/// Query outcome on the shared-reference path ([`DynApsp::query_warm`]).
+/// Query outcome on the shared-reference path ([`PathEngine::query_warm`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WarmQuery {
     /// Answered from a warm table or tree: the distance (`None` if
     /// unreachable), with the path in the caller's buffer.
     Ready(Option<f64>),
     /// Sparse mode: no warm tree for this source. Take the write side
-    /// and call [`DynApsp::warm`].
+    /// and call [`PathEngine::warm`].
     Cold,
 }
 
 /// Dynamic all-pairs shortest paths: bit-identical to a full rebuild,
-/// maintained incrementally. See the module docs for the two modes and
-/// the exactness argument.
+/// maintained incrementally (or, for [`PathEngineKind::Rebuild`],
+/// rebuilt). See the module docs for the modes and the exactness
+/// argument.
 #[derive(Debug)]
-pub struct DynApsp {
+pub struct PathEngine {
     topo: Topo,
     epoch: u64,
     tables: Tables,
@@ -404,9 +456,9 @@ pub struct DynApsp {
     scratch: Scratch,
 }
 
-impl Clone for DynApsp {
-    fn clone(&self) -> DynApsp {
-        DynApsp {
+impl Clone for PathEngine {
+    fn clone(&self) -> PathEngine {
+        PathEngine {
             topo: self.topo.clone(),
             epoch: self.epoch,
             tables: self.tables.clone(),
@@ -417,64 +469,68 @@ impl Clone for DynApsp {
     }
 }
 
-impl DynApsp {
-    /// Builds the engine, picking dense mode for `n ≤`
-    /// [`DENSE_MAX_NODES`] and the sparse tree cache otherwise. The
-    /// mode is fixed for the engine's lifetime.
-    pub fn new(graph: WsGraph) -> DynApsp {
-        if graph.num_nodes() <= DENSE_MAX_NODES {
-            DynApsp::new_dense(graph)
-        } else {
-            DynApsp::new_sparse(graph, DEFAULT_CACHE_SLOTS)
-        }
-    }
-
-    /// Dense mode regardless of size: the exact flat table, repaired
-    /// in place on every mutation.
+impl PathEngine {
+    /// Builds the engine `kind` over `graph`. [`PathEngineKind::Dynamic`]
+    /// picks dense mode for `n ≤` [`DENSE_MAX_NODES`] and the sparse
+    /// tree cache otherwise. The mode is fixed for the engine's
+    /// lifetime.
     ///
     /// # Panics
     ///
-    /// Panics if the graph is too large for the `prev` encoding.
-    pub fn new_dense(graph: WsGraph) -> DynApsp {
-        let n = graph.num_nodes();
-        assert!(n < NO_PREV as usize, "graph too large for the APSP table");
-        let mut rows = Vec::with_capacity(n);
-        for src in 0..n {
-            let mut row = Row::default();
-            graph.dijkstra_into(src, &mut row.dist, &mut row.prev);
-            rows.push(row);
-        }
-        DynApsp {
-            topo: Topo::new(graph),
-            epoch: 0,
-            tables: Tables::Dense(rows),
-            counters: Counters::default(),
-            scratch: Scratch::default(),
-        }
+    /// Panics if a dense table is asked of a graph too large for the
+    /// `prev` encoding.
+    pub fn new(kind: PathEngineKind, graph: WsGraph) -> PathEngine {
+        let rebuild = match kind {
+            PathEngineKind::Rebuild => true,
+            PathEngineKind::DynamicDense => false,
+            PathEngineKind::Dynamic if graph.num_nodes() <= DENSE_MAX_NODES => false,
+            PathEngineKind::Dynamic | PathEngineKind::DynamicSparse => {
+                return PathEngine::new_sparse(graph, DEFAULT_CACHE_SLOTS);
+            }
+        };
+        let table = graph.precompute_all_pairs();
+        PathEngine::with_tables(graph, Tables::Dense { table, rebuild })
     }
 
     /// Sparse mode regardless of size: `slots` cached source trees
     /// (at least one), O(slots · n) memory, no O(n²) table.
-    pub fn new_sparse(graph: WsGraph, slots: usize) -> DynApsp {
+    pub fn new_sparse(graph: WsGraph, slots: usize) -> PathEngine {
         let slots = slots.max(1);
         let cache = TreeCache {
             slots: (0..slots)
                 .map(|_| TreeSlot {
                     src: NO_SRC,
                     epoch: 0,
-                    row: Row::default(),
+                    dist: Vec::new(),
+                    prev: Vec::new(),
                     last_used: AtomicU64::new(0),
                 })
                 .collect(),
             tick: AtomicU64::new(0),
         };
-        DynApsp {
+        PathEngine::with_tables(graph, Tables::Sparse(cache))
+    }
+
+    fn with_tables(graph: WsGraph, tables: Tables) -> PathEngine {
+        PathEngine {
             topo: Topo::new(graph),
             epoch: 0,
-            tables: Tables::Sparse(cache),
+            tables,
             counters: Counters::default(),
             scratch: Scratch::default(),
         }
+    }
+
+    /// The engine's name in reports and test messages: `rebuild`,
+    /// `dyn-dense` or `dyn-sparse` (a [`PathEngineKind::Dynamic`]
+    /// engine reports the mode it chose).
+    pub fn name(&self) -> &'static str {
+        let kind = match self.tables {
+            Tables::Dense { rebuild: true, .. } => PathEngineKind::Rebuild,
+            Tables::Dense { rebuild: false, .. } => PathEngineKind::DynamicDense,
+            Tables::Sparse(_) => PathEngineKind::DynamicSparse,
+        };
+        kind.name()
     }
 
     /// Number of nodes.
@@ -488,11 +544,6 @@ impl DynApsp {
         self.epoch
     }
 
-    /// True in dense (exact flat table) mode.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.tables, Tables::Dense(_))
-    }
-
     /// The current live graph (down nodes appear isolated).
     pub fn graph(&self) -> &WsGraph {
         &self.topo.graph
@@ -503,8 +554,8 @@ impl DynApsp {
         self.topo.is_node_up(x)
     }
 
-    /// Shared-reference query: walks a warm table row or cached tree
-    /// into `out` (zero-alloc with a warm buffer), or reports
+    /// Shared-reference query: walks the dense table's row or a cached
+    /// tree into `out` (zero-alloc with a warm buffer), or reports
     /// [`WarmQuery::Cold`] when sparse mode has no tree for `a` yet.
     pub fn query_warm(
         &self,
@@ -512,6 +563,12 @@ impl DynApsp {
         b: NodeId,
         out: &mut Vec<NodeId>,
     ) -> Result<WarmQuery, PathWalkError> {
+        let cache = match &self.tables {
+            Tables::Dense { table, .. } => {
+                return table.try_path_into(a, b, out).map(WarmQuery::Ready);
+            }
+            Tables::Sparse(cache) => cache,
+        };
         let n = self.topo.graph.num_nodes();
         for x in [a, b] {
             if x >= n {
@@ -522,36 +579,18 @@ impl DynApsp {
                 });
             }
         }
-        match &self.tables {
-            Tables::Dense(rows) => {
-                let row = match rows.get(a) {
-                    Some(r) => r,
-                    None => {
-                        out.clear();
-                        return Err(PathWalkError::BrokenPrevChain {
-                            from: a as u32,
-                            to: b as u32,
-                        });
-                    }
-                };
-                walk_prev_row(n, a, b, &row.dist, &row.prev, out).map(WarmQuery::Ready)
+        let slot = cache
+            .slots
+            .iter()
+            .find(|s| s.src == a as u32 && s.epoch == self.epoch);
+        match slot {
+            Some(slot) => {
+                let stamp = cache.tick.fetch_add(1, Ordering::Relaxed) + 1;
+                slot.last_used.store(stamp, Ordering::Relaxed);
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                walk_prev_row(n, a, b, &slot.dist, &slot.prev, out).map(WarmQuery::Ready)
             }
-            Tables::Sparse(cache) => {
-                let slot = cache
-                    .slots
-                    .iter()
-                    .find(|s| s.src == a as u32 && s.epoch == self.epoch);
-                match slot {
-                    Some(slot) => {
-                        let stamp = cache.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                        slot.last_used.store(stamp, Ordering::Relaxed);
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        walk_prev_row(n, a, b, &slot.row.dist, &slot.row.prev, out)
-                            .map(WarmQuery::Ready)
-                    }
-                    None => Ok(WarmQuery::Cold),
-                }
-            }
+            None => Ok(WarmQuery::Cold),
         }
     }
 
@@ -562,7 +601,7 @@ impl DynApsp {
         if src >= self.topo.graph.num_nodes() {
             return;
         }
-        let DynApsp {
+        let PathEngine {
             topo,
             epoch,
             tables,
@@ -599,14 +638,14 @@ impl DynApsp {
         // lint:allow(serve-panic-reach): victim indexes the slot scan above
         let slot = &mut cache.slots[victim];
         topo.graph
-            .dijkstra_into(src, &mut slot.row.dist, &mut slot.row.prev);
+            .dijkstra_into(src, &mut slot.dist, &mut slot.prev);
         slot.src = src as u32;
         slot.epoch = *epoch;
         let stamp = cache.tick.fetch_add(1, Ordering::Relaxed) + 1;
         slot.last_used.store(stamp, Ordering::Relaxed);
     }
 
-    /// Query with on-demand warming: [`DynApsp::query_warm`], warming
+    /// Query with on-demand warming: [`PathEngine::query_warm`], warming
     /// the source tree first if needed.
     pub fn query(
         &mut self,
@@ -696,44 +735,11 @@ impl DynApsp {
         Ok(true)
     }
 
-    /// Appends a new isolated node. Dense rows grow by one column plus
-    /// a trivial new row; sparse trees grow on their next recompute.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = self.topo.graph.add_node();
-        self.epoch += 1;
-        let n = self.topo.graph.num_nodes();
-        match &mut self.tables {
-            Tables::Dense(rows) => {
-                for row in rows.iter_mut() {
-                    row.dist.push(f64::INFINITY);
-                    row.prev.push(NO_PREV);
-                }
-                let mut dist = vec![f64::INFINITY; n];
-                dist[id] = 0.0;
-                rows.push(Row {
-                    dist,
-                    prev: vec![NO_PREV; n],
-                });
-            }
-            Tables::Sparse(cache) => {
-                // An isolated node cannot change any existing tree:
-                // extend warm rows in place and keep them warm.
-                for slot in cache.slots.iter_mut() {
-                    if slot.src != NO_SRC && slot.epoch + 1 == self.epoch {
-                        slot.row.dist.push(f64::INFINITY);
-                        slot.row.prev.push(NO_PREV);
-                        slot.epoch = self.epoch;
-                    }
-                }
-            }
-        }
-        id
-    }
-
-    /// Applies one normalized mutation to every maintained row.
+    /// Applies one normalized mutation to every maintained row (or,
+    /// for the rebuild reference, recomputes the table).
     fn apply_op(&mut self, op: &RepairOp) {
         self.epoch += 1;
-        let DynApsp {
+        let PathEngine {
             topo,
             epoch,
             tables,
@@ -742,16 +748,19 @@ impl DynApsp {
         } = self;
         let graph = &topo.graph;
         match tables {
-            Tables::Dense(rows) => {
-                for (src, row) in rows.iter_mut().enumerate() {
+            Tables::Dense {
+                table,
+                rebuild: true,
+            } => *table = graph.precompute_all_pairs(),
+            Tables::Dense {
+                table,
+                rebuild: false,
+            } => {
+                for (src, (dist, prev)) in table.rows_mut().enumerate() {
+                    let row = &mut RowMut { dist, prev };
                     match repair_row(graph, src, row, op, scratch, usize::MAX) {
                         RowOutcome::Clean => {}
-                        RowOutcome::Repaired(t) => {
-                            if t > 0 {
-                                counters.tree_repairs += 1;
-                                counters.vertices_touched += t as u64;
-                            }
-                        }
+                        RowOutcome::Repaired(t) => counters.repaired(t),
                         RowOutcome::Exceeded => {
                             // lint:allow(serve-panic-reach): dense repair runs with an unlimited budget; Exceeded cannot occur
                             unreachable!("dense repair has no budget")
@@ -767,14 +776,15 @@ impl DynApsp {
                     if slot.src == NO_SRC || slot.epoch + 1 != *epoch {
                         continue;
                     }
-                    match repair_row(graph, slot.src as usize, &mut slot.row, op, scratch, budget) {
+                    let row = &mut RowMut {
+                        dist: &mut slot.dist,
+                        prev: &mut slot.prev,
+                    };
+                    match repair_row(graph, slot.src as usize, row, op, scratch, budget) {
                         RowOutcome::Clean => slot.epoch = *epoch,
                         RowOutcome::Repaired(t) => {
                             slot.epoch = *epoch;
-                            if t > 0 {
-                                counters.tree_repairs += 1;
-                                counters.vertices_touched += t as u64;
-                            }
+                            counters.repaired(t);
                         }
                         RowOutcome::Exceeded => {
                             counters.epoch_invalidations += 1;
@@ -785,7 +795,8 @@ impl DynApsp {
         }
     }
 
-    /// Exports the `core.graph.*` counters (docs/OBSERVABILITY.md).
+    /// Exports the `core.graph.*` counters (docs/OBSERVABILITY.md). The
+    /// rebuild reference keeps no incremental state and reports zeros.
     pub fn export_metrics(&self, metrics: &mut desim::MetricSet) {
         let c = &self.counters;
         metrics.set_counter("core.graph.tree_repairs", c.tree_repairs);
@@ -819,7 +830,7 @@ fn touch(
 /// (row left partially modified — caller must mark it stale).
 fn propagate_decrease(
     graph: &WsGraph,
-    row: &mut Row,
+    row: &mut RowMut<'_>,
     edges: &[(u32, u32, f64)],
     scratch: &mut Scratch,
     budget: usize,
@@ -886,7 +897,7 @@ fn propagate_decrease(
 fn collect_subtree(
     graph: &WsGraph,
     extra_edges: Option<(usize, &[(u32, f64)])>,
-    row: &Row,
+    row: &RowMut<'_>,
     root: usize,
     scratch: &mut Scratch,
 ) {
@@ -931,7 +942,7 @@ fn collect_subtree(
 /// member from its best out-of-region neighbor, and re-settles with a
 /// restricted Dijkstra. Out-of-region distances are provably
 /// unaffected, so the fixpoint reached is the canonical one.
-fn rebuild_region(graph: &WsGraph, row: &mut Row, scratch: &mut Scratch) {
+fn rebuild_region(graph: &WsGraph, row: &mut RowMut<'_>, scratch: &mut Scratch) {
     let Scratch {
         heap,
         region,
@@ -992,7 +1003,7 @@ fn rebuild_region(graph: &WsGraph, row: &mut Row, scratch: &mut Scratch) {
 /// by `(dist[y], y)` over neighbors `y` achieving
 /// `dist[y] + w(y,t) == dist[t]` — exactly what `dijkstra` assigns
 /// (first-popped achiever wins, pops ascend by `(dist, node)`).
-fn canonical_prev(graph: &WsGraph, row: &Row, src: usize, t: usize) -> u32 {
+fn canonical_prev(graph: &WsGraph, row: &RowMut<'_>, src: usize, t: usize) -> u32 {
     if t == src {
         return NO_PREV;
     }
@@ -1025,7 +1036,7 @@ fn canonical_prev(graph: &WsGraph, row: &Row, src: usize, t: usize) -> u32 {
 /// endpoints of mutated edges (`extra`).
 fn recompute_prevs(
     graph: &WsGraph,
-    row: &mut Row,
+    row: &mut RowMut<'_>,
     src: usize,
     extra: &[u32],
     scratch: &mut Scratch,
@@ -1073,7 +1084,7 @@ fn recompute_prevs(
 fn repair_row(
     graph: &WsGraph,
     src: usize,
-    row: &mut Row,
+    row: &mut RowMut<'_>,
     op: &RepairOp,
     scratch: &mut Scratch,
     budget: usize,
@@ -1144,40 +1155,36 @@ mod tests {
     use super::super::random_connected_graph;
     use super::*;
 
-    /// Rebuilds from scratch and asserts every maintained cell of
-    /// `dyn_apsp` is bitwise identical (dense: all rows; sparse: every
-    /// fresh cached tree).
-    fn assert_matches_rebuild(d: &DynApsp) {
-        let reference = |src: usize| {
-            let mut dist = Vec::new();
-            let mut prev = Vec::new();
-            d.topo.graph.dijkstra_into(src, &mut dist, &mut prev);
-            (dist, prev)
+    /// Rebuilds from scratch and asserts every maintained cell of `d`
+    /// is bitwise identical (dense: all rows; sparse: every fresh
+    /// cached tree).
+    fn assert_matches_rebuild(d: &PathEngine) {
+        let check = |src: usize, dist: &[f64], prev: &[u32]| {
+            let (mut want_dist, mut want_prev) = (Vec::new(), Vec::new());
+            d.topo
+                .graph
+                .dijkstra_into(src, &mut want_dist, &mut want_prev);
+            for v in 0..want_dist.len() {
+                assert_eq!(
+                    dist[v].to_bits(),
+                    want_dist[v].to_bits(),
+                    "dist[{src}][{v}]"
+                );
+                assert_eq!(prev[v], want_prev[v], "prev[{src}][{v}]");
+            }
         };
         match &d.tables {
-            Tables::Dense(rows) => {
-                for (src, row) in rows.iter().enumerate() {
-                    let (dist, prev) = reference(src);
-                    for v in 0..dist.len() {
-                        assert_eq!(row.dist[v].to_bits(), dist[v].to_bits(), "dist[{src}][{v}]");
-                        assert_eq!(row.prev[v], prev[v], "prev[{src}][{v}]");
-                    }
+            Tables::Dense { table, .. } => {
+                let n = table.n;
+                for src in 0..n {
+                    let row = src * n..(src + 1) * n;
+                    check(src, &table.dist[row.clone()], &table.prev[row]);
                 }
             }
             Tables::Sparse(cache) => {
                 for slot in &cache.slots {
-                    if slot.src == NO_SRC || slot.epoch != d.epoch {
-                        continue;
-                    }
-                    let src = slot.src as usize;
-                    let (dist, prev) = reference(src);
-                    for v in 0..dist.len() {
-                        assert_eq!(
-                            slot.row.dist[v].to_bits(),
-                            dist[v].to_bits(),
-                            "dist[{src}][{v}]"
-                        );
-                        assert_eq!(slot.row.prev[v], prev[v], "prev[{src}][{v}]");
+                    if slot.src != NO_SRC && slot.epoch == d.epoch {
+                        check(slot.src as usize, &slot.dist, &slot.prev);
                     }
                 }
             }
@@ -1187,7 +1194,7 @@ mod tests {
     #[test]
     fn dense_weight_churn_stays_bit_identical() {
         let g = random_connected_graph(24, 30, 42);
-        let mut d = DynApsp::new_dense(g);
+        let mut d = PathEngine::new(PathEngineKind::DynamicDense, g);
         let mut rng = desim::SimRng::seed_from(7);
         for _ in 0..120 {
             let a = rng.below(24) as usize;
@@ -1205,7 +1212,7 @@ mod tests {
     #[test]
     fn dense_node_flaps_stay_bit_identical() {
         let g = random_connected_graph(20, 24, 3);
-        let mut d = DynApsp::new_dense(g);
+        let mut d = PathEngine::new(PathEngineKind::DynamicDense, g);
         let mut rng = desim::SimRng::seed_from(11);
         let mut down: Vec<usize> = Vec::new();
         for _ in 0..80 {
@@ -1228,7 +1235,7 @@ mod tests {
     #[test]
     fn sparse_trees_survive_churn_bit_identically() {
         let g = random_connected_graph(60, 80, 9);
-        let mut d = DynApsp::new_sparse(g, 8);
+        let mut d = PathEngine::new_sparse(g, 8);
         let mut rng = desim::SimRng::seed_from(5);
         let mut buf = Vec::new();
         for _ in 0..100 {
@@ -1256,7 +1263,7 @@ mod tests {
         for i in 1..5 {
             g.add_edge(i - 1, i, 2.0);
         }
-        let mut d = DynApsp::new_dense(g);
+        let mut d = PathEngine::new(PathEngineKind::DynamicDense, g);
         assert_eq!(d.distance(0, 4), Some(8.0));
         assert!(d.set_node_up(2, false).expect("valid"));
         assert_eq!(d.distance(0, 4), None);
@@ -1271,7 +1278,7 @@ mod tests {
     fn overlapping_node_downs_restore_cleanly() {
         let g = random_connected_graph(12, 14, 21);
         let reference = g.clone();
-        let mut d = DynApsp::new_dense(g);
+        let mut d = PathEngine::new(PathEngineKind::DynamicDense, g);
         // Down x, down neighbor y, up x (edge deferred), up y.
         assert!(d.set_node_up(3, false).expect("valid"));
         assert!(d.set_node_up(4, false).expect("valid"));
@@ -1299,7 +1306,7 @@ mod tests {
         let g = random_connected_graph(8, 6, 2);
         let w0 = g.edges(0)[0].1;
         let b0 = g.edges(0)[0].0;
-        let mut d = DynApsp::new_dense(g);
+        let mut d = PathEngine::new(PathEngineKind::DynamicDense, g);
         assert!(!d.set_edge_weight(0, b0, w0).expect("valid"));
         assert!(!d.set_node_up(1, true).expect("valid"));
         assert_eq!(d.epoch(), 0);
@@ -1310,7 +1317,7 @@ mod tests {
     #[test]
     fn invalid_mutations_are_typed_errors() {
         let g = random_connected_graph(6, 4, 2);
-        let mut d = DynApsp::new_dense(g);
+        let mut d = PathEngine::new(PathEngineKind::DynamicDense, g);
         assert_eq!(
             d.set_edge_weight(0, 9, 1.0),
             Err(TopologyError::NodeOutOfRange {
@@ -1339,19 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn add_node_grows_tables_consistently() {
-        let g = random_connected_graph(10, 8, 13);
-        let mut d = DynApsp::new_dense(g);
-        let id = d.add_node();
-        assert_eq!(id, 10);
-        assert_eq!(d.num_nodes(), 11);
-        assert_eq!(d.distance(0, id), None);
-        d.set_edge_weight(0, id, 4.5).expect("valid");
-        assert!(d.distance(3, id).is_some());
-        assert_matches_rebuild(&d);
-    }
-
-    #[test]
     fn sparse_mode_reports_invalidations_under_heavy_mutation() {
         // A tiny budget graph: node-down of a line-center moves half
         // the tree, exceeding n/4 once n is small enough relative to
@@ -1360,7 +1354,7 @@ mod tests {
         for i in 1..400 {
             g.add_edge(i - 1, i, 1.0);
         }
-        let mut d = DynApsp::new_sparse(g, 4);
+        let mut d = PathEngine::new_sparse(g, 4);
         let mut buf = Vec::new();
         let _ = d.query(0, 399, &mut buf);
         // Dropping node 200 rebuilds 199 vertices of source 0's tree —
@@ -1375,7 +1369,7 @@ mod tests {
     #[test]
     fn export_metrics_names_match_the_catalog() {
         let g = random_connected_graph(8, 6, 2);
-        let mut d = DynApsp::new(g);
+        let mut d = PathEngine::new(PathEngineKind::Dynamic, g);
         d.set_edge_weight(0, 2, 9.0).expect("valid");
         let mut m = desim::MetricSet::default();
         d.export_metrics(&mut m);
@@ -1388,5 +1382,69 @@ mod tests {
         ] {
             assert!(m.counter_value(name).is_some(), "{name} missing");
         }
+    }
+
+    #[test]
+    fn all_variants_agree_under_churn() {
+        let g = random_connected_graph(30, 40, 17);
+        let mut engines: Vec<PathEngine> = [
+            PathEngineKind::Rebuild,
+            PathEngineKind::DynamicDense,
+            PathEngineKind::DynamicSparse,
+        ]
+        .into_iter()
+        .map(|k| PathEngine::new(k, g.clone()))
+        .collect();
+        let mut rng = desim::SimRng::seed_from(23);
+        let mut bufs = vec![Vec::new(); engines.len()];
+        for step in 0..60 {
+            // One mutation…
+            let (a, b) = (rng.below(30) as usize, rng.below(30) as usize);
+            if step % 7 == 3 {
+                let x = rng.below(30) as usize;
+                let up = rng.below(2) == 0;
+                let mut applied = Vec::new();
+                for e in engines.iter_mut() {
+                    applied.push(e.set_node_up(x, up).expect("valid"));
+                }
+                assert!(applied.windows(2).all(|w| w[0] == w[1]));
+            } else if a != b {
+                let w = rng.uniform(0.5, 50.0);
+                // A down endpoint is a (consistent) rejection.
+                let mut applied = Vec::new();
+                for e in engines.iter_mut() {
+                    applied.push(e.set_edge_weight(a, b, w));
+                }
+                assert!(applied.windows(2).all(|w| w[0] == w[1]), "{applied:?}");
+            }
+            // … then a handful of differential queries.
+            for _ in 0..8 {
+                let (qa, qb) = (rng.below(30) as usize, rng.below(30) as usize);
+                let mut results = Vec::new();
+                for (e, buf) in engines.iter_mut().zip(bufs.iter_mut()) {
+                    let d = e.query(qa, qb, buf).expect("no corruption");
+                    results.push((d.map(f64::to_bits), buf.clone()));
+                }
+                assert!(
+                    results.windows(2).all(|w| w[0] == w[1]),
+                    "step {step}: {qa}->{qb} diverged: {results:?}"
+                );
+            }
+        }
+        for e in &engines {
+            assert!(e.epoch() > 0);
+        }
+    }
+
+    #[test]
+    fn rebuild_reference_rejects_and_accepts_like_dynamic() {
+        let g = random_connected_graph(10, 8, 4);
+        let mut r = PathEngine::new(PathEngineKind::Rebuild, g.clone());
+        let mut d = PathEngine::new(PathEngineKind::Dynamic, g);
+        assert_eq!(r.set_edge_weight(0, 99, 1.0), d.set_edge_weight(0, 99, 1.0));
+        assert_eq!(r.set_node_up(3, false), d.set_node_up(3, false));
+        assert_eq!(r.set_edge_weight(3, 4, 2.0), d.set_edge_weight(3, 4, 2.0));
+        assert_eq!(r.epoch(), d.epoch());
+        assert_eq!(r.is_node_up(3), d.is_node_up(3));
     }
 }

@@ -14,17 +14,17 @@
 //!
 //! The paper's static precomputation collapses under topology churn
 //! (workstation failure, congestion-driven weight updates): the
-//! [`dynamic`] submodule maintains shortest paths incrementally, the
-//! [`engine`] submodule selects between the incremental engine and the
-//! rebuild-from-scratch reference, and the [`walk`] submodule is the
-//! panic-free `prev`-row walk the serving layers route through.
+//! [`dynamic`] submodule's [`PathEngine`] maintains shortest paths
+//! incrementally (or, as the reference, rebuilds them), and the
+//! [`walk`] submodule is the panic-free `prev`-row walk the serving
+//! layers route through.
 
 pub mod dynamic;
-pub mod engine;
 pub mod walk;
 
-pub use dynamic::{DynApsp, TopologyError, WarmQuery, DEFAULT_CACHE_SLOTS, DENSE_MAX_NODES};
-pub use engine::{PathEngine, PathEngineKind};
+pub use dynamic::{
+    PathEngine, PathEngineKind, TopologyError, WarmQuery, DEFAULT_CACHE_SLOTS, DENSE_MAX_NODES,
+};
 pub use walk::PathWalkError;
 
 /// A node index in the workstation graph (one per BIPS workstation).
@@ -194,14 +194,18 @@ impl WsGraph {
     pub fn precompute_all_pairs(&self) -> Apsp {
         let n = self.adj.len();
         assert!(n < NO_PREV as usize, "graph too large for the APSP table");
-        let mut dist = Vec::with_capacity(n * n);
-        let mut prev = Vec::with_capacity(n * n);
+        let mut apsp = Apsp {
+            n,
+            dist: Vec::with_capacity(n * n),
+            prev: Vec::with_capacity(n * n),
+        };
+        let (mut dist, mut prev) = (Vec::new(), Vec::new());
         for src in 0..n {
-            let (d, p) = self.dijkstra(src);
-            dist.extend_from_slice(&d);
-            prev.extend(p.iter().map(|o| o.map_or(NO_PREV, |v| v as u32)));
+            self.dijkstra_into(src, &mut dist, &mut prev);
+            apsp.dist.extend_from_slice(&dist);
+            apsp.prev.extend_from_slice(&prev);
         }
-        Apsp { n, dist, prev }
+        apsp
     }
 
     /// True if every node reaches every other (the paper assumes a
@@ -266,12 +270,6 @@ impl WsGraph {
             adj_b.swap_remove(p);
         }
         Some(w)
-    }
-
-    /// Appends a new isolated node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
     }
 }
 
@@ -364,25 +362,13 @@ impl Apsp {
     ///
     /// # Panics
     ///
-    /// Panics if a node is out of range.
+    /// Panics if a node is out of range or the table is corrupt (see
+    /// [`Apsp::try_path_into`] for the panic-free walk).
     pub fn path_into(&self, a: NodeId, b: NodeId, out: &mut Vec<NodeId>) -> Option<f64> {
-        assert!(a < self.n && b < self.n, "node out of range");
-        out.clear();
-        let d = self.dist[a * self.n + b];
-        if !d.is_finite() {
-            return None;
+        match self.try_path_into(a, b, out) {
+            Ok(d) => d,
+            Err(e) => panic!("{e}"),
         }
-        let row = a * self.n;
-        let mut cur = b;
-        out.push(cur);
-        while cur != a {
-            let p = self.prev[row + cur];
-            assert!(p != NO_PREV, "prev chain reaches source");
-            cur = p as usize;
-            out.push(cur);
-        }
-        out.reverse();
-        Some(d)
     }
 
     /// Like [`Apsp::path_into`] but panic-free: out-of-range endpoints
@@ -413,6 +399,14 @@ impl Apsp {
     /// Number of nodes covered by the table.
     pub fn num_nodes(&self) -> usize {
         self.n
+    }
+
+    /// Each source's `(dist, prev)` row, mutable, in source order: the
+    /// dynamic engine repairs the table in place through these.
+    pub(crate) fn rows_mut(&mut self) -> impl Iterator<Item = (&mut [f64], &mut [u32])> {
+        // `chunks_mut(0)` panics; an empty table has no rows either way.
+        let n = self.n.max(1);
+        self.dist.chunks_mut(n).zip(self.prev.chunks_mut(n))
     }
 
     /// Test hook: overwrite `prev[a][b]` with the no-predecessor

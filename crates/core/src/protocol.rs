@@ -68,15 +68,6 @@ pub enum Request {
         /// Reporting cell.
         cell: u32,
     },
-    /// A gateway-coalesced batch of presence changes spanning several
-    /// cells: the fan-in layer buffers every workstation's
-    /// update-on-change notices for one tick and forwards them to the
-    /// server in a single message, amortizing one RPC over the whole
-    /// tick.
-    NotifyBatch {
-        /// Presence changes in arrival order.
-        items: Vec<Notice>,
-    },
     /// Uid-based location query on the socket serving path: the client
     /// already holds dense user ids (it logged the users in), so the
     /// query skips the name lookup and maps 1:1 onto
@@ -177,12 +168,6 @@ pub enum Response {
     },
     /// Heartbeat acknowledgment.
     HeartbeatAck,
-    /// Gateway-batch acknowledgment: how many items changed server
-    /// state.
-    NotifyBatchAck {
-        /// Number of items that were not redundant.
-        changed: u32,
-    },
     /// [`Request::IngestBatch`] acknowledgment: the batch is queued.
     IngestAck {
         /// Number of notices queued (the whole batch; unbound addresses
@@ -213,8 +198,8 @@ pub enum Response {
     },
 }
 
-/// One update-on-change presence notice inside a gateway batch
-/// ([`Request::NotifyBatch`]).
+/// One update-on-change presence notice inside an ingest batch
+/// ([`Request::IngestBatch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Notice {
     /// The cell reporting the change (graph node index).
@@ -336,7 +321,6 @@ const TAG_LOCATE: u8 = 4;
 const TAG_HISTORY: u8 = 5;
 const TAG_PRESENCE_BATCH: u8 = 6;
 const TAG_HEARTBEAT: u8 = 7;
-const TAG_NOTIFY_BATCH: u8 = 8;
 pub(crate) const TAG_WHERE_IS: u8 = 9;
 const TAG_INGEST_BATCH: u8 = 10;
 const TAG_FLUSH: u8 = 11;
@@ -351,7 +335,6 @@ pub(crate) const TAG_LOCATE_RESULT: u8 = 104;
 const TAG_HISTORY_RESULT: u8 = 105;
 const TAG_PRESENCE_BATCH_ACK: u8 = 106;
 const TAG_HEARTBEAT_ACK: u8 = 107;
-const TAG_NOTIFY_BATCH_ACK: u8 = 108;
 const TAG_INGEST_ACK: u8 = 109;
 const TAG_FLUSH_ACK: u8 = 110;
 const TAG_SHUTDOWN_ACK: u8 = 111;
@@ -428,12 +411,6 @@ impl Request {
             }
             Request::Heartbeat { cell } => {
                 w.u8(TAG_HEARTBEAT).u32(*cell);
-            }
-            Request::NotifyBatch { items } => {
-                w.u8(TAG_NOTIFY_BATCH).u32(items.len() as u32);
-                for n in items {
-                    w.u32(n.cell).u64(n.addr.raw()).bool(n.present);
-                }
             }
             Request::History {
                 from,
@@ -519,21 +496,6 @@ impl Request {
                 Request::PresenceBatch { cell, items }
             }
             TAG_HEARTBEAT => Request::Heartbeat { cell: r.u32()? },
-            TAG_NOTIFY_BATCH => {
-                let n = r.u32()? as usize;
-                if n > crate::wire::MAX_FIELD_LEN / NOTICE_WIRE_LEN {
-                    return Err(DecodeError::FieldTooLong);
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(Notice {
-                        cell: r.u32()?,
-                        addr: addr(r.u64()?)?,
-                        present: r.bool()?,
-                    });
-                }
-                Request::NotifyBatch { items }
-            }
             TAG_HISTORY => Request::History {
                 from: addr(r.u64()?)?,
                 target: r.string()?,
@@ -756,9 +718,6 @@ impl Response {
             Response::HeartbeatAck => {
                 w.u8(TAG_HEARTBEAT_ACK);
             }
-            Response::NotifyBatchAck { changed } => {
-                w.u8(TAG_NOTIFY_BATCH_ACK).u32(*changed);
-            }
             Response::IngestAck { queued } => {
                 w.u8(TAG_INGEST_ACK).u32(*queued);
             }
@@ -815,7 +774,6 @@ impl Response {
             TAG_LOCATE_RESULT => Response::LocateResult(LocateOutcome::decode_from(&mut r)?),
             TAG_PRESENCE_BATCH_ACK => Response::PresenceBatchAck { changed: r.u32()? },
             TAG_HEARTBEAT_ACK => Response::HeartbeatAck,
-            TAG_NOTIFY_BATCH_ACK => Response::NotifyBatchAck { changed: r.u32()? },
             TAG_INGEST_ACK => Response::IngestAck { queued: r.u32()? },
             TAG_FLUSH_ACK => {
                 let n = r.u32()? as usize;
@@ -897,22 +855,6 @@ mod tests {
         round_trip_resp(Response::PresenceBatchAck { changed: 2 });
         round_trip_req(Request::Heartbeat { cell: 3 });
         round_trip_resp(Response::HeartbeatAck);
-        round_trip_req(Request::NotifyBatch {
-            items: vec![
-                Notice {
-                    cell: 1,
-                    addr: BdAddr::new(7),
-                    present: true,
-                },
-                Notice {
-                    cell: 5,
-                    addr: BdAddr::new(8),
-                    present: false,
-                },
-            ],
-        });
-        round_trip_req(Request::NotifyBatch { items: vec![] });
-        round_trip_resp(Response::NotifyBatchAck { changed: 1 });
     }
 
     #[test]
@@ -1034,6 +976,15 @@ mod tests {
     fn unknown_tags_rejected() {
         assert_eq!(Request::decode(&[0x7F]), Err(DecodeError::BadTag(0x7F)));
         assert_eq!(Response::decode(&[0x00]), Err(DecodeError::BadTag(0x00)));
+        // Retired: the gateway `NotifyBatch` (8) and its ack (108).
+        assert_eq!(
+            Request::decode(&[8, 0, 0, 0, 0]),
+            Err(DecodeError::BadTag(8))
+        );
+        assert_eq!(
+            Response::decode(&[108, 0, 0, 0, 0]),
+            Err(DecodeError::BadTag(108))
+        );
     }
 
     #[test]
@@ -1096,17 +1047,6 @@ mod golden_bytes {
         assert_eq!(
             Request::Heartbeat { cell: 0x0102 }.encode(),
             vec![7, 2, 1, 0, 0]
-        );
-        assert_eq!(
-            Request::NotifyBatch {
-                items: vec![Notice {
-                    cell: 2,
-                    addr: BdAddr::new(3),
-                    present: true,
-                }],
-            }
-            .encode(),
-            vec![8, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1]
         );
         // Serving-path requests (PR 7): tags 9–12.
         assert_eq!(
@@ -1174,10 +1114,6 @@ mod golden_bytes {
         assert_eq!(found[6..14], 1.0f64.to_bits().to_le_bytes());
         assert_eq!(found[14..18], [2, 0, 0, 0]);
         assert_eq!(found[18..], [0, 0, 0, 0, 2, 0, 0, 0]);
-        assert_eq!(
-            Response::NotifyBatchAck { changed: 3 }.encode(),
-            vec![108, 3, 0, 0, 0]
-        );
         // BadQuery: tag, outcome code, error code, cell u32, num_cells u32.
         assert_eq!(
             Response::LocateResult(LocateOutcome::BadQuery(ProtocolError::CellOutOfRange {

@@ -103,15 +103,6 @@ impl BipsServer {
                 Response::PresenceAck { changed }
             }
             Request::Heartbeat { .. } => Response::HeartbeatAck,
-            Request::NotifyBatch { items } => {
-                let mut changed = 0;
-                for n in items {
-                    if self.db.apply(n.addr, n.cell as usize, n.present, now) {
-                        changed += 1;
-                    }
-                }
-                Response::NotifyBatchAck { changed }
-            }
             Request::PresenceBatch { cell, items } => {
                 let mut changed = 0;
                 for (addr, present) in items {
@@ -158,7 +149,7 @@ impl BipsServer {
             } => Response::HistoryResult(self.history(from, &target, from_us, to_us)),
             // Socket serving-path messages (PR 7). The LAN-simulation
             // server does not run the sharded batching engine: an
-            // ingest batch applies immediately (like NotifyBatch), a
+            // ingest batch applies immediately (like PresenceBatch), a
             // flush therefore acknowledges an empty batch, and shutdown
             // is acknowledged for protocol completeness.
             Request::WhereIs {
@@ -702,40 +693,6 @@ mod tests {
                 epoch: 2,
             }
         );
-    }
-
-    #[test]
-    fn notify_batch_applies_multi_cell_changes() {
-        use crate::protocol::Notice;
-        let mut s = server();
-        let r = s.handle(
-            Request::NotifyBatch {
-                items: vec![
-                    Notice {
-                        cell: 0,
-                        addr: A,
-                        present: true,
-                    },
-                    Notice {
-                        cell: 2,
-                        addr: B,
-                        present: true,
-                    },
-                    // Redundant: A is already known in cell 0.
-                    Notice {
-                        cell: 0,
-                        addr: A,
-                        present: true,
-                    },
-                ],
-            },
-            t(1),
-        );
-        assert_eq!(r, Response::NotifyBatchAck { changed: 2 });
-        assert_eq!(s.db().current_cell(A), Some(0));
-        assert_eq!(s.db().current_cell(B), Some(2));
-        let st = s.db().stats();
-        assert_eq!((st.applied, st.redundant), (2, 1));
     }
 
     #[test]

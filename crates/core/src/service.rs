@@ -38,8 +38,9 @@
 //!   new `(addr, cell)` pair, never a torn mix.
 //! * **Zero-allocation queries.** [`ShardedService::where_is`] writes
 //!   the answer path into a caller-owned buffer via
-//!   [`Apsp::path_into`]; once the buffer is warm the query performs no
-//!   heap allocation at all.
+//!   [`Apsp::try_path_into`] (or, on a live topology, the
+//!   [`PathEngine`]'s table or cached tree, walked the same way); once
+//!   the buffer is warm the query performs no heap allocation at all.
 //!
 //! Determinism is preserved: per-shard pending queues apply in ingest
 //! order regardless of how many worker threads [`flush`] uses, and acks
@@ -354,7 +355,7 @@ pub enum Served {
     /// connection should be dropped.
     Malformed(DecodeError),
     /// A well-formed request outside the socket serving subset (a
-    /// LAN-simulation message such as `Login` or `NotifyBatch`).
+    /// LAN-simulation message such as `Login` or `PresenceBatch`).
     /// Nothing was appended; the connection should be dropped.
     Unsupported,
 }
@@ -837,7 +838,7 @@ impl ShardedService {
     }
 
     /// [`ingest`](ShardedService::ingest) carrying the request's span
-    /// id (e.g. from a `NotifyBatch` RPC frame): when a tracer is
+    /// id (e.g. from an `IngestBatch` RPC frame): when a tracer is
     /// attached, a [`TraceKind::Ingest`] event is recorded on the
     /// target shard's ring for every notice that reaches a pending
     /// queue.

@@ -866,10 +866,6 @@ impl BipsSystem {
                     Request::PresenceBatch { cell, items } => {
                         items.iter().map(|&(a, p)| (a, *cell as usize, p)).collect()
                     }
-                    Request::NotifyBatch { items } => items
-                        .iter()
-                        .map(|n| (n.addr, n.cell as usize, n.present))
-                        .collect(),
                     _ => Vec::new(),
                 };
                 let resp = self.server.handle(req, ctx.now());
@@ -877,7 +873,6 @@ impl BipsSystem {
                     resp,
                     Response::PresenceAck { changed: true }
                         | Response::PresenceBatchAck { changed: 1.. }
-                        | Response::NotifyBatchAck { changed: 1.. }
                 );
                 if any_changed {
                     let now = ctx.now();

@@ -125,17 +125,20 @@ proptest! {
 }
 
 proptest! {
-    /// Gateway-coalesced notify batches round-trip for arbitrary
+    /// Batches of presence notices (`IngestBatch`, which socket clients
+    /// send from peer-controlled connections) round-trip for arbitrary
     /// contents, and every strict prefix of the encoding is rejected —
     /// a truncated batch must never decode as a shorter valid one.
     #[test]
     fn notify_batches_round_trip_and_reject_truncation(
+        base_us in any::<u64>(),
         items in proptest::collection::vec(
             (any::<u32>(), any::<u64>(), any::<bool>()),
             0..20,
         ),
     ) {
-        let req = Request::NotifyBatch {
+        let req = Request::IngestBatch {
+            base_us,
             items: items
                 .iter()
                 .map(|&(cell, raw, present)| Notice {

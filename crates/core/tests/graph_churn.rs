@@ -190,3 +190,70 @@ fn disconnect_then_reconnect_round_trips() {
         }
     }
 }
+
+/// Sparse mode under pressure: a 3-slot tree cache on a 200-node,
+/// chain-heavy graph, so every round of queries evicts occupied slots
+/// and long subtrees push single-tree repairs past their budget (an
+/// epoch invalidation). After each of 60 mutations, every fifth a node
+/// flap, the full rows of eight sampled sources must match the rebuild
+/// reference bitwise.
+#[test]
+fn sparse_eviction_and_invalidation_match_rebuild() {
+    const N: usize = 200;
+    const SLOTS: usize = 3;
+    let g = random_connected_graph(N, 20, 41);
+    let mut sparse = PathEngine::new_sparse(g.clone(), SLOTS);
+    let mut reference = PathEngine::new(PathEngineKind::Rebuild, g);
+    let mut rng = desim::SimRng::seed_from(77);
+    let mut down: Vec<usize> = Vec::new();
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for step in 0..60 {
+        let (s, r) = if step % 5 == 4 {
+            if !down.is_empty() && rng.below(2) == 0 {
+                let x = down.swap_remove(rng.below(down.len() as u64) as usize);
+                (sparse.set_node_up(x, true), reference.set_node_up(x, true))
+            } else {
+                let x = rng.below(N as u64) as usize;
+                let r = reference.set_node_up(x, false);
+                if r == Ok(true) {
+                    down.push(x);
+                }
+                (sparse.set_node_up(x, false), r)
+            }
+        } else {
+            let a = rng.below(N as u64) as usize;
+            let b = (a + 1 + rng.below(N as u64 - 1) as usize) % N;
+            let w = rng.uniform(0.5, 60.0);
+            (
+                sparse.set_edge_weight(a, b, w),
+                reference.set_edge_weight(a, b, w),
+            )
+        };
+        assert_eq!(s, r, "step {step}: mutation outcomes diverged");
+        for _ in 0..8 {
+            let src = rng.below(N as u64) as usize;
+            for dst in 0..N {
+                let d = sparse.query(src, dst, &mut got).expect("no corruption");
+                let w = reference.query(src, dst, &mut want).expect("no corruption");
+                assert_eq!(
+                    (d.map(f64::to_bits), &got),
+                    (w.map(f64::to_bits), &want),
+                    "step {step}: {src} -> {dst} diverged"
+                );
+            }
+        }
+    }
+    let mut m = desim::MetricSet::default();
+    sparse.export_metrics(&mut m);
+    let misses = m
+        .counter_value("core.graph.cache_misses")
+        .expect("exported");
+    let invalidations = m
+        .counter_value("core.graph.epoch_invalidations")
+        .expect("exported");
+    assert!(
+        misses > SLOTS as u64,
+        "{misses} misses: no slot was evicted"
+    );
+    assert!(invalidations > 0, "no repair exceeded its budget");
+}

@@ -16,7 +16,7 @@
 //! it has grown past a threshold (amortized O(1) per byte).
 
 /// Upper bound on a single stream frame, in bytes. Generous: the
-/// largest legitimate frame (a `NotifyBatch` at the codec's field cap)
+/// largest legitimate frame (an `IngestBatch` at the codec's field cap)
 /// is about 1 MiB; anything near `MAX_FRAME_LEN` is a corrupt or
 /// hostile length prefix, and rejecting it keeps one connection from
 /// holding a multi-gigabyte buffer hostage.

@@ -21,7 +21,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use bips::core::system::{BipsSystem, SysEvent, SystemConfig, UserSpec};
-use bips::mobility::{Building, Point, RoomId};
+use bips::mobility::RoomId;
 use bips::sim::probe::{EngineProbe, ProbeHandle};
 use bips::sim::{MetricSet, RunReport, SimDuration, SimTime};
 
@@ -101,29 +101,6 @@ fn parse_args() -> Args {
         usage();
     }
     args
-}
-
-fn build_building(spec: &str) -> Building {
-    if spec == "department" {
-        return Building::academic_department();
-    }
-    if let Some(floors) = spec.strip_prefix("office:") {
-        let floors: usize = floors.parse().unwrap_or_else(|_| usage());
-        return Building::multi_floor_office(floors.max(1));
-    }
-    if let Some(rooms) = spec.strip_prefix("corridor:") {
-        let rooms: usize = rooms.parse().unwrap_or_else(|_| usage());
-        let rooms = rooms.max(2);
-        let mut b = Building::new();
-        let ids: Vec<RoomId> = (0..rooms)
-            .map(|i| b.add_room(format!("room-{i}"), Point::new(18.0 * i as f64, 0.0)))
-            .collect();
-        for w in ids.windows(2) {
-            b.connect(w[0], w[1]);
-        }
-        return b;
-    }
-    usage()
 }
 
 /// Event classification for the engine probe's per-type profiles.
@@ -295,7 +272,10 @@ fn main() {
         }
     }
     let args = parse_args();
-    let building = build_building(&args.building);
+    let building = bips::scenario::preset(&args.building).unwrap_or_else(|| {
+        eprintln!("unknown building {}", args.building);
+        usage()
+    });
     let n_rooms = building.num_rooms();
     let config = SystemConfig {
         building: building.clone(),

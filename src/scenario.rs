@@ -411,7 +411,11 @@ impl Scenario {
     }
 }
 
-fn preset(spec: &str) -> Option<Building> {
+/// The building named by a preset spec — `department`,
+/// `office:<floors>` (at least one floor) or `corridor:<rooms>` (at
+/// least two rooms) — or `None` for anything else. The `building`
+/// directive and `bips-sim --building` both parse through it.
+pub fn preset(spec: &str) -> Option<Building> {
     if spec == "department" {
         return Some(Building::academic_department());
     }

@@ -1,0 +1,22 @@
+//! `bips-sim --building` takes exactly the presets a `.bips` file's
+//! `building` directive accepts. A spec outside them used to be clamped
+//! silently (`office:0` ran one floor, `corridor:1` two rooms); it must
+//! instead exit 2 before running anything.
+
+use std::process::Command;
+
+#[test]
+fn bad_building_specs_exit_2() {
+    for spec in ["office:0", "corridor:1", "corridor:x", "campus"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bips-sim"))
+            .args(["--building", spec, "--duration", "1"])
+            .output()
+            .expect("bips-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--building {spec}: {stderr}");
+        assert!(
+            stderr.contains(spec),
+            "--building {spec} not named: {stderr}"
+        );
+    }
+}
