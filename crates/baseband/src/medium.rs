@@ -145,7 +145,6 @@ enum Ev {
     DataDelivered {
         master: usize,
         slave: usize,
-        tag: u64,
         payload: Vec<u8>,
     },
     /// Link supervision check after a range loss.
@@ -161,7 +160,7 @@ enum Ev {
 enum Command {
     SetInRange(MasterId, SlaveId, bool),
     RequestPage(MasterId, SlaveId),
-    SendData(MasterId, SlaveId, Vec<u8>, u64),
+    SendData(MasterId, SlaveId, Vec<u8>),
     Disconnect(MasterId, SlaveId),
     SetSlaveActive(SlaveId, bool),
 }
@@ -185,8 +184,8 @@ impl BbEvent {
 
     /// Scripted [`Baseband::send_data`]; a missing link is silently
     /// dropped (scripts cannot observe errors).
-    pub fn send_data(master: MasterId, slave: SlaveId, payload: Vec<u8>, tag: u64) -> BbEvent {
-        BbEvent(Ev::Cmd(Command::SendData(master, slave, payload, tag)))
+    pub fn send_data(master: MasterId, slave: SlaveId, payload: Vec<u8>) -> BbEvent {
+        BbEvent(Ev::Cmd(Command::SendData(master, slave, payload)))
     }
 
     /// Scripted [`Baseband::disconnect`].
@@ -301,8 +300,6 @@ pub enum BbNotification {
         master: MasterId,
         /// The slave endpoint.
         slave: SlaveId,
-        /// Caller-chosen tag identifying the message kind/direction.
-        tag: u64,
         /// The message bytes (crossed the link in DM1 packets).
         payload: Vec<u8>,
         /// When.
@@ -963,8 +960,7 @@ impl Baseband {
     /// Sends `payload` between `master` and `slave` (the slot timing is
     /// symmetric, so one call covers both directions). The bytes cross
     /// the link in DM1 packets — one slot pair per 17 bytes — and are
-    /// handed back in the [`BbNotification::DataDelivered`] notification
-    /// with the caller's `tag` identifying kind/direction.
+    /// handed back in the [`BbNotification::DataDelivered`] notification.
     ///
     /// # Errors
     ///
@@ -975,7 +971,6 @@ impl Baseband {
         master: MasterId,
         slave: SlaveId,
         payload: Vec<u8>,
-        tag: u64,
     ) -> Result<(), NoLinkError> {
         if !self.links.contains_key(&(master.0, slave.0)) {
             return Err(NoLinkError { master, slave });
@@ -985,7 +980,6 @@ impl Baseband {
             BbEvent(Ev::DataDelivered {
                 master: master.0,
                 slave: slave.0,
-                tag,
                 payload,
             }),
         );
@@ -1138,7 +1132,6 @@ impl Baseband {
             Ev::DataDelivered {
                 master,
                 slave,
-                tag,
                 payload,
             } => {
                 // Deliver only if the link survived the transfer.
@@ -1147,7 +1140,6 @@ impl Baseband {
                     self.notifications.push(BbNotification::DataDelivered {
                         master: MasterId(master),
                         slave: SlaveId(slave),
-                        tag,
                         payload,
                         at: s.now(),
                     });
@@ -1168,8 +1160,8 @@ impl Baseband {
             Ev::Cmd(cmd) => match cmd {
                 Command::SetInRange(m, sl, r) => self.set_in_range(s, m, sl, r),
                 Command::RequestPage(m, sl) => self.request_page(s, m, sl),
-                Command::SendData(m, sl, payload, tag) => {
-                    let _ = self.send_data(s, m, sl, payload, tag);
+                Command::SendData(m, sl, payload) => {
+                    let _ = self.send_data(s, m, sl, payload);
                 }
                 Command::Disconnect(m, sl) => self.disconnect(s, m, sl),
                 Command::SetSlaveActive(sl, a) => self.set_slave_active(s, sl, a),
@@ -2414,12 +2406,12 @@ mod tests {
         );
         e.schedule(
             SimTime::from_secs(40),
-            BbEvent::send_data(m, s, vec![9u8; 64], 7),
+            BbEvent::send_data(m, s, vec![9u8; 64]),
         );
         e.run_until(SimTime::from_secs(41));
         let notes = e.world_mut().bb.drain_notifications();
         assert!(notes.iter().any(
-            |n| matches!(n, BbNotification::DataDelivered { tag: 7, payload, .. } if payload.len() == 64)
+            |n| matches!(n, BbNotification::DataDelivered { payload, .. } if payload.len() == 64)
         ));
         assert_eq!(e.world().bb.stats().data_delivered, 1);
     }

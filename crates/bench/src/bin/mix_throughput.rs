@@ -63,7 +63,7 @@ use std::sync::Arc;
 use bips_bench::gate;
 use bips_bench::loadgen::{
     generate_trace, run_burst_model, run_contended, run_sharded_with, BurstModelResult,
-    ContendedResult, Mix, ModeResult, Workload,
+    ContendedResult, Mix, Workload,
 };
 use bips_bench::telemetry::{reject_unknown, take_flag, take_jobs, take_switch};
 use bips_core::service::ReadPath;
@@ -122,22 +122,6 @@ const FLIGHT_LAST_N: usize = 256;
 /// Where flight-recorder JSONL artifacts land.
 const FLIGHT_DIR: &str = "target/flight-recorder";
 
-fn barriered_json(r: &ModeResult) -> Json {
-    let hdr = r.latency_hdr();
-    let mut j = Json::object();
-    j.set("queries_per_sec", r.queries_per_sec())
-        .set("p50_us", r.percentile_us(0.50))
-        .set("p99_us", r.percentile_us(0.99))
-        .set("p999_us", hdr.quantile(0.999) as f64 / 1000.0)
-        .set("p9999_us", hdr.quantile(0.9999) as f64 / 1000.0)
-        .set("query_secs", r.query_secs)
-        .set("total_secs", r.total_secs)
-        .set("found", r.found)
-        .set("checksum", format!("{:016x}", r.checksum))
-        .set("ack_checksum", format!("{:016x}", r.ack_checksum));
-    j
-}
-
 fn contended_json(r: &ContendedResult) -> Json {
     let mut j = Json::object();
     j.set("queries_per_sec", r.queries_per_sec())
@@ -158,17 +142,6 @@ fn contended_json(r: &ContendedResult) -> Json {
         .set("slot_publishes", r.slot_publishes)
         .set("wall_secs", r.wall_secs);
     j
-}
-
-fn print_barriered(label: &str, r: &ModeResult) {
-    let hdr = r.latency_hdr();
-    println!(
-        "  {label}: {:>10.0} q/s  p50 {:>7.2} us  p99 {:>7.2} us  p999 {:>8.2} us",
-        r.queries_per_sec(),
-        r.percentile_us(0.50),
-        r.percentile_us(0.99),
-        hdr.quantile(0.999) as f64 / 1000.0,
-    );
 }
 
 fn burst_model_json(m: &BurstModelResult) -> Json {
@@ -300,8 +273,8 @@ fn main() {
             );
 
             println!("== {} ==", w.name);
-            print_barriered("seqlock ", &sharded);
-            print_barriered("locked  ", &locked);
+            sharded.print_row("seqlock ");
+            locked.print_row("locked  ");
             print_contended("cont-seq", &cont_seq);
             print_contended("cont-lck", &cont_locked);
             let seq_p999 = model_seq.hdr.quantile(0.999).max(1) as f64;
@@ -352,8 +325,8 @@ fn main() {
             let mut section = Json::object();
             section
                 .set("config", config)
-                .set("sharded", barriered_json(&sharded))
-                .set("locked", barriered_json(&locked))
+                .set("sharded", sharded.to_json())
+                .set("locked", locked.to_json())
                 .set("contended_seqlock", contended_json(&cont_seq))
                 .set("contended_locked", contended_json(&cont_locked))
                 .set("burst_model_seqlock", burst_model_json(&model_seq))

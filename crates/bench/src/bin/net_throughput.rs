@@ -49,43 +49,15 @@ use std::sync::Arc;
 
 use bips_bench::gate;
 use bips_bench::loadgen::{
-    build_service, generate_trace, run_sharded, run_socket, Dial, ModeResult, Workload,
+    build_service, generate_trace, run_sharded, run_socket, ModeResult, Workload,
 };
 use bips_bench::serve::{Bind, Server};
 use bips_bench::telemetry::{reject_unknown, take_flag, take_mix, take_switch};
-use desim::report::{hdr_json, Json, RunReport};
+use desim::report::{Json, RunReport};
 
 /// Client connection counts exercised in in-process mode; server flush
 /// jobs follow the same values.
 const CONNS: [usize; 3] = [1, 4, 8];
-
-fn socket_json(r: &ModeResult) -> Json {
-    let hdr = r.latency_hdr();
-    let mut j = Json::object();
-    j.set("queries_per_sec", r.queries_per_sec())
-        .set("p50_us", r.percentile_us(0.50))
-        .set("p99_us", r.percentile_us(0.99))
-        .set("p999_us", hdr.quantile(0.999) as f64 / 1000.0)
-        .set("latency_hdr_ns", hdr_json(&hdr))
-        .set("query_secs", r.query_secs)
-        .set("total_secs", r.total_secs)
-        .set("found", r.found)
-        .set("checksum", format!("{:016x}", r.checksum))
-        .set("ack_checksum", format!("{:016x}", r.ack_checksum));
-    j
-}
-
-fn print_row(label: &str, r: &ModeResult) {
-    let hdr = r.latency_hdr();
-    println!(
-        "  {label}: {:>9.0} q/s  e2e p50 {:>8.2} us  p99 {:>8.2} us  p999 {:>9.2} us  ({:.2} s queries)",
-        r.queries_per_sec(),
-        r.percentile_us(0.50),
-        r.percentile_us(0.99),
-        hdr.quantile(0.999) as f64 / 1000.0,
-        r.query_secs,
-    );
-}
 
 /// In-process replay at jobs 1/4/8; all three must agree bit-for-bit.
 /// Returns the jobs-1 run as the reference.
@@ -159,19 +131,19 @@ fn main() {
             "[{}] socket replay against {addr} ({conns} conns) ...",
             w.name
         );
-        let r = run_socket(&w, &trace, &Dial::Tcp(addr.clone()), conns, true).unwrap_or_else(|e| {
+        let r = run_socket(&w, &trace, &Bind::Tcp(addr.clone()), conns, true).unwrap_or_else(|e| {
             eprintln!("socket replay against {addr} failed: {e}");
             std::process::exit(2);
         });
         verify(&w, conns, &r, &reference);
         println!("== {} over {addr} ==", w.name);
-        print_row(&format!("socket_c{conns}"), &r);
+        r.print_row(&format!("socket_c{conns}"));
         println!(
             "  checksums match in-process ({:016x} / {:016x})",
             r.checksum, r.ack_checksum
         );
         let mut section = Json::object();
-        section.set(&format!("socket_c{conns}"), socket_json(&r));
+        section.set(&format!("socket_c{conns}"), r.to_json());
         report.section(w.name, section);
         rows.extend(gate::net_throughput(w.name, &[conns]));
     } else {
@@ -206,9 +178,9 @@ fn main() {
                 .set("shards", w.shards)
                 .set("seed", w.seed);
             section.set("config", config);
-            section.set("inproc_jobs1", socket_json(&reference));
+            section.set("inproc_jobs1", reference.to_json());
             println!("== {} ==", w.name);
-            print_row("inproc   ", &reference);
+            reference.print_row("inproc   ");
             for conns in CONNS {
                 eprintln!("[{}] socket replay at {conns} conns ...", w.name);
                 let svc = Arc::new(build_service(&w));
@@ -222,7 +194,7 @@ fn main() {
                     std::process::exit(2);
                 };
                 let handle = std::thread::spawn(move || server.serve());
-                let r = run_socket(&w, &trace, &Dial::Tcp(addr.to_string()), conns, true)
+                let r = run_socket(&w, &trace, &Bind::Tcp(addr.to_string()), conns, true)
                     .unwrap_or_else(|e| {
                         eprintln!("socket replay at {conns} conns failed: {e}");
                         std::process::exit(2);
@@ -232,8 +204,8 @@ fn main() {
                     std::process::exit(2);
                 });
                 verify(&w, conns, &r, &reference);
-                print_row(&format!("socket_c{conns}"), &r);
-                section.set(&format!("socket_c{conns}"), socket_json(&r));
+                r.print_row(&format!("socket_c{conns}"));
+                section.set(&format!("socket_c{conns}"), r.to_json());
                 let mut metrics = desim::metrics::MetricSet::new();
                 stats.export_metrics(&mut metrics);
                 if w.name == "full" && conns == 4 {

@@ -54,8 +54,8 @@ use std::sync::Arc;
 
 use bips_bench::gate;
 use bips_bench::loadgen::{
-    generate_trace, merge_shard_hdrs, run_baseline, run_sharded, run_sharded_traced,
-    shard_latency_hdrs, Mix, ModeResult, Trace, Workload,
+    generate_trace, run_baseline, run_sharded, run_sharded_traced, shard_latency_hdrs, Mix,
+    ModeResult, Trace, Workload,
 };
 use bips_bench::telemetry::{reject_unknown, take_flag, take_jobs, take_mix, take_switch};
 use desim::metrics::MetricSet;
@@ -72,22 +72,6 @@ const FLIGHT_LAST_N: usize = 256;
 /// Where flight-recorder JSONL artifacts land; CI uploads this
 /// directory when a bench job fails.
 const FLIGHT_DIR: &str = "target/flight-recorder";
-
-fn mode_json(r: &ModeResult) -> Json {
-    let hdr = r.latency_hdr();
-    let mut j = Json::object();
-    j.set("queries_per_sec", r.queries_per_sec())
-        .set("p50_us", r.percentile_us(0.50))
-        .set("p99_us", r.percentile_us(0.99))
-        .set("p999_us", hdr.quantile(0.999) as f64 / 1000.0)
-        .set("latency_hdr_ns", hdr_json(&hdr))
-        .set("query_secs", r.query_secs)
-        .set("total_secs", r.total_secs)
-        .set("found", r.found)
-        .set("checksum", format!("{:016x}", r.checksum))
-        .set("ack_checksum", format!("{:016x}", r.ack_checksum));
-    j
-}
 
 fn shards_json(
     w: &Workload,
@@ -162,9 +146,9 @@ fn section_json(
         .set("dropped", tracer.dropped());
     let mut j = Json::object();
     j.set("config", config)
-        .set("baseline", mode_json(baseline))
-        .set("sharded", mode_json(sharded))
-        .set("traced", mode_json(traced))
+        .set("baseline", baseline.to_json())
+        .set("sharded", sharded.to_json())
+        .set("traced", traced.to_json())
         .set("speedup", speedup)
         .set("tracing", tracing)
         .set(
@@ -235,22 +219,9 @@ fn main() {
         );
         assert_eq!(baseline.latencies_ns.len() as u64, w.queries());
         println!("== {} ==", w.name);
-        for (label, r) in [
-            ("baseline", &baseline),
-            ("sharded ", &sharded),
-            ("traced  ", &traced),
-        ] {
-            let hdr = r.latency_hdr();
-            println!(
-                "  {label}: {:>10.0} q/s  p50 {:>7.2} us  p99 {:>7.2} us  p999 {:>8.2} us  ({:.2} s queries, {:.2} s total)",
-                r.queries_per_sec(),
-                r.percentile_us(0.50),
-                r.percentile_us(0.99),
-                hdr.quantile(0.999) as f64 / 1000.0,
-                r.query_secs,
-                r.total_secs,
-            );
-        }
+        baseline.print_row("baseline");
+        sharded.print_row("sharded ");
+        traced.print_row("traced  ");
         println!(
             "  speedup: {:.2}x queries/sec, tracing overhead {:.1}%  (checksum {:016x}, {} found, {} events)",
             sharded.queries_per_sec() / baseline.queries_per_sec(),
@@ -275,12 +246,9 @@ fn main() {
         if w.name == "full" {
             report.metrics(&traced_metrics);
         }
-        // Overall HDR for the section, merged shard-by-shard in index
-        // order — the same deterministic merge the proptests pin down.
-        let merged = merge_shard_hdrs(&shard_latency_hdrs(&w, &trace, &traced));
         report.artifact(
             &format!("{}_traced_latency_hdr_ns", w.name),
-            hdr_json(&merged),
+            hdr_json(&traced.latency_hdr()),
         );
         rows.extend(gate::server_throughput(w.name, mix, sharded.query_secs));
     }

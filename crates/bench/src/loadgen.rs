@@ -37,9 +37,6 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,8 +52,11 @@ use bips_lan::stream::{encode_stream_frame, StreamReframer};
 use bt_baseband::BdAddr;
 use desim::hdr::HdrHistogram;
 use desim::metrics::MetricSet;
+use desim::report::{hdr_json, Json};
 use desim::tracing::{FlightRecorder, SpanId, Tracer};
 use desim::{SeedDeriver, SimTime};
+
+use crate::serve::{Bind, Conn};
 
 /// FNV-1a 64 offset basis: the initial value of every checksum fold.
 pub const CHECKSUM_INIT: u64 = 0xcbf2_9ce4_8422_2325;
@@ -285,12 +285,12 @@ pub fn generate_trace(w: &Workload) -> Trace {
 }
 
 /// The Bluetooth address registered for user `uid`.
-pub fn addr(uid: u64) -> BdAddr {
+fn addr(uid: u64) -> BdAddr {
     BdAddr::new(0x1_0000 + uid)
 }
 
 /// Folds one answer into the cross-mode checksum (FNV-1a 64).
-pub fn fold(sum: &mut u64, kind: u64, cell: u64, dist_bits: u64, path: &[u32]) {
+fn fold(sum: &mut u64, kind: u64, cell: u64, dist_bits: u64, path: &[u32]) {
     let mut h = *sum;
     for word in [kind, cell, dist_bits, path.len() as u64] {
         h = (h ^ word).wrapping_mul(FNV_PRIME);
@@ -302,7 +302,7 @@ pub fn fold(sum: &mut u64, kind: u64, cell: u64, dist_bits: u64, path: &[u32]) {
 }
 
 /// Folds one flush's acks into the ack checksum (FNV-1a 64).
-pub fn fold_acks(sum: &mut u64, acks: &[bool]) {
+fn fold_acks(sum: &mut u64, acks: &[bool]) {
     let mut h = *sum;
     h = (h ^ acks.len() as u64).wrapping_mul(FNV_PRIME);
     for &a in acks {
@@ -351,6 +351,39 @@ impl ModeResult {
         }
         h
     }
+
+    /// The report block every serving bench writes per mode:
+    /// throughput, latency quantiles and HDR, phase times, the found
+    /// count and both checksums.
+    pub fn to_json(&self) -> Json {
+        let hdr = self.latency_hdr();
+        let mut j = Json::object();
+        j.set("queries_per_sec", self.queries_per_sec())
+            .set("p50_us", self.percentile_us(0.50))
+            .set("p99_us", self.percentile_us(0.99))
+            .set("p999_us", hdr.quantile(0.999) as f64 / 1000.0)
+            .set("p9999_us", hdr.quantile(0.9999) as f64 / 1000.0)
+            .set("latency_hdr_ns", hdr_json(&hdr))
+            .set("query_secs", self.query_secs)
+            .set("total_secs", self.total_secs)
+            .set("found", self.found)
+            .set("checksum", format!("{:016x}", self.checksum))
+            .set("ack_checksum", format!("{:016x}", self.ack_checksum));
+        j
+    }
+
+    /// Prints the mode's report row under `label`.
+    pub fn print_row(&self, label: &str) {
+        println!(
+            "  {label}: {:>10.0} q/s  p50 {:>7.2} us  p99 {:>7.2} us  p999 {:>8.2} us  ({:.2} s queries, {:.2} s total)",
+            self.queries_per_sec(),
+            self.percentile_us(0.50),
+            self.percentile_us(0.99),
+            self.latency_hdr().quantile(0.999) as f64 / 1000.0,
+            self.query_secs,
+            self.total_secs,
+        );
+    }
 }
 
 /// Per-shard latency HDR histograms: query latencies attributed to the
@@ -371,23 +404,8 @@ pub fn shard_latency_hdrs(w: &Workload, trace: &Trace, r: &ModeResult) -> Vec<Hd
     hdrs
 }
 
-/// Index-ordered merge of per-shard histograms into one. The order is
-/// fixed (shard 0, 1, 2, …) so the merged histogram is bit-identical
-/// however the shards were populated.
-pub fn merge_shard_hdrs(shards: &[HdrHistogram]) -> HdrHistogram {
-    let mut merged = HdrHistogram::with_default_resolution();
-    for h in shards {
-        // Same resolution by construction; a mismatch would be a bug
-        // worth surfacing in the bench output, not worth panicking for.
-        if let Err(e) = merged.merge(h) {
-            eprintln!("shard hdr merge failed: {e}");
-        }
-    }
-    merged
-}
-
 /// The square-grid workspace graph.
-pub fn grid(side: usize) -> WsGraph {
+fn grid(side: usize) -> WsGraph {
     let mut g = WsGraph::new(side * side);
     for r in 0..side {
         for c in 0..side {
@@ -404,7 +422,7 @@ pub fn grid(side: usize) -> WsGraph {
 }
 
 /// A registry with `users` open-rights accounts (`user0`, `user1`, …).
-pub fn registry(users: u64) -> Registry {
+fn registry(users: u64) -> Registry {
     let mut reg = Registry::new();
     for i in 0..users {
         reg.register(&format!("user{i}"), "pw", AccessRights::open())
@@ -481,7 +499,7 @@ pub fn run_baseline(w: &Workload, trace: &Trace) -> ModeResult {
             let now = Instant::now();
             latencies_ns.push((now - prev).as_nanos() as u64);
             prev = now;
-            let Response::LocateResult(out) = resp else {
+            let Some(Response::LocateResult(out)) = resp else {
                 panic!("unexpected response");
             };
             fold_locate(&mut checksum, &mut found, &out);
@@ -499,7 +517,7 @@ pub fn run_baseline(w: &Workload, trace: &Trace) -> ModeResult {
 }
 
 /// Stable discriminant for non-Found [`LocateOutcome`]s.
-pub fn other_code(out: &LocateOutcome) -> u64 {
+fn other_code(out: &LocateOutcome) -> u64 {
     match out {
         LocateOutcome::Found { .. } => 0,
         LocateOutcome::NotLoggedIn => 1,
@@ -1173,25 +1191,10 @@ pub fn run_burst_model(
 // Socket client mode
 // ---------------------------------------------------------------------
 
-/// Where the socket client connects: loopback TCP or a Unix-domain
-/// socket path (mirroring `bips-serve`'s two listeners).
-#[derive(Debug, Clone)]
-pub enum Dial {
-    /// `host:port`.
-    Tcp(String),
-    /// Unix-domain socket path.
-    Uds(PathBuf),
-}
-
-enum ClientStream {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
 /// One client connection: an RPC codec over a length-delimited byte
 /// stream, driven strictly request-by-request (closed loop).
 struct ClientConn {
-    stream: ClientStream,
+    stream: Conn,
     codec: RpcCodec,
     reframer: StreamReframer,
     rbuf: Vec<u8>,
@@ -1202,36 +1205,13 @@ fn proto_err(msg: &str) -> io::Error {
 }
 
 impl ClientConn {
-    fn dial(d: &Dial) -> io::Result<ClientConn> {
-        let stream = match d {
-            Dial::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                // Closed-loop RTTs: never let Nagle hold a request back.
-                s.set_nodelay(true)?;
-                ClientStream::Tcp(s)
-            }
-            Dial::Uds(path) => ClientStream::Uds(UnixStream::connect(path)?),
-        };
+    fn dial(bind: &Bind) -> io::Result<ClientConn> {
         Ok(ClientConn {
-            stream,
+            stream: Conn::dial(bind)?,
             codec: RpcCodec::new(),
             reframer: StreamReframer::new(),
             rbuf: vec![0u8; 64 * 1024],
         })
-    }
-
-    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match &mut self.stream {
-            ClientStream::Tcp(s) => s.write_all(bytes),
-            ClientStream::Uds(s) => s.write_all(bytes),
-        }
-    }
-
-    fn read(&mut self) -> io::Result<usize> {
-        match &mut self.stream {
-            ClientStream::Tcp(s) => s.read(&mut self.rbuf),
-            ClientStream::Uds(s) => s.read(&mut self.rbuf),
-        }
     }
 
     /// Sends one request payload and blocks for its response — the
@@ -1240,7 +1220,7 @@ impl ClientConn {
         let (corr, framed) = self.codec.encode_request(payload);
         let mut msg = Vec::with_capacity(framed.len() + 4);
         encode_stream_frame(&mut msg, &framed);
-        self.write_all(&msg)?;
+        self.stream.write_all(&msg)?;
         loop {
             let got = self
                 .reframer
@@ -1259,7 +1239,7 @@ impl ClientConn {
                 return Response::decode(payload)
                     .map_err(|e| proto_err(&format!("bad response payload: {e}")));
             }
-            let n = self.read()?;
+            let n = self.stream.read(&mut self.rbuf)?;
             if n == 0 {
                 return Err(proto_err("server closed mid-request"));
             }
@@ -1295,15 +1275,15 @@ const INGEST_CHUNK: usize = 8192;
 pub fn run_socket(
     w: &Workload,
     trace: &Trace,
-    dial: &Dial,
+    bind: &Bind,
     conns: usize,
     send_shutdown: bool,
 ) -> io::Result<ModeResult> {
     assert!(conns >= 1, "need at least one query connection");
-    let mut control = ClientConn::dial(dial)?;
+    let mut control = ClientConn::dial(bind)?;
     let mut query_conns = Vec::with_capacity(conns);
     for _ in 0..conns {
-        query_conns.push(ClientConn::dial(dial)?);
+        query_conns.push(ClientConn::dial(bind)?);
     }
 
     let mut ts: u64 = 0;
@@ -1454,7 +1434,7 @@ pub fn run_socket(
 }
 
 /// Stable discriminant for non-Found [`WhereIs`] outcomes.
-pub fn where_code(out: &WhereIs) -> u64 {
+fn where_code(out: &WhereIs) -> u64 {
     match out {
         WhereIs::Found { .. } => 0,
         WhereIs::NotLoggedIn => 1,
@@ -1598,10 +1578,11 @@ mod tests {
         let (r, _) = run_sharded(&w, &trace, 1);
         let shards = shard_latency_hdrs(&w, &trace, &r);
         assert_eq!(shards.len(), w.shards);
-        let merged = merge_shard_hdrs(&shards);
+        let mut merged = HdrHistogram::with_default_resolution();
+        for h in &shards {
+            merged.merge(h).expect("same resolution");
+        }
         assert_eq!(merged.count(), r.latencies_ns.len() as u64);
-        assert_eq!(merged.count(), r.latency_hdr().count());
-        assert_eq!(merged.min(), r.latency_hdr().min());
-        assert_eq!(merged.max(), r.latency_hdr().max());
+        assert_eq!(merged, r.latency_hdr());
     }
 }

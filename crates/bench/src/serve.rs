@@ -57,7 +57,8 @@ const READ_BUF: usize = 64 * 1024;
 /// per-connection memory under deep client pipelining.
 const WRITE_COALESCE_LIMIT: usize = 256 * 1024;
 
-/// Where to listen: loopback TCP or a Unix-domain socket path.
+/// Where a server listens and its clients connect: loopback TCP or a
+/// Unix-domain socket path.
 #[derive(Debug, Clone)]
 pub enum Bind {
     /// TCP on the given address, e.g. `127.0.0.1:0` for an ephemeral
@@ -72,9 +73,26 @@ enum Listener {
     Uds(UnixListener, PathBuf),
 }
 
-enum Conn {
+/// One connected stream of either kind: accepted by the server or
+/// dialled by the socket client.
+pub(crate) enum Conn {
     Tcp(TcpStream),
     Uds(UnixStream),
+}
+
+impl Conn {
+    /// Connects to `bind`. TCP sets nodelay: a closed-loop client must
+    /// never have Nagle hold a request back.
+    pub(crate) fn dial(bind: &Bind) -> io::Result<Conn> {
+        Ok(match bind {
+            Bind::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                Conn::Tcp(s)
+            }
+            Bind::Uds(path) => Conn::Uds(UnixStream::connect(path)?),
+        })
+    }
 }
 
 impl Read for Conn {
@@ -263,10 +281,7 @@ impl Server {
 /// Dials the listener once so a blocked `accept` returns and observes
 /// the shutdown flag.
 fn wake_acceptor(bind: &Bind) {
-    match bind {
-        Bind::Tcp(addr) => drop(TcpStream::connect(addr)),
-        Bind::Uds(path) => drop(UnixStream::connect(path)),
-    }
+    drop(Conn::dial(bind));
 }
 
 /// Serves one connection to EOF, protocol error, or shutdown.

@@ -6,9 +6,7 @@
 
 use std::sync::Arc;
 
-use bips_bench::loadgen::{
-    build_service, generate_trace, run_sharded, run_socket, Dial, Mix, Workload,
-};
+use bips_bench::loadgen::{build_service, generate_trace, run_sharded, run_socket, Mix, Workload};
 use bips_bench::serve::{Bind, ServeStats, Server};
 
 fn serve_and_run(
@@ -20,8 +18,8 @@ fn serve_and_run(
     let svc = Arc::new(build_service(w));
     let server = Server::bind(bind, svc, 2).expect("bind");
     let dial = match (bind, server.tcp_addr()) {
-        (Bind::Tcp(_), Some(addr)) => Dial::Tcp(addr.to_string()),
-        (Bind::Uds(path), _) => Dial::Uds(path.clone()),
+        (Bind::Tcp(_), Some(addr)) => Bind::Tcp(addr.to_string()),
+        (Bind::Uds(path), _) => Bind::Uds(path.clone()),
         (Bind::Tcp(_), None) => panic!("tcp listener lost its address"),
     };
     let handle = std::thread::spawn(move || server.serve());

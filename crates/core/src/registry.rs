@@ -239,14 +239,6 @@ impl Registry {
         self.users.iter().map(|u| u.id)
     }
 
-    /// Revalidates a raw user id from the wire (ids are dense, so any
-    /// value below [`num_users`](Registry::num_users) names a user).
-    /// The typed inverse of [`UserId::value`], for uid-based protocol
-    /// messages.
-    pub fn id_from_raw(&self, raw: u64) -> Option<UserId> {
-        ((raw as usize) < self.users.len()).then_some(UserId(raw))
-    }
-
     /// The full snapshot a serving engine needs for user `uid`:
     /// `(rights, salt, digest)`. One total lookup instead of three
     /// `Option`-returning calls that would each need a panic path.

@@ -91,9 +91,13 @@ impl BipsServer {
         self.db.current_cell(addr)
     }
 
-    /// Handles one request arriving at server time `now`.
-    pub fn handle(&mut self, req: Request, now: SimTime) -> Response {
-        match req {
+    /// Handles one LAN request arriving at server time `now`. The
+    /// socket-only requests — `WhereIs`, `IngestBatch`, `Flush`,
+    /// `Shutdown` and the two topology mutations — get `None`:
+    /// [`ShardedService::serve_payload`](crate::service::ShardedService::serve_payload)
+    /// answers those.
+    pub fn handle(&mut self, req: Request, now: SimTime) -> Option<Response> {
+        let resp = match req {
             Request::Presence {
                 cell,
                 addr,
@@ -147,71 +151,14 @@ impl BipsServer {
                 from_us,
                 to_us,
             } => Response::HistoryResult(self.history(from, &target, from_us, to_us)),
-            // Socket serving-path messages (PR 7). The LAN-simulation
-            // server does not run the sharded batching engine: an
-            // ingest batch applies immediately (like PresenceBatch), a
-            // flush therefore acknowledges an empty batch, and shutdown
-            // is acknowledged for protocol completeness.
-            Request::WhereIs {
-                querier,
-                target,
-                from_cell,
-            } => Response::LocateResult(self.locate_uid(querier, target, from_cell as usize)),
-            Request::IngestBatch { items, .. } => {
-                let queued = items.len() as u32;
-                for n in items {
-                    self.db.apply(n.addr, n.cell as usize, n.present, now);
-                }
-                Response::IngestAck { queued }
-            }
-            Request::Flush => Response::FlushAck { acks: Vec::new() },
-            Request::Shutdown => Response::ShutdownAck,
-            // Topology mutations (PR 9): both are idempotent and answer
-            // with whether state changed plus the engine's mutation
-            // epoch. An invalid mutation (bad endpoint, down node, bad
-            // weight) is a no-op ack, not an error response — the
-            // topology is simply not in a state where it applies.
-            Request::SetEdgeWeight { a, b, weight } => {
-                let applied = self
-                    .engine
-                    .set_edge_weight(a as usize, b as usize, weight)
-                    .unwrap_or(false);
-                Response::TopologyAck {
-                    applied,
-                    epoch: self.engine.epoch(),
-                }
-            }
-            Request::SetNodeUp { node, up } => {
-                let applied = self.engine.set_node_up(node as usize, up).unwrap_or(false);
-                Response::TopologyAck {
-                    applied,
-                    epoch: self.engine.epoch(),
-                }
-            }
-        }
-    }
-
-    /// Uid-based locate: resolves both dense ids and defers to the same
-    /// policy pipeline as the name-based [`Request::Locate`], preserving
-    /// the sharded engine's precondition order (querier session before
-    /// target existence).
-    fn locate_uid(&mut self, querier: u64, target: u64, from_cell: usize) -> LocateOutcome {
-        let q_addr = self
-            .registry
-            .id_from_raw(querier)
-            .and_then(|q| self.registry.addr_of_user(q));
-        let Some(q_addr) = q_addr else {
-            return LocateOutcome::QuerierNotLoggedIn;
+            Request::WhereIs { .. }
+            | Request::IngestBatch { .. }
+            | Request::Flush
+            | Request::Shutdown
+            | Request::SetEdgeWeight { .. }
+            | Request::SetNodeUp { .. } => return None,
         };
-        let target_name = self
-            .registry
-            .id_from_raw(target)
-            .and_then(|t| self.registry.name_of(t))
-            .map(str::to_owned);
-        let Some(target_name) = target_name else {
-            return LocateOutcome::NoSuchUser;
-        };
-        self.locate(q_addr, &target_name, from_cell)
+        Some(resp)
     }
 
     /// The spatio-temporal generalization: the target's presence
@@ -359,8 +306,14 @@ mod tests {
     const A: BdAddr = BdAddr::new(0xA);
     const B: BdAddr = BdAddr::new(0xB);
 
+    /// [`BipsServer::handle`] for a request the LAN server answers.
+    pub(super) fn ask(s: &mut BipsServer, req: Request, now: SimTime) -> Response {
+        s.handle(req, now).expect("a LAN request")
+    }
+
     fn login(s: &mut BipsServer, user: &str, pw: &str, addr: BdAddr) -> Response {
-        s.handle(
+        ask(
+            s,
             Request::Login {
                 addr,
                 user: user.into(),
@@ -382,7 +335,8 @@ mod tests {
             Response::LoginResult { result: Ok(()) }
         );
         // bob is seen in cell 2; alice queries from cell 0.
-        s.handle(
+        ask(
+            &mut s,
             Request::Presence {
                 cell: 2,
                 addr: B,
@@ -390,7 +344,8 @@ mod tests {
             },
             t(1),
         );
-        let resp = s.handle(
+        let resp = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -413,7 +368,8 @@ mod tests {
     fn precondition_checks_in_order() {
         let mut s = server();
         // Querier not logged in.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -424,7 +380,8 @@ mod tests {
         assert_eq!(r, Response::LocateResult(LocateOutcome::QuerierNotLoggedIn));
         login(&mut s, "alice", "pa", A);
         // Unknown target.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "nobody".into(),
@@ -434,7 +391,8 @@ mod tests {
         );
         assert_eq!(r, Response::LocateResult(LocateOutcome::NoSuchUser));
         // Invisible target → denied.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "ghost".into(),
@@ -444,7 +402,8 @@ mod tests {
         );
         assert_eq!(r, Response::LocateResult(LocateOutcome::Denied));
         // Known, visible, but not logged in.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -455,7 +414,8 @@ mod tests {
         assert_eq!(r, Response::LocateResult(LocateOutcome::NotLoggedIn));
         // Logged in but never seen by any cell.
         login(&mut s, "bob", "pb", B);
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -494,7 +454,8 @@ mod tests {
     fn logout_clears_session_and_location() {
         let mut s = server();
         login(&mut s, "alice", "pa", A);
-        s.handle(
+        ask(
+            &mut s,
             Request::Presence {
                 cell: 1,
                 addr: A,
@@ -503,17 +464,18 @@ mod tests {
             t(1),
         );
         assert_eq!(s.locate_by_name("alice"), Some(1));
-        let r = s.handle(Request::Logout { addr: A }, t(2));
+        let r = ask(&mut s, Request::Logout { addr: A }, t(2));
         assert_eq!(r, Response::LogoutResult { ok: true });
         assert_eq!(s.locate_by_name("alice"), None);
-        let r = s.handle(Request::Logout { addr: A }, t(3));
+        let r = ask(&mut s, Request::Logout { addr: A }, t(3));
         assert_eq!(r, Response::LogoutResult { ok: false });
     }
 
     #[test]
     fn presence_ack_reports_change() {
         let mut s = server();
-        let r1 = s.handle(
+        let r1 = ask(
+            &mut s,
             Request::Presence {
                 cell: 0,
                 addr: A,
@@ -521,7 +483,8 @@ mod tests {
             },
             t(0),
         );
-        let r2 = s.handle(
+        let r2 = ask(
+            &mut s,
             Request::Presence {
                 cell: 0,
                 addr: A,
@@ -538,7 +501,8 @@ mod tests {
         let mut s = server();
         login(&mut s, "alice", "pa", A);
         login(&mut s, "bob", "pb", B);
-        s.handle(
+        ask(
+            &mut s,
             Request::Presence {
                 cell: 2,
                 addr: B,
@@ -548,7 +512,8 @@ mod tests {
         );
         // The graph has 3 nodes; a query "from cell 7" is malformed and
         // must be reported as such, not silently clamped to coverage.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -565,7 +530,8 @@ mod tests {
         );
         // A *target* beyond the graph is still out of coverage (it is an
         // observation about the target, not about the request).
-        s.handle(
+        ask(
+            &mut s,
             Request::Presence {
                 cell: 9,
                 addr: B,
@@ -573,7 +539,8 @@ mod tests {
             },
             t(3),
         );
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -615,7 +582,8 @@ mod tests {
         let mut s = server();
         login(&mut s, "alice", "pa", A);
         login(&mut s, "bob", "pb", B);
-        s.handle(
+        ask(
+            &mut s,
             Request::Presence {
                 cell: 2,
                 addr: B,
@@ -624,22 +592,9 @@ mod tests {
             t(1),
         );
         // A new 0–2 shortcut beats the 0–1–2 corridor.
-        let r = s.handle(
-            Request::SetEdgeWeight {
-                a: 0,
-                b: 2,
-                weight: 5.0,
-            },
-            t(2),
-        );
-        assert_eq!(
-            r,
-            Response::TopologyAck {
-                applied: true,
-                epoch: 1,
-            }
-        );
-        let r = s.handle(
+        assert_eq!(s.path_engine_mut().set_edge_weight(0, 2, 5.0), Ok(true));
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -656,42 +611,10 @@ mod tests {
             })
         );
         // Taking cell 1's workstation down leaves the shortcut.
-        let r = s.handle(Request::SetNodeUp { node: 1, up: false }, t(4));
-        assert_eq!(
-            r,
-            Response::TopologyAck {
-                applied: true,
-                epoch: 2,
-            }
-        );
+        assert_eq!(s.path_engine_mut().set_node_up(1, false), Ok(true));
         assert_eq!(
             s.shortest_path(0, 2).unwrap().map(|(p, d)| (p.to_vec(), d)),
             Some((vec![0, 2], 5.0))
-        );
-        // Invalid mutations are no-op acks, not panics.
-        let r = s.handle(
-            Request::SetEdgeWeight {
-                a: 0,
-                b: 99,
-                weight: 1.0,
-            },
-            t(5),
-        );
-        assert_eq!(
-            r,
-            Response::TopologyAck {
-                applied: false,
-                epoch: 2,
-            }
-        );
-        // Redundant up on an already-up node: no epoch bump.
-        let r = s.handle(Request::SetNodeUp { node: 0, up: true }, t(6));
-        assert_eq!(
-            r,
-            Response::TopologyAck {
-                applied: false,
-                epoch: 2,
-            }
         );
     }
 
@@ -700,7 +623,8 @@ mod tests {
         let mut s = server();
         login(&mut s, "alice", "pa", A);
         login(&mut s, "bob", "pb", B);
-        s.handle(
+        ask(
+            &mut s,
             Request::Presence {
                 cell: 1,
                 addr: B,
@@ -708,7 +632,8 @@ mod tests {
             },
             t(0),
         );
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::Locate {
                 from: A,
                 target: "bob".into(),
@@ -729,6 +654,7 @@ mod tests {
 
 #[cfg(test)]
 mod history_tests {
+    use super::tests::ask;
     use super::*;
     use crate::protocol::{HistoryOutcome, HistoryStep};
     use crate::registry::AccessRights;
@@ -753,7 +679,8 @@ mod history_tests {
     const B: BdAddr = BdAddr::new(0xB);
 
     fn presence(s: &mut BipsServer, addr: BdAddr, cell: u32, present: bool, at: u64) {
-        s.handle(
+        ask(
+            s,
             Request::Presence {
                 cell,
                 addr,
@@ -766,7 +693,8 @@ mod history_tests {
     #[test]
     fn history_traces_movement_within_window() {
         let mut s = server();
-        s.handle(
+        ask(
+            &mut s,
             Request::Login {
                 addr: A,
                 user: "alice".into(),
@@ -774,7 +702,8 @@ mod history_tests {
             },
             t(0),
         );
-        s.handle(
+        ask(
+            &mut s,
             Request::Login {
                 addr: B,
                 user: "bob".into(),
@@ -786,7 +715,8 @@ mod history_tests {
         presence(&mut s, B, 0, false, 30);
         presence(&mut s, B, 1, true, 31);
         presence(&mut s, B, 2, true, 60);
-        let resp = s.handle(
+        let resp = ask(
+            &mut s,
             Request::History {
                 from: A,
                 target: "bob".into(),
@@ -819,7 +749,8 @@ mod history_tests {
     fn history_respects_visibility_and_sessions() {
         let mut s = server();
         // Querier not logged in.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::History {
                 from: A,
                 target: "bob".into(),
@@ -832,7 +763,8 @@ mod history_tests {
             r,
             Response::HistoryResult(HistoryOutcome::QuerierNotLoggedIn)
         );
-        s.handle(
+        ask(
+            &mut s,
             Request::Login {
                 addr: A,
                 user: "alice".into(),
@@ -841,7 +773,8 @@ mod history_tests {
             t(0),
         );
         // Invisible target.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::History {
                 from: A,
                 target: "ghost".into(),
@@ -852,7 +785,8 @@ mod history_tests {
         );
         assert_eq!(r, Response::HistoryResult(HistoryOutcome::Denied));
         // Unknown target.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::History {
                 from: A,
                 target: "nope".into(),
@@ -863,7 +797,8 @@ mod history_tests {
         );
         assert_eq!(r, Response::HistoryResult(HistoryOutcome::NoSuchUser));
         // Known but logged out: empty trace.
-        let r = s.handle(
+        let r = ask(
+            &mut s,
             Request::History {
                 from: A,
                 target: "bob".into(),

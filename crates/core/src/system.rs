@@ -301,14 +301,6 @@ pub struct SystemStats {
     pub rpc_round_trips: u64,
 }
 
-/// Data-message tags on Bluetooth links.
-const TAG_LOGIN_UP: u64 = 1;
-const TAG_LOGIN_DOWN: u64 = 2;
-const TAG_QUERY_UP: u64 = 3;
-const TAG_QUERY_DOWN: u64 = 4;
-const TAG_HISTORY_UP: u64 = 5;
-const TAG_HISTORY_DOWN: u64 = 6;
-
 #[derive(Debug)]
 struct WsRuntime {
     master: MasterId,
@@ -326,8 +318,7 @@ enum PendingRpc {
     Heartbeat,
     Login { handheld: usize },
     Logout,
-    Locate { query: usize },
-    History { query: usize },
+    Query { query: usize },
 }
 
 #[derive(Debug)]
@@ -353,8 +344,7 @@ struct QueryRt {
     record: QueryRecord,
     handheld: usize,
     /// Set once the answer is ready and travelling down the link.
-    outcome_ready: Option<LocateOutcome>,
-    history_ready: Option<HistoryOutcome>,
+    ready: bool,
 }
 
 /// The full BIPS deployment as a [`World`].
@@ -593,11 +583,10 @@ impl BipsSystem {
                 BbNotification::DataDelivered {
                     master,
                     slave,
-                    tag,
                     payload,
                     at,
                 } => {
-                    self.on_bb_data(ctx, master, slave, tag, &payload, at);
+                    self.on_bb_data(ctx, master, slave, &payload, at);
                 }
                 BbNotification::LinkLost { .. } => {
                     // Walked out of range mid-link: the tracker ages the
@@ -630,7 +619,6 @@ impl BipsSystem {
                 master,
                 slave,
                 payload,
-                TAG_LOGIN_UP,
             );
         } else {
             self.flush_or_disconnect(ctx, master, slave);
@@ -645,107 +633,97 @@ impl BipsSystem {
         ctx: &mut Context<SysEvent>,
         master: MasterId,
         slave: SlaveId,
-        tag: u64,
         payload: &[u8],
         at: SimTime,
     ) {
         let ws = master.index();
         let h = slave.index();
-        match tag {
-            TAG_LOGIN_UP => {
+        let Ok(msg) = HandheldMsg::decode(payload) else {
+            return;
+        };
+        let from = self.handhelds[h].addr;
+        match msg {
+            HandheldMsg::LoginUp { user, password } => {
                 // Credentials reached the workstation: relay to server.
-                let Ok(HandheldMsg::LoginUp { user, password }) = HandheldMsg::decode(payload)
-                else {
-                    return;
-                };
                 let req = Request::Login {
-                    addr: self.handhelds[h].addr,
+                    addr: from,
                     user,
                     password,
                 };
                 self.send_rpc(ctx, ws, req, PendingRpc::Login { handheld: h });
             }
-            TAG_LOGIN_DOWN => {
+            HandheldMsg::LoginDown { .. } => {
                 // Confirmation reached the handheld; release the link so
                 // the piconet slot frees up and scanning resumes.
-                if let Ok(HandheldMsg::LoginDown { .. }) = HandheldMsg::decode(payload) {
-                    self.flush_or_disconnect(ctx, master, slave);
-                }
+                self.flush_or_disconnect(ctx, master, slave);
             }
-            TAG_QUERY_UP => {
-                let Ok(HandheldMsg::QueryUp { target }) = HandheldMsg::decode(payload) else {
-                    return;
-                };
-                let Some(&query) = self.handhelds[h].queued_queries.first() else {
-                    return;
-                };
+            HandheldMsg::QueryUp { target } => {
+                let from_cell = self.workstations[ws].cell as u32;
                 let req = Request::Locate {
-                    from: self.handhelds[h].addr,
+                    from,
                     target,
-                    from_cell: self.workstations[ws].cell as u32,
+                    from_cell,
                 };
-                self.send_rpc(ctx, ws, req, PendingRpc::Locate { query });
+                self.relay_query(ctx, ws, h, req);
             }
-            TAG_HISTORY_UP => {
-                let Ok(HandheldMsg::HistoryUp {
-                    target,
-                    from_us,
-                    to_us,
-                }) = HandheldMsg::decode(payload)
-                else {
-                    return;
-                };
-                let Some(&query) = self.handhelds[h].queued_queries.first() else {
-                    return;
-                };
+            HandheldMsg::HistoryUp {
+                target,
+                from_us,
+                to_us,
+            } => {
                 let req = Request::History {
-                    from: self.handhelds[h].addr,
+                    from,
                     target,
                     from_us,
                     to_us,
                 };
-                self.send_rpc(ctx, ws, req, PendingRpc::History { query });
+                self.relay_query(ctx, ws, h, req);
             }
-            TAG_HISTORY_DOWN => {
-                let Ok(HandheldMsg::HistoryDown(delivered)) = HandheldMsg::decode(payload) else {
-                    return;
-                };
-                if let Some(q) = self.queries.iter_mut().find(|q| {
-                    q.handheld == h && q.record.answered_at.is_none() && q.history_ready.is_some()
-                }) {
-                    q.record.answered_at = Some(at);
-                    q.history_ready = None;
-                    q.record.history_outcome = Some(delivered);
-                    self.stats.queries_answered += 1;
-                }
-                let queries = &self.queries;
-                self.handhelds[h]
-                    .queued_queries
-                    .retain(|&qi| queries[qi].record.answered_at.is_none());
-                self.flush_or_disconnect(ctx, master, slave);
-            }
-            TAG_QUERY_DOWN => {
+            HandheldMsg::QueryDown(_) | HandheldMsg::HistoryDown(_) => {
                 // Result displayed on the handheld: what it shows is what
-                // the radio delivered, decoded from the link bytes.
-                let Ok(HandheldMsg::QueryDown(delivered)) = HandheldMsg::decode(payload) else {
-                    return;
-                };
-                if let Some(q) = self.queries.iter_mut().find(|q| {
-                    q.handheld == h && q.record.answered_at.is_none() && q.outcome_ready.is_some()
-                }) {
-                    q.record.answered_at = Some(at);
-                    q.outcome_ready = None;
-                    q.record.outcome = Some(delivered);
-                    self.stats.queries_answered += 1;
-                }
+                // the radio delivered, decoded from the link bytes. It
+                // answers the first query of its kind whose answer is in
+                // flight.
+                let locate = matches!(msg, HandheldMsg::QueryDown(_));
                 let queries = &self.queries;
-                self.handhelds[h]
-                    .queued_queries
-                    .retain(|&qi| queries[qi].record.answered_at.is_none());
+                let query = self.handhelds[h].queued_queries.iter().find(|&&qi| {
+                    let q = &queries[qi];
+                    q.ready && (q.record.kind == QueryKind::Locate) == locate
+                });
+                if let Some(&query) = query {
+                    self.answer_query(query, msg, at);
+                }
                 self.flush_or_disconnect(ctx, master, slave);
             }
-            _ => {}
         }
+    }
+
+    /// A query's up-message reached the workstation: relays `req` to the
+    /// server as the handheld's first queued query.
+    fn relay_query(&mut self, ctx: &mut Context<SysEvent>, ws: usize, h: usize, req: Request) {
+        if let Some(&query) = self.handhelds[h].queued_queries.first() {
+            self.send_rpc(ctx, ws, req, PendingRpc::Query { query });
+        }
+    }
+
+    /// Records `down` as the answer to query `query`, received at `at`.
+    /// Only the first answer counts: the workstation relays every query
+    /// message as the handheld's first queued query, so one query's RPC
+    /// can go out, and come back, more than once.
+    fn answer_query(&mut self, query: usize, down: HandheldMsg, at: SimTime) {
+        let rec = &mut self.queries[query].record;
+        if rec.answered_at.is_some() {
+            return;
+        }
+        match down {
+            HandheldMsg::QueryDown(outcome) => rec.outcome = Some(outcome),
+            HandheldMsg::HistoryDown(outcome) => rec.history_outcome = Some(outcome),
+            _ => return,
+        }
+        rec.answered_at = Some(at);
+        self.stats.queries_answered += 1;
+        let h = self.queries[query].handheld;
+        self.handhelds[h].queued_queries.retain(|&qi| qi != query);
     }
 
     /// After finishing an exchange: start the next queued query or drop
@@ -758,13 +736,12 @@ impl BipsSystem {
     ) {
         let h = slave.index();
         if let Some(&query) = self.handhelds[h].queued_queries.first() {
-            let (payload, tag) = self.up_message_for(query);
+            let payload = self.up_message_for(query);
             let _ = self.bb.send_data(
                 &mut MappedContext::new(ctx, SysEvent::Bb),
                 master,
                 slave,
                 payload,
-                tag,
             );
         } else {
             self.bb
@@ -773,26 +750,18 @@ impl BipsSystem {
     }
 
     /// The link message that starts serving queued query `query`.
-    fn up_message_for(&self, query: usize) -> (Vec<u8>, u64) {
+    fn up_message_for(&self, query: usize) -> Vec<u8> {
         let rec = &self.queries[query].record;
+        let target = rec.target.clone();
         match rec.kind {
-            QueryKind::Locate => (
-                HandheldMsg::QueryUp {
-                    target: rec.target.clone(),
-                }
-                .encode(),
-                TAG_QUERY_UP,
-            ),
-            QueryKind::History { from_us, to_us } => (
-                HandheldMsg::HistoryUp {
-                    target: rec.target.clone(),
-                    from_us,
-                    to_us,
-                }
-                .encode(),
-                TAG_HISTORY_UP,
-            ),
+            QueryKind::Locate => HandheldMsg::QueryUp { target },
+            QueryKind::History { from_us, to_us } => HandheldMsg::HistoryUp {
+                target,
+                from_us,
+                to_us,
+            },
         }
+        .encode()
     }
 
     fn send_rpc(
@@ -868,7 +837,9 @@ impl BipsSystem {
                     }
                     _ => Vec::new(),
                 };
-                let resp = self.server.handle(req, ctx.now());
+                let Some(resp) = self.server.handle(req, ctx.now()) else {
+                    return;
+                };
                 let any_changed = matches!(
                     resp,
                     Response::PresenceAck { changed: true }
@@ -951,9 +922,7 @@ impl BipsSystem {
         resp: Response,
     ) {
         let master = self.workstations[ws].master;
-        match (pending, resp) {
-            (PendingRpc::Presence, Response::PresenceAck { .. }) => {}
-            (PendingRpc::Heartbeat, Response::HeartbeatAck) => {}
+        let (query, down) = match (pending, resp) {
             (PendingRpc::Login { handheld }, Response::LoginResult { result }) => {
                 self.handhelds[handheld].login_in_flight = false;
                 // A SessionConflict means the server already holds a live
@@ -980,55 +949,32 @@ impl BipsSystem {
                         master,
                         slave,
                         payload,
-                        TAG_LOGIN_DOWN,
                     );
                 }
+                return;
             }
-            (PendingRpc::Locate { query }, Response::LocateResult(outcome)) => {
-                self.queries[query].outcome_ready = Some(outcome.clone());
-                let h = self.queries[query].handheld;
-                let slave = self.handhelds[h].slave;
-                if self.bb.slave_connection(slave) == Some(master) {
-                    let payload = HandheldMsg::QueryDown(outcome).encode();
-                    let _ = self.bb.send_data(
-                        &mut MappedContext::new(ctx, SysEvent::Bb),
-                        master,
-                        slave,
-                        payload,
-                        TAG_QUERY_DOWN,
-                    );
-                } else {
-                    // Link dropped while the server was thinking: record
-                    // the outcome without handheld delivery.
-                    self.queries[query].record.outcome = self.queries[query].outcome_ready.take();
-                    self.queries[query].record.answered_at = Some(ctx.now());
-                    self.stats.queries_answered += 1;
-                    self.handhelds[h].queued_queries.retain(|&qi| qi != query);
-                }
+            (PendingRpc::Query { query }, Response::LocateResult(outcome)) => {
+                (query, HandheldMsg::QueryDown(outcome))
             }
-            (PendingRpc::History { query }, Response::HistoryResult(outcome)) => {
-                self.queries[query].history_ready = Some(outcome.clone());
-                let h = self.queries[query].handheld;
-                let slave = self.handhelds[h].slave;
-                if self.bb.slave_connection(slave) == Some(master) {
-                    let payload = HandheldMsg::HistoryDown(outcome).encode();
-                    let _ = self.bb.send_data(
-                        &mut MappedContext::new(ctx, SysEvent::Bb),
-                        master,
-                        slave,
-                        payload,
-                        TAG_HISTORY_DOWN,
-                    );
-                } else {
-                    self.queries[query].record.history_outcome =
-                        self.queries[query].history_ready.take();
-                    self.queries[query].record.answered_at = Some(ctx.now());
-                    self.stats.queries_answered += 1;
-                    self.handhelds[h].queued_queries.retain(|&qi| qi != query);
-                }
+            (PendingRpc::Query { query }, Response::HistoryResult(outcome)) => {
+                (query, HandheldMsg::HistoryDown(outcome))
             }
-            (PendingRpc::Logout, Response::LogoutResult { .. }) => {}
-            _ => {}
+            // Presence, heartbeat and logout acks need no action.
+            _ => return,
+        };
+        self.queries[query].ready = true;
+        let slave = self.handhelds[self.queries[query].handheld].slave;
+        if self.bb.slave_connection(slave) == Some(master) {
+            let _ = self.bb.send_data(
+                &mut MappedContext::new(ctx, SysEvent::Bb),
+                master,
+                slave,
+                down.encode(),
+            );
+        } else {
+            // Link dropped while the server was thinking: record the
+            // answer without handheld delivery.
+            self.answer_query(query, down, ctx.now());
         }
     }
 
@@ -1178,19 +1124,17 @@ impl BipsSystem {
                 history_outcome: None,
             },
             handheld: h,
-            outcome_ready: None,
-            history_ready: None,
+            ready: false,
         });
         self.handhelds[h].queued_queries.push(qi);
         let slave = self.handhelds[h].slave;
         if let Some(master) = self.bb.slave_connection(slave) {
-            let (payload, tag) = self.up_message_for(qi);
+            let payload = self.up_message_for(qi);
             let _ = self.bb.send_data(
                 &mut MappedContext::new(ctx, SysEvent::Bb),
                 master,
                 slave,
                 payload,
-                tag,
             );
         }
     }
@@ -1579,6 +1523,49 @@ mod tests {
         // startup drags it slightly below).
         assert!(occ[0] > 1.5, "cell 0 occupancy {}", occ[0]);
         assert!(occ[1] < 0.5, "cell 1 occupancy {}", occ[1]);
+    }
+
+    /// A query issued while its handheld is already linked for another
+    /// exchange goes up the link at once, and the workstation relays
+    /// every up-message as the first queued query, so that query's RPC
+    /// goes out more than once. Only its first answer counts.
+    #[test]
+    fn a_query_answered_twice_counts_once() {
+        let mut building = Building::new();
+        let rooms: Vec<_> = (0..3)
+            .map(|i| {
+                let at = bips_mobility::Point::new(30.0 * f64::from(i), 0.0);
+                building.add_room(format!("r{i}"), at)
+            })
+            .collect();
+        building.connect(rooms[0], rooms[1]);
+        building.connect(rooms[1], rooms[2]);
+        let mut e = BipsSystem::builder(SystemConfig {
+            building,
+            ..fast_config()
+        })
+        .user(UserSpec::new("alice", 0).mode(WalkMode::Stationary))
+        .user(UserSpec::new("bob", 1).mode(WalkMode::Stationary))
+        .user(UserSpec::new("carol", 2).mode(WalkMode::Stationary))
+        .into_engine(12);
+        e.schedule(SimTime::from_secs(120), SysEvent::locate("alice", "bob"));
+        // Alice's handheld is linked for the bob exchange at this instant.
+        let linked = SimTime::from_micros(126_512_000);
+        e.schedule(linked, SysEvent::history("alice", "carol", 0, 126));
+        e.schedule(linked, SysEvent::locate("alice", "carol"));
+        e.run_until(SimTime::from_secs(300));
+        let st = e.world().stats();
+        assert_eq!((st.queries_issued, st.queries_answered), (3, 3));
+        let queries = e.world().queries();
+        assert!(
+            queries.iter().all(|q| q.answered_at.is_some()),
+            "{queries:?}"
+        );
+        assert_eq!(
+            queries[2].answered_at,
+            Some(SimTime::from_micros(126_527_172)),
+            "the carol locate keeps its first answer"
+        );
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn replay(ops: &[(u8, u64, u64, u64)], jobs: usize, path: ReadPath) -> Result<()
                     SimTime::from_micros(at),
                 );
                 match r {
-                    Response::PresenceAck { changed } => seed_acks.push(changed),
+                    Some(Response::PresenceAck { changed }) => seed_acks.push(changed),
                     other => panic!("unexpected presence response {other:?}"),
                 }
             }
@@ -176,7 +176,7 @@ fn replay(ops: &[(u8, u64, u64, u64)], jobs: usize, path: ReadPath) -> Result<()
                 );
                 prop_assert_eq!(
                     engine_login_class(engine.login(uid, &pw, addr(uid))),
-                    seed_login_class(&seed_resp),
+                    seed_login_class(seed_resp.as_ref().expect("login answered")),
                     "login({}) diverged",
                     uid
                 );
@@ -189,7 +189,7 @@ fn replay(ops: &[(u8, u64, u64, u64)], jobs: usize, path: ReadPath) -> Result<()
                     Request::Logout { addr: addr(uid) },
                     SimTime::from_micros(ts),
                 );
-                let seed_ok = matches!(seed_resp, Response::LogoutResult { ok: true });
+                let seed_ok = matches!(seed_resp, Some(Response::LogoutResult { ok: true }));
                 prop_assert_eq!(
                     engine.logout(uid).is_ok(),
                     seed_ok,
@@ -224,7 +224,7 @@ fn replay(ops: &[(u8, u64, u64, u64)], jobs: usize, path: ReadPath) -> Result<()
                     },
                     SimTime::from_micros(ts),
                 );
-                let Response::LocateResult(seed_out) = seed_resp else {
+                let Some(Response::LocateResult(seed_out)) = seed_resp else {
                     panic!("unexpected locate response");
                 };
                 let engine_out = engine.where_is(querier, target, from_cell, &mut path);

@@ -42,37 +42,8 @@ impl CorrelationId {
     }
 }
 
-/// A decoded RPC message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RpcMessage {
-    /// An incoming request to serve.
-    Request {
-        /// Requesting host.
-        from: HostId,
-        /// Correlate the response with this.
-        corr: CorrelationId,
-        /// Trace span carried by the frame ([`SpanId::NONE`] for
-        /// untraced frames).
-        span: SpanId,
-        /// Request payload.
-        payload: Vec<u8>,
-    },
-    /// A response to a request this host issued.
-    Response {
-        /// Responding host.
-        from: HostId,
-        /// The id returned by [`RpcCodec::encode_request`].
-        corr: CorrelationId,
-        /// Trace span carried by the frame ([`SpanId::NONE`] for
-        /// untraced frames).
-        span: SpanId,
-        /// Response payload.
-        payload: Vec<u8>,
-    },
-}
-
-/// A deframed RPC message borrowing its payload from the transport
-/// message, for serving paths that must not copy per message.
+/// A deframed RPC message, borrowing its payload from the transport
+/// message so no path copies per message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcFrame<'a> {
     /// An incoming request to serve.
@@ -190,39 +161,9 @@ impl RpcCodec {
         encode_frame(DIR_RESPONSE, corr, span, payload)
     }
 
-    /// Decodes a transport message into an owned RPC message, or `None`
-    /// if it is not RPC-framed.
-    pub fn decode(msg: &AppMessage) -> Option<RpcMessage> {
-        match RpcCodec::decode_ref(msg)? {
-            RpcFrame::Request {
-                from,
-                corr,
-                span,
-                payload,
-            } => Some(RpcMessage::Request {
-                from,
-                corr,
-                span,
-                payload: payload.to_vec(),
-            }),
-            RpcFrame::Response {
-                from,
-                corr,
-                span,
-                payload,
-            } => Some(RpcMessage::Response {
-                from,
-                corr,
-                span,
-                payload: payload.to_vec(),
-            }),
-        }
-    }
-
     /// Deframes a transport message without copying the payload, or
-    /// `None` if it is not RPC-framed. This is the serving-path variant
-    /// of [`RpcCodec::decode`]: the returned frame borrows from `msg`.
-    /// Both untraced (9-byte header, span
+    /// `None` if it is not RPC-framed: the returned frame borrows from
+    /// `msg`. Both untraced (9-byte header, span
     /// [`NONE`](SpanId::NONE)) and traced (17-byte header) frames
     /// decode.
     pub fn decode_ref(msg: &AppMessage) -> Option<RpcFrame<'_>> {
@@ -376,8 +317,8 @@ mod tests {
     fn request_round_trip() {
         let mut codec = RpcCodec::new();
         let (corr, framed) = codec.encode_request(b"where is bob");
-        match RpcCodec::decode(&msg(3, framed)).unwrap() {
-            RpcMessage::Request {
+        match RpcCodec::decode_ref(&msg(3, framed)).unwrap() {
+            RpcFrame::Request {
                 from,
                 corr: c,
                 span,
@@ -423,9 +364,8 @@ mod tests {
         let (corr, _) = codec.encode_request_traced(span, b"q");
         let framed = RpcCodec::encode_response_traced(corr, span, b"room 42");
         assert_eq!(framed[0], DIR_RESPONSE_TRACED);
-        let decoded = RpcCodec::decode(&msg(1, framed)).unwrap();
-        match decoded {
-            RpcMessage::Response {
+        match RpcCodec::decode_ref(&msg(1, framed)).unwrap() {
+            RpcFrame::Response {
                 corr: c,
                 span: s,
                 payload,
@@ -460,7 +400,7 @@ mod tests {
         // 10 bytes is a full legacy header but a truncated traced one.
         let mut short = vec![DIR_REQUEST_TRACED];
         short.extend_from_slice(&[0; 9]);
-        assert_eq!(RpcCodec::decode(&msg(0, short)), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, short)), None);
     }
 
     #[test]
@@ -468,8 +408,8 @@ mod tests {
         let mut codec = RpcCodec::new();
         let (corr, _) = codec.encode_request(b"q");
         let framed = RpcCodec::encode_response(corr, b"room 42");
-        match RpcCodec::decode(&msg(1, framed)).unwrap() {
-            RpcMessage::Response {
+        match RpcCodec::decode_ref(&msg(1, framed)).unwrap() {
+            RpcFrame::Response {
                 corr: c, payload, ..
             } => {
                 assert_eq!(c, corr);
@@ -490,30 +430,18 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        assert_eq!(RpcCodec::decode(&msg(0, vec![])), None);
-        assert_eq!(RpcCodec::decode(&msg(0, vec![7; 20])), None);
-        assert_eq!(RpcCodec::decode(&msg(0, vec![0; 5])), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![])), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![7; 20])), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![0; 5])), None);
         // Unknown direction bytes, including just-past-traced.
-        assert_eq!(RpcCodec::decode(&msg(0, vec![4; 20])), None);
-        assert_eq!(RpcCodec::decode(&msg(0, vec![255; 20])), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![4; 20])), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![255; 20])), None);
         // Exactly one byte short of each header form.
-        assert_eq!(RpcCodec::decode(&msg(0, vec![DIR_REQUEST; 8])), None);
+        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![DIR_REQUEST; 8])), None);
         assert_eq!(
-            RpcCodec::decode(&msg(0, vec![DIR_REQUEST_TRACED; 16])),
+            RpcCodec::decode_ref(&msg(0, vec![DIR_REQUEST_TRACED; 16])),
             None
         );
-        // The borrowed decoder agrees on every seed above.
-        for bytes in [
-            vec![],
-            vec![7; 20],
-            vec![0; 5],
-            vec![4; 20],
-            vec![255; 20],
-            vec![DIR_REQUEST; 8],
-            vec![DIR_REQUEST_TRACED; 16],
-        ] {
-            assert_eq!(RpcCodec::decode_ref_bytes(HostId::new(0), &bytes), None);
-        }
     }
 
     #[test]
@@ -527,7 +455,6 @@ mod tests {
             bytes.extend_from_slice(&SpanId::NONE.0.to_le_bytes());
             bytes.extend_from_slice(b"payload");
             assert_eq!(RpcCodec::decode_ref_bytes(HostId::new(0), &bytes), None);
-            assert_eq!(RpcCodec::decode(&msg(0, bytes)), None);
         }
         // The same header with a real span decodes fine.
         let mut ok = vec![DIR_REQUEST_TRACED];
@@ -562,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_ref_borrows_and_matches_decode() {
+    fn decode_ref_borrows_the_payload() {
         let mut codec = RpcCodec::new();
         let (corr, framed) = codec.encode_request(b"where is bob");
         let m = msg(3, framed);
@@ -582,28 +509,14 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let resp = msg(1, RpcCodec::encode_response(corr, b"room 42"));
-        match (
-            RpcCodec::decode_ref(&resp).unwrap(),
-            RpcCodec::decode(&resp).unwrap(),
-        ) {
-            (
-                RpcFrame::Response {
-                    payload: borrowed, ..
-                },
-                RpcMessage::Response { payload: owned, .. },
-            ) => assert_eq!(borrowed, owned.as_slice()),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(RpcCodec::decode_ref(&msg(0, vec![0; 5])), None);
     }
 
     #[test]
     fn empty_payloads_are_legal() {
         let mut codec = RpcCodec::new();
         let (corr, framed) = codec.encode_request(b"");
-        match RpcCodec::decode(&msg(0, framed)).unwrap() {
-            RpcMessage::Request {
+        match RpcCodec::decode_ref(&msg(0, framed)).unwrap() {
+            RpcFrame::Request {
                 corr: c, payload, ..
             } => {
                 assert_eq!(c, corr);

@@ -1,7 +1,8 @@
 //! `bips-sim --building` takes exactly the presets a `.bips` file's
 //! `building` directive accepts. A spec outside them used to be clamped
 //! silently (`office:0` ran one floor, `corridor:1` two rooms); it must
-//! instead exit 2 before running anything.
+//! instead exit 2 before running anything. A scenario file runs to the
+//! end and exits 0.
 
 use std::process::Command;
 
@@ -19,4 +20,20 @@ fn bad_building_specs_exit_2() {
             "--building {spec} not named: {stderr}"
         );
     }
+}
+
+#[test]
+fn department_scenario_runs_to_completion() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/department.bips");
+    let out = Command::new(env!("CARGO_BIN_EXE_bips-sim"))
+        .args(["--file", file])
+        .output()
+        .expect("bips-sim runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("— telemetry —"), "{stdout}");
 }

@@ -16,11 +16,17 @@
 //! both page models: that is the system-level check of the skip-ahead
 //! scheduler, with a dozen masters sharing slot grids and a duty-cycle
 //! origin, pages, links and mobility-driven range flaps.
+//!
+//! The department pin covers the deployment's query path, which the
+//! tracking run's counters do not see: every answer a handheld shows, when
+//! it arrived, and the link and RPC traffic that carried it.
 
 use bips::baseband::params::{MediumConfig, PageModel};
-use bips::core::system::{BipsSystem, SysEvent, SystemConfig, UserSpec};
+use bips::core::protocol::Response;
+use bips::core::system::{BipsSystem, QueryKind, SysEvent, SystemConfig, UserSpec};
 use bips::mobility::walker::WalkMode;
 use bips::mobility::Building;
+use bips::scenario::Scenario;
 use bips::sim::{SeedDeriver, SimDuration, SimTime};
 use bips_bench::table1::{run as run_t1, Table1Config};
 
@@ -163,5 +169,111 @@ fn table1_run_matches_the_recorded_means() {
             (31, 4_617_335_641_152_476_346),
             (60, 4_615_328_703_382_240_799),
         ]
+    );
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &byte in bytes {
+        *h ^= u64::from(byte);
+        *h = h.wrapping_mul(FNV_PRIME);
+    }
+}
+
+fn fnv_u64(h: &mut u64, x: u64) {
+    fnv(h, &x.to_le_bytes());
+}
+
+/// What the department scenario pins: a few readable totals and one
+/// digest of everything else.
+#[derive(Debug, PartialEq, Eq)]
+struct DepartmentPin {
+    steps: u64,
+    logins_completed: u64,
+    rpc_round_trips: u64,
+    data_delivered: u64,
+    queries_answered: u64,
+    digest: u64,
+}
+
+/// `examples/department.bips` — six users, three locates, a server
+/// restart at 600 s and a history query — run to completion. The digest
+/// folds, in order: every query record (user, target, kind, issue and
+/// answer instants in µs, and the answer's wire encoding), every
+/// [`SystemStats`](bips::core::system::SystemStats) counter, the
+/// medium's data and page counters, and the event count.
+fn department_run() -> DepartmentPin {
+    let scenario = Scenario::parse(include_str!("../examples/department.bips")).expect("parse");
+    let (engine, _) = scenario.run();
+    let world = engine.world();
+    let mut h = FNV_OFFSET;
+    for q in world.queries() {
+        fnv(&mut h, q.user.as_bytes());
+        fnv(&mut h, q.target.as_bytes());
+        match q.kind {
+            QueryKind::Locate => fnv_u64(&mut h, 0),
+            QueryKind::History { from_us, to_us } => {
+                fnv_u64(&mut h, 1);
+                fnv_u64(&mut h, from_us);
+                fnv_u64(&mut h, to_us);
+            }
+        }
+        fnv_u64(&mut h, q.issued_at.as_micros());
+        fnv_u64(&mut h, q.answered_at.map_or(u64::MAX, SimTime::as_micros));
+        if let Some(o) = q.outcome {
+            fnv(&mut h, &Response::LocateResult(o).encode());
+        }
+        if let Some(o) = q.history_outcome {
+            fnv(&mut h, &Response::HistoryResult(o).encode());
+        }
+    }
+    let s = world.stats();
+    for x in [
+        s.logins_completed,
+        s.presence_updates_sent,
+        s.presence_messages_sent,
+        s.naive_announcements,
+        s.queries_issued,
+        s.queries_answered,
+        s.heartbeats_sent,
+        s.missed_detections,
+        s.rpc_round_trips,
+    ] {
+        fnv_u64(&mut h, x);
+    }
+    let bb = world.baseband().stats();
+    for x in [
+        bb.data_delivered,
+        bb.pages_started,
+        bb.pages_completed,
+        bb.pages_failed,
+    ] {
+        fnv_u64(&mut h, x);
+    }
+    fnv_u64(&mut h, engine.steps());
+    DepartmentPin {
+        steps: engine.steps(),
+        logins_completed: s.logins_completed,
+        rpc_round_trips: s.rpc_round_trips,
+        data_delivered: bb.data_delivered,
+        queries_answered: s.queries_answered,
+        digest: h,
+    }
+}
+
+#[test]
+fn department_scenario_matches_the_recorded_queries() {
+    assert_eq!(
+        department_run(),
+        DepartmentPin {
+            steps: 14_051,
+            logins_completed: 12,
+            rpc_round_trips: 734,
+            data_delivered: 32,
+            queries_answered: 4,
+            digest: 13_340_341_148_509_854_089,
+        }
     );
 }
