@@ -299,6 +299,8 @@ pub struct SystemStats {
     pub missed_detections: u64,
     /// Workstation↔server RPCs completed (request matched by response).
     pub rpc_round_trips: u64,
+    /// `Locate` and `History` RPCs the workstations sent for queries.
+    pub query_rpcs: u64,
 }
 
 #[derive(Debug)]
@@ -343,8 +345,20 @@ struct HandheldRt {
 struct QueryRt {
     record: QueryRecord,
     handheld: usize,
-    /// Set once the answer is ready and travelling down the link.
-    ready: bool,
+    stage: QueryStage,
+}
+
+/// How far a query's exchange over its handheld's current link got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QueryStage {
+    /// Waiting for an exchange to send its up-message.
+    Queued,
+    /// Its up-message is on the link.
+    Sent,
+    /// The workstation relayed it: its RPC is out.
+    Relayed,
+    /// The answer is travelling down the link.
+    Ready,
 }
 
 /// The full BIPS deployment as a [`World`].
@@ -603,6 +617,12 @@ impl BipsSystem {
 
     fn on_link_up(&mut self, ctx: &mut Context<SysEvent>, master: MasterId, slave: SlaveId) {
         let h = slave.index();
+        // A new link starts a new exchange: every query the last one left
+        // unanswered is sent again, including one whose RPC the transport
+        // abandoned.
+        for &qi in &self.handhelds[h].queued_queries {
+            self.queries[qi].stage = QueryStage::Queued;
+        }
         if self.handhelds[h].wants_login
             && !self.handhelds[h].logged_in
             && !self.handhelds[h].login_in_flight
@@ -657,27 +677,26 @@ impl BipsSystem {
                 // the piconet slot frees up and scanning resumes.
                 self.flush_or_disconnect(ctx, master, slave);
             }
-            HandheldMsg::QueryUp { target } => {
-                let from_cell = self.workstations[ws].cell as u32;
+            HandheldMsg::QueryUp { ref target } => {
                 let req = Request::Locate {
                     from,
-                    target,
-                    from_cell,
+                    target: target.clone(),
+                    from_cell: self.workstations[ws].cell as u32,
                 };
-                self.relay_query(ctx, ws, h, req);
+                self.relay_query(ctx, ws, h, &msg, req);
             }
             HandheldMsg::HistoryUp {
-                target,
+                ref target,
                 from_us,
                 to_us,
             } => {
                 let req = Request::History {
                     from,
-                    target,
+                    target: target.clone(),
                     from_us,
                     to_us,
                 };
-                self.relay_query(ctx, ws, h, req);
+                self.relay_query(ctx, ws, h, &msg, req);
             }
             HandheldMsg::QueryDown(_) | HandheldMsg::HistoryDown(_) => {
                 // Result displayed on the handheld: what it shows is what
@@ -688,7 +707,7 @@ impl BipsSystem {
                 let queries = &self.queries;
                 let query = self.handhelds[h].queued_queries.iter().find(|&&qi| {
                     let q = &queries[qi];
-                    q.ready && (q.record.kind == QueryKind::Locate) == locate
+                    q.stage == QueryStage::Ready && (q.record.kind == QueryKind::Locate) == locate
                 });
                 if let Some(&query) = query {
                     self.answer_query(query, msg, at);
@@ -698,18 +717,36 @@ impl BipsSystem {
         }
     }
 
-    /// A query's up-message reached the workstation: relays `req` to the
-    /// server as the handheld's first queued query.
-    fn relay_query(&mut self, ctx: &mut Context<SysEvent>, ws: usize, h: usize, req: Request) {
-        if let Some(&query) = self.handhelds[h].queued_queries.first() {
+    /// Up-message `up` reached the workstation: relays `req` to the server
+    /// as the first queued query of the handheld that `up` was sent for.
+    /// The message carries no query id (its length sets the link timing),
+    /// so the query is the one whose up-message is on the link and reads
+    /// the same.
+    fn relay_query(
+        &mut self,
+        ctx: &mut Context<SysEvent>,
+        ws: usize,
+        h: usize,
+        up: &HandheldMsg,
+        req: Request,
+    ) {
+        let query = self.handhelds[h]
+            .queued_queries
+            .iter()
+            .copied()
+            .find(|&qi| {
+                self.queries[qi].stage == QueryStage::Sent && self.up_message_for(qi) == *up
+            });
+        if let Some(query) = query {
+            self.queries[query].stage = QueryStage::Relayed;
+            self.stats.query_rpcs += 1;
             self.send_rpc(ctx, ws, req, PendingRpc::Query { query });
         }
     }
 
     /// Records `down` as the answer to query `query`, received at `at`.
-    /// Only the first answer counts: the workstation relays every query
-    /// message as the handheld's first queued query, so one query's RPC
-    /// can go out, and come back, more than once.
+    /// Only the first answer counts: a new link re-sends every unanswered
+    /// query, so an RPC that was only slow can come back twice.
     fn answer_query(&mut self, query: usize, down: HandheldMsg, at: SimTime) {
         let rec = &mut self.queries[query].record;
         if rec.answered_at.is_some() {
@@ -726,8 +763,9 @@ impl BipsSystem {
         self.handhelds[h].queued_queries.retain(|&qi| qi != query);
     }
 
-    /// After finishing an exchange: start the next queued query or drop
-    /// the link.
+    /// After finishing an exchange: send the next queued query up, or drop
+    /// the link once no query waits. While answers are still on their way
+    /// the link stays; the last one's down message flushes again.
     fn flush_or_disconnect(
         &mut self,
         ctx: &mut Context<SysEvent>,
@@ -735,22 +773,39 @@ impl BipsSystem {
         slave: SlaveId,
     ) {
         let h = slave.index();
-        if let Some(&query) = self.handhelds[h].queued_queries.first() {
-            let payload = self.up_message_for(query);
-            let _ = self.bb.send_data(
-                &mut MappedContext::new(ctx, SysEvent::Bb),
-                master,
-                slave,
-                payload,
-            );
-        } else {
+        let queued = &self.handhelds[h].queued_queries;
+        let next = queued
+            .iter()
+            .copied()
+            .find(|&qi| self.queries[qi].stage == QueryStage::Queued);
+        if let Some(query) = next {
+            self.send_up(ctx, master, slave, query);
+        } else if queued.is_empty() {
             self.bb
                 .disconnect(&mut MappedContext::new(ctx, SysEvent::Bb), master, slave);
         }
     }
 
+    /// Sends query `query`'s up-message over the `master`–`slave` link.
+    fn send_up(
+        &mut self,
+        ctx: &mut Context<SysEvent>,
+        master: MasterId,
+        slave: SlaveId,
+        query: usize,
+    ) {
+        self.queries[query].stage = QueryStage::Sent;
+        let payload = self.up_message_for(query).encode();
+        let _ = self.bb.send_data(
+            &mut MappedContext::new(ctx, SysEvent::Bb),
+            master,
+            slave,
+            payload,
+        );
+    }
+
     /// The link message that starts serving queued query `query`.
-    fn up_message_for(&self, query: usize) -> Vec<u8> {
+    fn up_message_for(&self, query: usize) -> HandheldMsg {
         let rec = &self.queries[query].record;
         let target = rec.target.clone();
         match rec.kind {
@@ -761,7 +816,6 @@ impl BipsSystem {
                 to_us,
             },
         }
-        .encode()
     }
 
     fn send_rpc(
@@ -962,7 +1016,7 @@ impl BipsSystem {
             // Presence, heartbeat and logout acks need no action.
             _ => return,
         };
-        self.queries[query].ready = true;
+        self.queries[query].stage = QueryStage::Ready;
         let slave = self.handhelds[self.queries[query].handheld].slave;
         if self.bb.slave_connection(slave) == Some(master) {
             let _ = self.bb.send_data(
@@ -1124,18 +1178,12 @@ impl BipsSystem {
                 history_outcome: None,
             },
             handheld: h,
-            ready: false,
+            stage: QueryStage::Queued,
         });
         self.handhelds[h].queued_queries.push(qi);
         let slave = self.handhelds[h].slave;
         if let Some(master) = self.bb.slave_connection(slave) {
-            let payload = self.up_message_for(qi);
-            let _ = self.bb.send_data(
-                &mut MappedContext::new(ctx, SysEvent::Bb),
-                master,
-                slave,
-                payload,
-            );
+            self.send_up(ctx, master, slave, qi);
         }
     }
 
@@ -1526,11 +1574,11 @@ mod tests {
     }
 
     /// A query issued while its handheld is already linked for another
-    /// exchange goes up the link at once, and the workstation relays
-    /// every up-message as the first queued query, so that query's RPC
-    /// goes out more than once. Only its first answer counts.
+    /// exchange goes up the link at once. The workstation relays each
+    /// up-message as the query it was sent for, so three queries cost
+    /// three RPCs and each answer is its own query's.
     #[test]
-    fn a_query_answered_twice_counts_once() {
+    fn a_query_sent_on_a_live_link_is_relayed_once() {
         let mut building = Building::new();
         let rooms: Vec<_> = (0..3)
             .map(|i| {
@@ -1549,23 +1597,31 @@ mod tests {
         .user(UserSpec::new("carol", 2).mode(WalkMode::Stationary))
         .into_engine(12);
         e.schedule(SimTime::from_secs(120), SysEvent::locate("alice", "bob"));
-        // Alice's handheld is linked for the bob exchange at this instant.
-        let linked = SimTime::from_micros(126_512_000);
-        e.schedule(linked, SysEvent::history("alice", "carol", 0, 126));
+        // Run until alice's handheld is linked for the bob exchange.
+        let alice = SlaveId::new(0);
+        while e.world().stats().queries_issued == 0
+            || e.world().baseband().slave_connection(alice).is_none()
+        {
+            assert!(e.step(), "alice was never linked");
+        }
+        let linked = e.now();
+        let to_s = linked.as_micros() / 1_000_000;
+        e.schedule(linked, SysEvent::history("alice", "carol", 0, to_s));
         e.schedule(linked, SysEvent::locate("alice", "carol"));
         e.run_until(SimTime::from_secs(300));
         let st = e.world().stats();
-        assert_eq!((st.queries_issued, st.queries_answered), (3, 3));
-        let queries = e.world().queries();
-        assert!(
-            queries.iter().all(|q| q.answered_at.is_some()),
-            "{queries:?}"
-        );
         assert_eq!(
-            queries[2].answered_at,
-            Some(SimTime::from_micros(126_527_172)),
-            "the carol locate keeps its first answer"
+            (st.queries_issued, st.queries_answered, st.query_rpcs),
+            (3, 3, 3)
         );
+        let queries = e.world().queries();
+        let found_in = |q: &QueryRecord| match q.outcome {
+            Some(LocateOutcome::Found { cell, .. }) => Some(cell),
+            _ => None,
+        };
+        assert_eq!(found_in(&queries[0]), Some(1), "{queries:?}");
+        assert!(queries[1].history_outcome.is_some(), "{queries:?}");
+        assert_eq!(found_in(&queries[2]), Some(2), "{queries:?}");
     }
 
     #[test]
