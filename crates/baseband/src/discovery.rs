@@ -26,7 +26,7 @@ use crate::world::BasebandWorld;
 /// use desim::SimDuration;
 ///
 /// let scenario = DiscoveryScenario::new(
-///     MasterConfig::new(BdAddr::new(1)),
+///     MasterConfig::default(),
 ///     vec![SlaveConfig::new(BdAddr::new(2)).scan(ScanPattern::alternating())],
 ///     SimDuration::from_secs(30),
 /// );
@@ -237,7 +237,7 @@ mod tests {
 
     fn table1_scenario() -> DiscoveryScenario {
         DiscoveryScenario::new(
-            MasterConfig::new(BdAddr::new(1)),
+            MasterConfig::default(),
             vec![SlaveConfig::new(BdAddr::new(2)).scan(ScanPattern::alternating())],
             SimDuration::from_secs(30),
         )
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn figure2_style_scenario_counts_fractions() {
-        let master = MasterConfig::new(BdAddr::new(1))
+        let master = MasterConfig::default()
             .duty(DutyCycle::periodic(
                 SimDuration::from_secs(1),
                 SimDuration::from_secs(5),
@@ -344,10 +344,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs slaves")]
     fn empty_scenario_rejected() {
-        let _ = DiscoveryScenario::new(
-            MasterConfig::new(BdAddr::new(1)),
-            vec![],
-            SimDuration::from_secs(1),
-        );
+        let _ = DiscoveryScenario::new(MasterConfig::default(), vec![], SimDuration::from_secs(1));
     }
 }

@@ -33,7 +33,7 @@
 //! use desim::SimTime;
 //!
 //! let world = BasebandWorld::builder()
-//!     .master(MasterConfig::new(BdAddr::new(0x0001)).duty(DutyCycle::always_inquiry()))
+//!     .master(MasterConfig::default().duty(DutyCycle::always_inquiry()))
 //!     .slave(SlaveConfig::new(BdAddr::new(0x1001)).scan(ScanPattern::continuous_inquiry()))
 //!     .build();
 //! let mut engine = world.into_engine(42);

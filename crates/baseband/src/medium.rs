@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use desim::compose::SubScheduler;
-use desim::{EventId, SimDuration, SimRng, SimTime};
+use desim::{EventId, SimDuration, SimRng, SimTime, DEFAULT_RANK};
 
 use crate::addr::BdAddr;
 use crate::clock::{NativeClock, CLKN_12_PERIOD, SLOT_PAIR, TICK};
@@ -85,17 +85,6 @@ impl SlaveId {
     }
 }
 
-/// When an event was scheduled: the instant, then a medium-local stamp
-/// that orders the medium's schedules and backoff draws in execution
-/// order. Within the medium, stamps are monotone with the calendar's
-/// sequence numbers, so comparing two arms tells which of two
-/// same-instant events the calendar dequeues first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-struct Arm {
-    at: SimTime,
-    stamp: u64,
-}
-
 /// A baseband event. Opaque: embedders wrap it in their own event enum and
 /// hand it back to [`Baseband::handle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,15 +94,8 @@ pub struct BbEvent(Ev);
 enum Ev {
     /// Bootstrap: start all configured devices.
     Start,
-    /// Master even-slot inquiry transmission. `deferred` marks a
-    /// skip-ahead transmission that already requeued itself behind the
-    /// other events of its instant (see `should_defer`).
-    InqTx {
-        master: usize,
-        epoch: u32,
-        deferred: bool,
-        armed: Arm,
-    },
+    /// Master even-slot inquiry transmission.
+    InqTx { master: usize, epoch: u32 },
     /// Master duty-cycle boundary.
     PhaseBoundary { master: usize, epoch: u32 },
     /// Slave regular scan-window open (index = which window).
@@ -136,11 +118,7 @@ enum Ev {
         attempt: u32,
     },
     /// Slot-accurate paging: the master's next page-ID transmission.
-    PageTx {
-        master: usize,
-        attempt: u32,
-        armed: Arm,
-    },
+    PageTx { master: usize, attempt: u32 },
     /// A data message finishes its transfer.
     DataDelivered {
         master: usize,
@@ -151,6 +129,51 @@ enum Ev {
     SupervisionCheck { master: usize, slave: usize },
     /// Scripted command (public API action delivered as an event).
     Cmd(Command),
+}
+
+impl Ev {
+    /// Where the event runs among the events of its instant. The eager
+    /// chain and skip-ahead both follow this one table, so they dispatch
+    /// every instant identically: a slave's scan timers first, in the
+    /// order `apply_timers` applies them, then each master's inquiry
+    /// transmission in master order, then everything else — and every
+    /// event of an embedding world — in the order it was scheduled.
+    fn rank(&self) -> u32 {
+        match *self {
+            Ev::WindowClose { .. } => 0,
+            Ev::WindowOpen { .. } => 1,
+            Ev::BackoffEnd { .. } => 2,
+            Ev::InqTx { master, .. } => inq_tx_rank(master),
+            _ => DEFAULT_RANK,
+        }
+    }
+}
+
+/// The rank of master `m`'s `InqTx` (see [`Ev::rank`]).
+fn inq_tx_rank(m: usize) -> u32 {
+    let rank = 3 + m as u64;
+    assert!(
+        rank < u64::from(DEFAULT_RANK),
+        "master {m} has no calendar rank"
+    );
+    rank as u32
+}
+
+/// Schedules `ev` at `at` with its rank.
+fn schedule<S: SubScheduler<BbEvent>>(s: &mut S, at: SimTime, ev: Ev) -> EventId {
+    s.schedule_ranked(at, ev.rank(), BbEvent(ev))
+}
+
+/// Schedules master `m`'s next slot-accurate page ID of attempt `seq`.
+fn schedule_page_tx<S: SubScheduler<BbEvent>>(s: &mut S, m: usize, seq: u32, at: SimTime) {
+    schedule(
+        s,
+        at,
+        Ev::PageTx {
+            master: m,
+            attempt: seq,
+        },
+    );
 }
 
 /// A scripted action, schedulable like any other event — lets tests,
@@ -199,9 +222,8 @@ impl BbEvent {
     }
 
     /// A short name for the event's kind, for a per-kind event census:
-    /// `inq_tx`, `inq_tx_deferred` (a skip-ahead transmission requeued
-    /// behind its instant), `phase_boundary`, `window_open`,
-    /// `window_close`, `backoff_end`, `fhs_rx`, `page_resolve`, `page_tx`,
+    /// `inq_tx`, `phase_boundary`, `window_open`, `window_close`,
+    /// `backoff_end`, `fhs_rx`, `page_resolve`, `page_tx`,
     /// `data_delivered`, `supervision_check` or `cmd` (a scripted command
     /// or the bootstrap).
     pub fn kind(&self) -> &'static str {
@@ -212,10 +234,7 @@ impl BbEvent {
     /// engine probe counts the event in (`engine.events.bb.<kind>`).
     pub fn census_label(&self) -> &'static str {
         match self.0 {
-            Ev::InqTx {
-                deferred: false, ..
-            } => "bb.inq_tx",
-            Ev::InqTx { deferred: true, .. } => "bb.inq_tx_deferred",
+            Ev::InqTx { .. } => "bb.inq_tx",
             Ev::PhaseBoundary { .. } => "bb.phase_boundary",
             Ev::WindowOpen { .. } => "bb.window_open",
             Ev::WindowClose { .. } => "bb.window_close",
@@ -384,16 +403,10 @@ struct MasterDev {
 struct SkipChain {
     /// First unaccounted slot pair on the master's even-slot grid.
     from: SimTime,
-    /// Pending `InqTx` at the predicted next audible pair; `None` while
-    /// no in-range scanning slave can hear this phase at all (the chain
-    /// is dormant until a wake-up transition).
-    event: Option<EventId>,
-    /// When the phase was entered — the instant the naive chain would
-    /// have scheduled its first `InqTx` (same-instant ordering proxy).
-    entered_at: SimTime,
-    /// The phase's first slot pair; later pairs were naively scheduled
-    /// one `SLOT_PAIR` before they fire.
-    first_pair: SimTime,
+    /// Pending `InqTx` and the pair it fires at, the predicted next
+    /// audible pair; `None` while no in-range scanning slave can hear this
+    /// phase at all (the chain is dormant until a wake-up transition).
+    event: Option<(EventId, SimTime)>,
 }
 
 struct SlaveDev {
@@ -413,20 +426,10 @@ struct SlaveDev {
     /// [`WindowSchedule`] keeps ticking on paper, but no event will ever
     /// reopen a window until a control transition re-arms the chain.
     scanning: bool,
-    /// When the pending `WindowOpen` was scheduled — the skip-ahead
-    /// scheduler compares this against the instant the naive chain would
-    /// have scheduled a same-instant `InqTx` to reproduce the naive
-    /// processing order exactly. A closed-form open and the close armed
-    /// with it order against a running `InqTx` or `PageTx` by the full
-    /// [`Arm`].
-    window_armed: Arm,
     /// Start of the window that pending `WindowOpen` will open. A
     /// sleeping machine is deaf before this even if the schedule shows
     /// an earlier window on paper (re-armed chains skip partial windows).
     next_window_start: SimTime,
-    /// When the pending `BackoffEnd` was scheduled (ordering proxy, as
-    /// for `window_armed`).
-    backoff_armed: Arm,
     /// Index of the window opening at `next_window_start`.
     next_index: u64,
     /// Whether the pending open is a closed-form timer (skip-ahead)
@@ -445,17 +448,16 @@ impl SlaveDev {
     }
 
     /// Opens window `k` in closed form, as the eager `WindowOpen` handler
-    /// does, arming its close and the next open at `(W_k, stamp)`.
-    /// Returns `true` if the open breaks the predictor's extrapolation:
-    /// a page window interrupting a primed slave's open-ended listen.
-    fn open_window(&mut self, k: u64, stamp: u64) -> bool {
+    /// does, arming its close and the next open. Returns `true` if the
+    /// open breaks the predictor's extrapolation: a page window
+    /// interrupting a primed slave's open-ended listen.
+    fn open_window(&mut self, k: u64) -> bool {
         let at = self.windows.window_start(k);
         let close = at + self.windows.pattern().window();
         let kind = self.windows.window_kind(k);
         let breaks = kind == ScanKind::Page && self.machine.is_primed();
         self.machine.open_window(at, kind, close);
         self.close_at = close;
-        self.window_armed = Arm { at, stamp };
         self.next_index = k + 1;
         self.next_window_start = self.windows.window_start(k + 1);
         self.window_virtual = true;
@@ -676,15 +678,6 @@ pub struct Baseband {
     /// the order must not depend on a hasher (determinism invariant).
     links: BTreeMap<(usize, usize), Link>,
     notifications: Vec<BbNotification>,
-    /// `aims[m]` is the instant master `m`'s pending skip-ahead `InqTx`
-    /// fires at, or `MAX` when the master has no chain or its chain is
-    /// dormant. Kept apart from [`MasterDev`] so `should_defer` finds the
-    /// sibling chains sharing an instant in one scan of a small array.
-    ///
-    /// A re-aim that lands on the same instant keeps the existing event:
-    /// rescheduling would assign a fresh queue sequence number and could
-    /// reorder the `InqTx` against other events of that instant.
-    aims: Vec<SimTime>,
     stats: BbStats,
     started: bool,
     /// Scan rotation shared by all slaves under
@@ -697,12 +690,6 @@ pub struct Baseband {
     /// `pred_gen[sl]` is slave `sl`'s prediction generation: bumping it
     /// drops every master's cached prediction for the slave. Never 0.
     pred_gen: Vec<u32>,
-    /// Source of [`Arm`] stamps.
-    stamp: u64,
-    /// The [`Arm`] of the running `InqTx` or `PageTx`, whose same-instant
-    /// order against closed-form timers is decidable, and a stamp taken
-    /// when it was dispatched; `None` in every other handler.
-    running: Option<(Arm, u64)>,
 }
 
 impl std::fmt::Debug for Baseband {
@@ -738,14 +725,11 @@ impl Baseband {
             discovered_pairs: PairBits::default(),
             links: BTreeMap::new(),
             notifications: Vec::new(),
-            aims: Vec::new(),
             stats: BbStats::default(),
             started: false,
             shared_rot: None,
             due: Vec::new(),
             pred_gen: Vec::new(),
-            stamp: 0,
-            running: None,
         }
     }
 
@@ -778,7 +762,6 @@ impl Baseband {
             page_queue: VecDeque::new(),
             skip: None,
         });
-        self.aims.push(SimTime::MAX);
         MasterId(id)
     }
 
@@ -812,9 +795,7 @@ impl Baseband {
             halt_when_discovered: cfg.halts_when_discovered(),
             connected_to: None,
             scanning: false,
-            window_armed: Arm::default(),
             next_window_start: SimTime::MAX,
-            backoff_armed: Arm::default(),
             next_index: 0,
             window_virtual: false,
             close_at: SimTime::MAX,
@@ -886,17 +867,19 @@ impl Baseband {
                 link.mark_in_range();
             }
             // A new audible slave may precede the chain's current aim.
-            self.wake_master(s, master.0);
+            self.wake_master(s, master.0, DEFAULT_RANK);
         } else {
             self.in_range.remove(master.0, slave.0);
             if let Some(link) = self.links.get_mut(&key) {
                 link.mark_out_of_range(s.now());
-                s.schedule(
-                    s.now() + self.cfg.supervision_timeout,
-                    BbEvent(Ev::SupervisionCheck {
+                let at = s.now() + self.cfg.supervision_timeout;
+                schedule(
+                    s,
+                    at,
+                    Ev::SupervisionCheck {
                         master: master.0,
                         slave: slave.0,
-                    }),
+                    },
                 );
             }
         }
@@ -975,13 +958,15 @@ impl Baseband {
         if !self.links.contains_key(&(master.0, slave.0)) {
             return Err(NoLinkError { master, slave });
         }
-        s.schedule(
-            s.now() + Link::transfer_time(payload.len()),
-            BbEvent(Ev::DataDelivered {
+        let at = s.now() + Link::transfer_time(payload.len());
+        schedule(
+            s,
+            at,
+            Ev::DataDelivered {
                 master: master.0,
                 slave: slave.0,
                 payload,
-            }),
+            },
         );
         Ok(())
     }
@@ -1029,7 +1014,7 @@ impl Baseband {
             return;
         }
         for m in 0..self.masters.len() {
-            self.settle_master(m, now);
+            self.settle_master(m, now, false);
         }
     }
 
@@ -1070,23 +1055,13 @@ impl Baseband {
             return;
         }
         self.started = true;
-        // Arm the scan-chain bookkeeping before the masters enter their
-        // phases (the skip-ahead predictor reads it), but schedule the
-        // actual WindowOpen events *after* — the naive order puts every
-        // first InqTx ahead of every WindowOpen, which decides who wins
-        // when a window opens exactly on a transmitted slot pair.
         for sl in 0..self.slaves.len() {
             if self.slaves[sl].active {
-                self.arm_scan_chain(s.now(), sl);
+                self.arm_scan_chain(s, sl);
             }
         }
         for m in 0..self.masters.len() {
             self.enter_phase(s, m);
-        }
-        for sl in 0..self.slaves.len() {
-            if self.slaves[sl].active {
-                self.schedule_first_window(s, sl);
-            }
         }
     }
 
@@ -1095,12 +1070,7 @@ impl Baseband {
     pub fn handle<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, event: BbEvent) {
         match event.0 {
             Ev::Start => self.start(s),
-            Ev::InqTx {
-                master,
-                epoch,
-                deferred,
-                armed,
-            } => self.on_inq_tx(s, master, epoch, deferred, armed),
+            Ev::InqTx { master, epoch } => self.on_inq_tx(s, master, epoch),
             Ev::PhaseBoundary { master, epoch } => {
                 if self.masters[master].epoch == epoch {
                     self.enter_phase(s, master);
@@ -1124,11 +1094,7 @@ impl Baseband {
                 slave,
                 attempt,
             } => self.on_page_resolve(s, master, slave, attempt),
-            Ev::PageTx {
-                master,
-                attempt,
-                armed,
-            } => self.on_page_tx(s, master, attempt, armed),
+            Ev::PageTx { master, attempt } => self.on_page_tx(s, master, attempt),
             Ev::DataDelivered {
                 master,
                 slave,
@@ -1177,12 +1143,9 @@ impl Baseband {
         // Close out the ending inquiry phase: account every pair up to
         // the boundary and drop the chain (pairs at or after `now`
         // belong to the next phase and are never transmitted).
-        self.settle_master(m, now);
-        if let Some(chain) = self.masters[m].skip.take() {
-            if let Some(ev) = chain.event {
-                s.cancel(ev);
-            }
-            self.aims[m] = SimTime::MAX;
+        self.settle_master(m, now, false);
+        if let Some((ev, _)) = self.masters[m].skip.take().and_then(|c| c.event) {
+            s.cancel(ev);
         }
         self.masters[m].epoch += 1;
         // The train walker restarts and the phase bound moves: every
@@ -1207,22 +1170,17 @@ impl Baseband {
                 self.masters[m].start_train = train;
                 self.masters[m].inq.restart(train);
                 let first_tx = self.masters[m].clock.next_even_slot(now);
-                // Under skip-ahead the first pair is scheduled eagerly,
-                // from the same handler position as the naive chain, so
-                // it carries the naive sequence number and wins or loses
-                // same-instant ties identically (wakes between now and
-                // `first_tx` re-aim to the same instant and must not
-                // replace this event). The solver takes over once it
-                // fires.
-                let id = self.schedule_inq_tx(s, m, first_tx, false);
+                // Under skip-ahead too the first pair is scheduled
+                // whatever the predictor would say, as the eager chain
+                // does: until it runs, it is what tells a wake-up in this
+                // handler that a pair at `now` has not been sent (see
+                // `wake_master`). The solver takes over once it fires.
+                let id = self.schedule_inq_tx(s, m, first_tx);
                 if self.cfg.skip_ahead {
                     self.masters[m].skip = Some(SkipChain {
                         from: first_tx,
-                        event: Some(id),
-                        entered_at: now,
-                        first_pair: first_tx,
+                        event: Some((id, first_tx)),
                     });
-                    self.aims[m] = first_tx;
                 }
             }
             Phase::Service => {
@@ -1231,69 +1189,23 @@ impl Baseband {
         }
         if let Some((at, _next)) = self.masters[m].plan.next_boundary(now) {
             let epoch = self.masters[m].epoch;
-            s.schedule(at, BbEvent(Ev::PhaseBoundary { master: m, epoch }));
-        }
-    }
-
-    /// A fresh [`Arm`] for something the medium schedules or draws now.
-    fn arm(&mut self, now: SimTime) -> Arm {
-        self.stamp += 1;
-        Arm {
-            at: now,
-            stamp: self.stamp,
+            schedule(s, at, Ev::PhaseBoundary { master: m, epoch });
         }
     }
 
     /// Schedules master `m`'s `InqTx` for the pair at `at` in its current
-    /// epoch, stamped with when it was scheduled.
+    /// epoch.
     fn schedule_inq_tx<S: SubScheduler<BbEvent>>(
         &mut self,
         s: &mut S,
         m: usize,
         at: SimTime,
-        deferred: bool,
     ) -> EventId {
-        let armed = self.arm(s.now());
         let epoch = self.masters[m].epoch;
-        s.schedule(
-            at,
-            BbEvent(Ev::InqTx {
-                master: m,
-                epoch,
-                deferred,
-                armed,
-            }),
-        )
+        schedule(s, at, Ev::InqTx { master: m, epoch })
     }
 
-    /// Schedules master `m`'s next slot-accurate page ID of attempt `seq`,
-    /// stamped with when it was scheduled.
-    fn schedule_page_tx<S: SubScheduler<BbEvent>>(
-        &mut self,
-        s: &mut S,
-        m: usize,
-        seq: u32,
-        at: SimTime,
-    ) {
-        let armed = self.arm(s.now());
-        s.schedule(
-            at,
-            BbEvent(Ev::PageTx {
-                master: m,
-                attempt: seq,
-                armed,
-            }),
-        );
-    }
-
-    fn on_inq_tx<S: SubScheduler<BbEvent>>(
-        &mut self,
-        s: &mut S,
-        m: usize,
-        epoch: u32,
-        deferred: bool,
-        armed: Arm,
-    ) {
+    fn on_inq_tx<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, epoch: u32) {
         if self.masters[m].epoch != epoch {
             return;
         }
@@ -1302,24 +1214,12 @@ impl Baseband {
             return; // phase boundary will restart the chain
         }
         if self.cfg.skip_ahead {
-            // This is the chain's own event; its id is spent.
+            // This is the chain's own event; its id is spent. Account the
+            // provably deaf pairs the chain jumped over.
             if let Some(chain) = self.masters[m].skip.as_mut() {
                 chain.event = None;
-                self.aims[m] = SimTime::MAX;
             }
-            let dispatched = self.arm(now).stamp;
-            self.running = Some((armed, dispatched));
-            if self.should_defer(m, now, deferred) {
-                self.running = None;
-                let id = self.schedule_inq_tx(s, m, now, true);
-                if let Some(chain) = self.masters[m].skip.as_mut() {
-                    chain.event = Some(id);
-                    self.aims[m] = now;
-                }
-                return;
-            }
-            // Account the provably deaf pairs the chain jumped over.
-            self.settle_master(m, now);
+            self.settle_master(m, now, false);
         }
         let plan = self.masters[m].inq.plan();
         self.stats.ids_transmitted += 2;
@@ -1331,116 +1231,28 @@ impl Baseband {
                 chain.from = now + SLOT_PAIR;
             }
             self.rearm_inquiry(s, m);
-            self.running = None;
         } else {
-            self.schedule_inq_tx(s, m, now + SLOT_PAIR, false);
+            self.schedule_inq_tx(s, m, now + SLOT_PAIR);
         }
     }
 
-    /// The instant the naive chain would have scheduled master `m`'s
-    /// `InqTx` for pair `now`: during the previous pair, or at phase
-    /// entry for the phase's first pair.
-    fn naive_arm_instant(&self, m: usize, now: SimTime) -> SimTime {
-        let chain = self.masters[m].skip.as_ref().expect("chain present");
-        if now == chain.first_pair {
-            chain.entered_at
-        } else {
-            now - SLOT_PAIR
-        }
-    }
-
-    /// Whether the skip-ahead `InqTx` firing at `now` must requeue itself
-    /// behind the other events of this instant to reproduce the naive
-    /// processing order. Also settles every slave in `m`'s coverage as of
-    /// this firing, so the answer reads the state the eager timers would
-    /// have left.
-    ///
-    /// The naive chain scheduled the `InqTx` for pair `now` while
-    /// processing the previous pair (or at phase entry, for the first
-    /// pair), so a `WindowOpen` or `BackoffEnd` landing at the same
-    /// instant runs *first* exactly when it was armed before that — and
-    /// whichever runs first decides whether the slave hears this pair.
-    /// The skip-ahead event was scheduled at an arbitrary earlier re-aim,
-    /// so when such a tie exists it defers once; the requeued copy runs
-    /// after every event already queued at `now`. A requeued copy
-    /// (`deferred`) skips these one-shot checks but still yields to
-    /// naive-earlier sibling masters sharing the instant, so coincident
-    /// chains fire in naive precedence order (see below).
-    fn should_defer(&mut self, m: usize, now: SimTime, deferred: bool) -> bool {
-        // Sibling masters whose chains are pending at this same instant:
-        // the naive order is by arm instant, and on a tie (coincident
-        // slot grids arm both during the previous shared pair, all the
-        // way back) by phase-entry instant, then master index. Yielding
-        // re-checks on every requeue; the minimal sibling never yields,
-        // so each pass fires at least one chain and the recursion
-        // terminates.
-        let key = (
-            self.naive_arm_instant(m, now),
-            self.masters[m]
-                .skip
-                .as_ref()
-                .expect("chain present")
-                .entered_at,
-            m,
-        );
-        let mut defer = false;
-        // Shared instants are rare: a branch-free count over the aims
-        // (which vectorizes) rules most calls out before the ordered
-        // walk. `m`'s own aim was cleared when its event fired.
-        if self.aims.iter().filter(|&&aim| aim == now).count() > 0 {
-            for (other, &aim) in self.aims.iter().enumerate() {
-                if aim != now || other == m {
-                    continue;
-                }
-                let chain = self.masters[other]
-                    .skip
-                    .as_ref()
-                    .expect("an aimed master has a chain");
-                if (self.naive_arm_instant(other, now), chain.entered_at, other) < key {
-                    defer = true;
-                    break;
-                }
-            }
-        }
-        let naive_sched = key.0;
-        for i in 0..self.in_range.covered(m) {
-            let sl = self.in_range.entry(m, i).slave as usize;
-            // Nothing due by now: no same-instant tie to find either.
-            if self.due[sl] > now {
-                continue;
-            }
-            self.settle_slave(sl, now);
-            if defer || deferred {
-                continue;
-            }
-            let dev = &self.slaves[sl];
-            if !dev.active || dev.connected_to.is_some() || !dev.scanning {
-                continue;
-            }
-            let window_tie = dev.next_window_start == now && dev.window_armed.at < naive_sched;
-            let backoff_tie = matches!(dev.machine.phase(), ScanPhase::Backoff { until } if until == now)
-                && dev.backoff_armed.at < naive_sched;
-            defer = window_tie || backoff_tie;
-        }
-        defer
-    }
-
-    /// Accounts every pending slot pair strictly before `up_to` on master
-    /// `m`'s inquiry chain, in closed form. Pairs settled this way were
-    /// proven deaf by the predictor (or precede a phase boundary), so the
-    /// naive chain would have transmitted into silence: only
-    /// `ids_transmitted` and the train walker advance, with no RNG draws.
-    fn settle_master(&mut self, m: usize, up_to: SimTime) {
+    /// Accounts, in closed form, every pending slot pair of master `m`'s
+    /// inquiry chain before `now`, and the pair at `now` too when
+    /// `through_now`. Pairs settled this way were proven deaf by the
+    /// predictor (or precede a phase boundary), so the eager chain would
+    /// have transmitted into silence: only `ids_transmitted` and the train
+    /// walker advance, with no RNG draws.
+    fn settle_master(&mut self, m: usize, now: SimTime, through_now: bool) {
         let dev = &mut self.masters[m];
         let Some(chain) = dev.skip.as_mut() else {
             return;
         };
-        if up_to <= chain.from {
+        if now < chain.from {
             return;
         }
-        let span = up_to - chain.from;
+        let span = now - chain.from;
         let mut n = span.div_duration(SLOT_PAIR);
-        if !(span % SLOT_PAIR).is_zero() {
+        if through_now || !(span % SLOT_PAIR).is_zero() {
             n += 1;
         }
         chain.from += SLOT_PAIR * n;
@@ -1461,8 +1273,7 @@ impl Baseband {
             return;
         };
         let from = chain.from;
-        let armed = chain.event.is_some();
-        let aimed_at = self.aims[m];
+        let aim = chain.event.map(|(_, at)| at);
         let now = s.now();
         let bound = self.masters[m]
             .plan
@@ -1495,35 +1306,29 @@ impl Baseband {
             };
             target = target.min(pair);
         }
-        if armed && target >= aimed_at {
-            // Never move an armed aim later (and keep an unchanged aim):
-            // the pending event keeps its queue sequence number, which
-            // same-instant ordering depends on. Firing at a pair the
-            // predictor now considers deaf is a harmless false alarm —
-            // the handler re-runs the exact audibility gates — but
-            // cancelling and rescheduling at the same instant would
-            // reorder the InqTx behind events queued in between.
+        // An unchanged aim keeps its event. So does one at `now`, even if
+        // its pair turned deaf: until it runs, it is what tells a wake-up
+        // that the pair has not been sent, and running it costs one false
+        // alarm (the handler re-runs the exact audibility gates).
+        if aim == Some(target) || aim == Some(now) {
             return;
         }
         let chain = self.masters[m].skip.as_mut().expect("chain present");
-        if let Some(ev) = chain.event.take() {
+        if let Some((ev, _)) = chain.event.take() {
             s.cancel(ev);
         }
         if target < bound {
-            let id = self.schedule_inq_tx(s, m, target, false);
-            self.masters[m].skip.as_mut().expect("chain present").event = Some(id);
-            self.aims[m] = target;
-        } else {
-            self.aims[m] = SimTime::MAX;
+            let id = self.schedule_inq_tx(s, m, target);
+            self.masters[m].skip.as_mut().expect("chain present").event = Some((id, target));
         }
     }
 
     /// Re-aims every in-range master other than `tx_master` after slave
-    /// `sl` entered a response backoff. The backoff *ends* in open-ended
-    /// inquiry listening, which can make the slave receptive to another
-    /// master earlier than that master's schedule-derived prediction —
-    /// the transmitting master itself re-aims at the end of its own
-    /// `on_inq_tx`.
+    /// `sl` entered a response backoff during `tx_master`'s `InqTx`. The
+    /// backoff *ends* in open-ended inquiry listening, which can make the
+    /// slave receptive to another master earlier than that master's
+    /// schedule-derived prediction — the transmitting master itself
+    /// re-aims at the end of its own `on_inq_tx`.
     fn wake_other_masters<S: SubScheduler<BbEvent>>(
         &mut self,
         s: &mut S,
@@ -1535,26 +1340,38 @@ impl Baseband {
         }
         // The transposed coverage row lists the masters covering `sl` in
         // ascending index order — the order of a scan over all masters.
+        let running = inq_tx_rank(tx_master);
         for w in 0..self.in_range.by_slave.row_words(sl) {
             let mut bits = self.in_range.by_slave.word(sl, w);
             while bits != 0 {
                 let m = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if m != tx_master {
-                    self.wake_master(s, m);
+                    self.wake_master(s, m, running);
                 }
             }
         }
     }
 
-    /// An audibility-increasing transition happened: settle master `m`'s
-    /// chain to `now` and re-aim it. No-op for masters outside an inquiry
-    /// phase (or with skip-ahead disabled).
-    fn wake_master<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize) {
-        if self.masters[m].skip.is_none() {
+    /// An audibility-increasing transition happened in the handler of an
+    /// event of rank `running`: settle master `m`'s chain past every pair
+    /// the eager chain has sent by now, and re-aim it. The eager `InqTx`
+    /// for a pair at `now` has run exactly when it ranks before the
+    /// running event and is not still pending, as the phase's first pair
+    /// is in the handler that entered the phase; it sent the pair unless
+    /// the phase ends at `now` (its `PhaseBoundary` may not have run yet).
+    /// No-op for masters outside an inquiry phase (or with skip-ahead
+    /// disabled).
+    fn wake_master<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, running: u32) {
+        let Some(chain) = self.masters[m].skip.as_ref() else {
             return;
-        }
-        self.settle_master(m, s.now());
+        };
+        let now = s.now();
+        let pending_now = chain.event.is_some_and(|(_, at)| at == now);
+        let sent_now = inq_tx_rank(m) < running
+            && !pending_now
+            && self.masters[m].plan.phase_at(now) == Phase::Inquiry;
+        self.settle_master(m, now, sent_now);
         self.rearm_inquiry(s, m);
     }
 
@@ -1678,6 +1495,7 @@ impl Baseband {
         for i in 0..self.in_range.covered(m) {
             let c = self.in_range.entry(m, i);
             let sl = c.slave as usize;
+            self.settle_slave(sl, now);
             if c.gen == self.pred_gen[sl] && c.pair > now {
                 continue;
             }
@@ -1712,7 +1530,7 @@ impl Baseband {
                     self.stats.fhs_transmitted += 1;
                     let key = tx.elapsed().div_duration(SimDuration::from_units_0125us(1));
                     if self.fhs_buckets.push((m, key), sl) {
-                        s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
+                        schedule(s, tx, Ev::FhsRx { master: m, key });
                     }
                     backoff_until
                 }
@@ -1732,12 +1550,10 @@ impl Baseband {
         until: SimTime,
         epoch: u32,
     ) {
-        let armed = self.arm(s.now());
-        self.slaves[sl].backoff_armed = armed;
         if self.cfg.skip_ahead {
             self.due[sl] = self.due[sl].min(until);
         } else {
-            s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, epoch }));
+            schedule(s, until, Ev::BackoffEnd { slave: sl, epoch });
         }
     }
 
@@ -1819,14 +1635,15 @@ impl Baseband {
                 // Transmit page IDs from the next even slot; also arm the
                 // timeout via a resolve at the deadline.
                 let first = self.masters[m].clock.next_even_slot(now);
-                self.schedule_page_tx(s, m, seq, first);
-                s.schedule(
+                schedule_page_tx(s, m, seq, first);
+                schedule(
+                    s,
                     attempt.deadline,
-                    BbEvent(Ev::PageResolve {
+                    Ev::PageResolve {
                         master: m,
                         slave: target.0,
                         attempt: seq,
-                    }),
+                    },
                 );
             }
         }
@@ -1836,7 +1653,7 @@ impl Baseband {
     /// the paged slave's current page frequency (known from the FHS
     /// clock). If the slave is actually listening in a page-scan window,
     /// the handshake completes a few slots later.
-    fn on_page_tx<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, seq: u32, armed: Arm) {
+    fn on_page_tx<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, seq: u32) {
         let now = s.now();
         let Some((attempt, cur_seq)) = self.masters[m].paging else {
             return;
@@ -1851,7 +1668,7 @@ impl Baseband {
             // Paging pauses during inquiry; retry at the next service
             // phase.
             if let Some((t, _)) = self.masters[m].plan.next_boundary(now) {
-                self.schedule_page_tx(s, m, seq, t.min(attempt.deadline));
+                schedule_page_tx(s, m, seq, t.min(attempt.deadline));
             }
             return;
         }
@@ -1860,10 +1677,7 @@ impl Baseband {
             && self.slaves[sl].active
             && self.slaves[sl].connected_to.is_none();
         if reachable {
-            let dispatched = self.arm(now).stamp;
-            self.running = Some((armed, dispatched));
             self.settle_slave(sl, now);
-            self.running = None;
         }
         if reachable && self.slaves[sl].machine.hears_page(now) {
             // Channel errors apply to the page exchange as a whole.
@@ -1872,19 +1686,20 @@ impl Baseband {
                 // a handshake, checked again at the completion instant by
                 // the resolve path.
                 self.masters[m].paging = Some((attempt, seq));
-                s.schedule(
+                schedule(
+                    s,
                     (now + crate::page::PAGE_HANDSHAKE).min(attempt.deadline),
-                    BbEvent(Ev::PageResolve {
+                    Ev::PageResolve {
                         master: m,
                         slave: sl,
                         attempt: seq,
-                    }),
+                    },
                 );
                 return; // stop transmitting; resolve finishes the job
             }
         }
         // Keep paging every even slot.
-        self.schedule_page_tx(s, m, seq, (now + SLOT_PAIR).min(attempt.deadline));
+        schedule_page_tx(s, m, seq, (now + SLOT_PAIR).min(attempt.deadline));
     }
 
     fn schedule_page_resolve<S: SubScheduler<BbEvent>>(
@@ -1905,13 +1720,14 @@ impl Baseband {
         // The resolve instant may coincide with `from`; events at the
         // current instant run after the current handler, which is fine.
         let at = at.max(s.now());
-        s.schedule(
+        schedule(
+            s,
             at,
-            BbEvent(Ev::PageResolve {
+            Ev::PageResolve {
                 master: m,
                 slave: sl,
                 attempt: seq,
-            }),
+            },
         );
     }
 
@@ -1980,7 +1796,7 @@ impl Baseband {
                     // The transmit chain keeps trying on its own; nothing
                     // to re-arm here unless it has gone quiet (handshake
                     // failed the reachability re-check).
-                    self.schedule_page_tx(s, m, seq, (now + SLOT_PAIR).min(attempt.deadline));
+                    schedule_page_tx(s, m, seq, (now + SLOT_PAIR).min(attempt.deadline));
                 }
             }
         }
@@ -1994,20 +1810,16 @@ impl Baseband {
     /// first, so a slave with nothing due is never loaded.
     #[inline]
     fn settle_slave(&mut self, sl: usize, now: SimTime) {
-        let due = self.due[sl];
-        if due < now || (due == now && self.running.is_some()) {
+        if self.due[sl] <= now {
             self.apply_timers(sl, now);
         }
     }
 
     /// Applies, in closed form, slave `sl`'s window opens and closes and
-    /// backoff end whose eager events would already have run: all before
-    /// `now`, and those at `now` that the calendar dequeues before the
-    /// running `InqTx` or `PageTx` — the ones armed before it. Outside
-    /// those handlers the same-instant order is unknown, so timers at
-    /// `now` stay pending.
+    /// backoff end at or before `now`: the scan timers rank first in
+    /// their instant, so their eager events have run before any handler
+    /// that settles a slave.
     fn apply_timers(&mut self, sl: usize, now: SimTime) {
-        let running = self.running;
         let dev = &mut self.slaves[sl];
         let mut breaks = false;
         loop {
@@ -2024,40 +1836,18 @@ impl Baseband {
             if t > now {
                 break;
             }
-            if t == now {
-                let Some((armed, dispatched)) = running else {
-                    break;
-                };
-                // The window timers were armed together, by the previous
-                // open; the close was scheduled first.
-                let window_first = dev.window_armed < armed;
-                if dev.close_at == now && window_first {
-                    dev.machine.close_window(now);
-                    dev.close_at = SimTime::MAX;
-                }
-                if open == now && window_first {
-                    breaks |= dev.open_window(dev.next_index, dispatched);
-                }
-                let backoff_first = dev.backoff_armed < armed;
-                if backoff == now && backoff_first {
-                    dev.machine.end_backoff(now, SimTime::MAX);
-                }
-                break;
-            }
             if dev.close_at == t {
                 dev.machine.close_window(t);
                 dev.close_at = SimTime::MAX;
             } else if open == t {
                 // With no close pending and no backoff ending before
                 // `now`, later windows simply overwrite this one: jump to
-                // the last that opened before `now`. Where in its instant
-                // it opened is unknown here; its successors count as
-                // armed first in that instant.
+                // the last that opened before `now`.
                 let mut k = dev.next_index;
                 if backoff >= now {
                     k = k.max(dev.windows.first_window_at_or_after(now) - 1);
                 }
-                breaks |= dev.open_window(k, 0);
+                breaks |= dev.open_window(k);
             } else {
                 dev.machine.end_backoff(t, SimTime::MAX);
             }
@@ -2075,37 +1865,31 @@ impl Baseband {
         *gen = gen.wrapping_add(1).max(1);
     }
 
-    /// Arms a (re)starting scan chain's bookkeeping: resolves the first
-    /// window at or after `now` and records it for the skip-ahead
-    /// predictor. The matching `WindowOpen` is scheduled separately by
-    /// [`schedule_first_window`] so callers can control event order.
-    fn arm_scan_chain(&mut self, now: SimTime, sl: usize) {
-        let dev = &mut self.slaves[sl];
-        let idx = dev.windows.first_window_at_or_after(now);
-        dev.scanning = true;
-        dev.window_armed = Arm { at: now, stamp: 0 };
-        dev.next_index = idx;
-        dev.next_window_start = dev.windows.window_start(idx);
-        if self.cfg.skip_ahead {
-            self.due[sl] = dev.next_window_start;
-        }
-        self.drop_predictions(sl);
-    }
-
-    /// Schedules the `WindowOpen` for the chain most recently armed by
-    /// [`arm_scan_chain`]. Under skip-ahead this is the chain's only
+    /// (Re)starts slave `sl`'s scan chain: resolves its first window at
+    /// or after now, records it for the skip-ahead predictor and schedules
+    /// its `WindowOpen`. Under skip-ahead that is the chain's only
     /// scheduled window; the ones after it are closed-form timers.
-    fn schedule_first_window<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
-        let dev = &self.slaves[sl];
+    fn arm_scan_chain<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
+        let dev = &mut self.slaves[sl];
+        let index = dev.windows.first_window_at_or_after(s.now());
+        let at = dev.windows.window_start(index);
+        dev.scanning = true;
+        dev.next_index = index;
+        dev.next_window_start = at;
+        if self.cfg.skip_ahead {
+            self.due[sl] = at;
+        }
         let epoch = dev.epoch;
-        s.schedule(
-            dev.next_window_start,
-            BbEvent(Ev::WindowOpen {
+        schedule(
+            s,
+            at,
+            Ev::WindowOpen {
                 slave: sl,
                 epoch,
-                index: dev.next_index,
-            }),
+                index,
+            },
         );
+        self.drop_predictions(sl);
     }
 
     fn on_window_open<S: SubScheduler<BbEvent>>(
@@ -2120,32 +1904,30 @@ impl Baseband {
         if dev.epoch != epoch || !dev.active || dev.connected_to.is_some() {
             return;
         }
+        let dev = &mut self.slaves[sl];
         if self.cfg.skip_ahead {
             // The chain's first window: from here on its windows open and
-            // close in closed form (`apply_timers`).
-            let stamp = self.arm(now).stamp;
-            let dev = &mut self.slaves[sl];
-            // A re-armed chain is unprimed: its first window keeps the
-            // predictor's extrapolation.
-            dev.open_window(index, stamp);
+            // close in closed form (`apply_timers`). A re-armed chain is
+            // unprimed: its first window keeps the predictor's
+            // extrapolation.
+            dev.open_window(index);
             self.due[sl] = dev.next_due();
             return;
         }
-        let dev = &mut self.slaves[sl];
         let kind = dev.windows.window_kind(index);
         let close = now + dev.windows.pattern().window();
         dev.machine.open_window(now, kind, close);
-        s.schedule(close, BbEvent(Ev::WindowClose { slave: sl, epoch }));
         let next_at = dev.windows.window_start(index + 1);
-        dev.window_armed = Arm { at: now, stamp: 0 };
         dev.next_window_start = next_at;
-        s.schedule(
+        schedule(s, close, Ev::WindowClose { slave: sl, epoch });
+        schedule(
+            s,
             next_at,
-            BbEvent(Ev::WindowOpen {
+            Ev::WindowOpen {
                 slave: sl,
                 epoch,
                 index: index + 1,
-            }),
+            },
         );
     }
 
@@ -2180,16 +1962,10 @@ impl Baseband {
         self.slaves[sl].connected_to = None;
         self.stop_scanning(sl);
         if self.slaves[sl].active && self.started {
-            // Re-aim every inquiring master *between* arming the chain
-            // bookkeeping and scheduling the WindowOpen: audibility just
-            // increased, and a chain InqTx landing exactly on the first
-            // window's open instant must keep the naive order (InqTx
-            // first, window still shut).
-            self.arm_scan_chain(s.now(), sl);
+            self.arm_scan_chain(s, sl);
             for m in 0..self.masters.len() {
-                self.wake_master(s, m);
+                self.wake_master(s, m, DEFAULT_RANK);
             }
-            self.schedule_first_window(s, sl);
         }
     }
 
@@ -2267,7 +2043,7 @@ mod tests {
 
     #[test]
     fn single_slave_is_discovered_quickly_when_always_inquiring() {
-        let mcfg = MasterConfig::new(BdAddr::new(1))
+        let mcfg = MasterConfig::default()
             .duty(DutyCycle::always_inquiry())
             .trains(TrainPolicy::spec());
         let mut e = setup(11, mcfg, vec![continuous_slave(1)], MediumConfig::default());
@@ -2282,7 +2058,7 @@ mod tests {
 
     #[test]
     fn discovery_requires_range() {
-        let mcfg = MasterConfig::new(BdAddr::new(1));
+        let mcfg = MasterConfig::default();
         let mut e = setup(12, mcfg, vec![continuous_slave(1)], MediumConfig::default());
         // never put in range
         e.run_until(SimTime::from_secs(12));
@@ -2292,7 +2068,7 @@ mod tests {
 
     #[test]
     fn many_slaves_all_discovered_under_continuous_inquiry() {
-        let mcfg = MasterConfig::new(BdAddr::new(1));
+        let mcfg = MasterConfig::default();
         let slaves: Vec<SlaveConfig> = (0..10).map(continuous_slave).collect();
         let mut e = setup(13, mcfg, slaves, MediumConfig::default());
         all_in_range(&mut e);
@@ -2307,7 +2083,7 @@ mod tests {
     fn collisions_are_counted_and_destroy_responses() {
         // Many slaves forced onto the SAME scan frequency and zero
         // backoff bound: every response collides forever.
-        let mcfg = MasterConfig::new(BdAddr::new(1))
+        let mcfg = MasterConfig::default()
             .trains(TrainPolicy::Single)
             .start_train(crate::params::StartTrain::Fixed(Train::A));
         let slaves: Vec<SlaveConfig> = (0..4)
@@ -2329,7 +2105,7 @@ mod tests {
 
     #[test]
     fn disabling_collisions_restores_bluehoc_optimism() {
-        let mcfg = MasterConfig::new(BdAddr::new(1))
+        let mcfg = MasterConfig::default()
             .trains(TrainPolicy::Single)
             .start_train(crate::params::StartTrain::Fixed(Train::A));
         let slaves: Vec<SlaveConfig> = (0..4)
@@ -2355,7 +2131,7 @@ mod tests {
         // 1 s inquiry / 100 s period: a slave whose first scan window
         // opens after t=1 s cannot be discovered in the first cycle
         // because the master stops transmitting IDs.
-        let mcfg = MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+        let mcfg = MasterConfig::default().duty(DutyCycle::periodic(
             SimDuration::from_secs(1),
             SimDuration::from_secs(100),
         ));
@@ -2379,7 +2155,7 @@ mod tests {
     fn page_establishes_link_and_data_flows() {
         // 50 % inquiry duty finds the alternating slave quickly and still
         // leaves service phases for the page to run in.
-        let mcfg = MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+        let mcfg = MasterConfig::default().duty(DutyCycle::periodic(
             SimDuration::from_secs(2),
             SimDuration::from_secs(4),
         ));
@@ -2418,7 +2194,7 @@ mod tests {
 
     #[test]
     fn out_of_range_trips_supervision_and_slave_rescans() {
-        let mcfg = MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+        let mcfg = MasterConfig::default().duty(DutyCycle::periodic(
             SimDuration::from_secs(2),
             SimDuration::from_secs(4),
         ));
@@ -2453,7 +2229,7 @@ mod tests {
 
     #[test]
     fn deactivated_slave_is_invisible() {
-        let mcfg = MasterConfig::new(BdAddr::new(1));
+        let mcfg = MasterConfig::default();
         let mut e = setup(19, mcfg, vec![continuous_slave(1)], MediumConfig::default());
         all_in_range(&mut e);
         e.schedule(
@@ -2474,7 +2250,7 @@ mod tests {
     #[test]
     fn deterministic_same_seed_same_discoveries() {
         let run = |seed| {
-            let mcfg = MasterConfig::new(BdAddr::new(1));
+            let mcfg = MasterConfig::default();
             let slaves: Vec<SlaveConfig> = (0..5).map(continuous_slave).collect();
             let mut e = setup(seed, mcfg, slaves, MediumConfig::default());
             all_in_range(&mut e);
@@ -2492,7 +2268,7 @@ mod tests {
 
     #[test]
     fn reset_discoveries_allows_rediscovery() {
-        let mcfg = MasterConfig::new(BdAddr::new(1));
+        let mcfg = MasterConfig::default();
         let mut e = setup(18, mcfg, vec![continuous_slave(1)], MediumConfig::default());
         all_in_range(&mut e);
         e.run_until(SimTime::from_secs(8));
@@ -2510,16 +2286,12 @@ mod tests {
 
     #[test]
     fn census_labels_prefix_each_kind() {
-        let tx = |deferred| {
-            BbEvent(Ev::InqTx {
-                master: 0,
-                epoch: 0,
-                deferred,
-                armed: Arm::default(),
-            })
-        };
-        assert_eq!(tx(false).kind(), "inq_tx");
-        assert_eq!(tx(true).census_label(), "bb.inq_tx_deferred");
+        let tx = BbEvent(Ev::InqTx {
+            master: 0,
+            epoch: 0,
+        });
+        assert_eq!(tx.kind(), "inq_tx");
+        assert_eq!(tx.census_label(), "bb.inq_tx");
         let cmd = BbEvent::set_in_range(MasterId::new(0), SlaveId::new(0), true);
         assert_eq!(cmd.census_label(), "bb.cmd");
         assert_eq!(BbEvent::start().kind(), "cmd");
@@ -2563,7 +2335,7 @@ mod capacity_tests {
         // Duty with a long service phase so pages run immediately after a
         // short inquiry burst.
         let m = bb.add_master(
-            MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+            MasterConfig::default().duty(DutyCycle::periodic(
                 SimDuration::from_millis(100),
                 SimDuration::from_secs(100),
             )),
@@ -2656,7 +2428,7 @@ mod page_model_tests {
         });
         let mut rng = desim::SeedDeriver::new(seed).rng(0);
         let m = bb.add_master(
-            MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+            MasterConfig::default().duty(DutyCycle::periodic(
                 SimDuration::from_millis(100),
                 SimDuration::from_secs(60),
             )),
@@ -2755,7 +2527,7 @@ mod page_model_tests {
             });
             let mut rng = desim::SeedDeriver::new(7).rng(0);
             let m = bb.add_master(
-                MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+                MasterConfig::default().duty(DutyCycle::periodic(
                     SimDuration::from_millis(100),
                     SimDuration::from_secs(60),
                 )),
@@ -2806,7 +2578,7 @@ mod range_flap_tests {
         let mut bb = Baseband::new(MediumConfig::default());
         let mut rng = desim::SeedDeriver::new(seed).rng(0);
         let m = bb.add_master(
-            MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+            MasterConfig::default().duty(DutyCycle::periodic(
                 SimDuration::from_millis(100),
                 SimDuration::from_secs(60),
             )),

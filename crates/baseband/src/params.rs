@@ -255,11 +255,11 @@ impl StartFreq {
     }
 }
 
-/// Configuration of one master (a BIPS workstation radio).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration of one master (a BIPS workstation radio). The default
+/// is spec behaviour: always inquiring, alternating trains, random start
+/// train.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MasterConfig {
-    /// Device address.
-    pub addr: BdAddr,
     /// Inquiry/service alternation.
     duty: DutyCycle,
     /// Train walk policy.
@@ -269,17 +269,6 @@ pub struct MasterConfig {
 }
 
 impl MasterConfig {
-    /// A master with spec-default behaviour (always inquiring, alternating
-    /// trains, random start train).
-    pub fn new(addr: BdAddr) -> MasterConfig {
-        MasterConfig {
-            addr,
-            duty: DutyCycle::default(),
-            trains: TrainPolicy::default(),
-            start_train: StartTrain::default(),
-        }
-    }
-
     /// Sets the duty cycle.
     pub fn duty(mut self, duty: DutyCycle) -> MasterConfig {
         self.duty = duty;
@@ -540,7 +529,7 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let m = MasterConfig::new(BdAddr::new(1))
+        let m = MasterConfig::default()
             .duty(DutyCycle::periodic(
                 SimDuration::from_secs(1),
                 SimDuration::from_secs(5),

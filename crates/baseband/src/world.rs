@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn builder_produces_running_world() {
         let world = BasebandWorld::builder()
-            .master(MasterConfig::new(BdAddr::new(1)))
+            .master(MasterConfig::default())
             .slaves(3, |i| {
                 SlaveConfig::new(BdAddr::new(0x100 + i)).scan(ScanPattern::continuous_inquiry())
             })
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn range_can_be_scripted_off() {
         let world = BasebandWorld::builder()
-            .master(MasterConfig::new(BdAddr::new(1)))
+            .master(MasterConfig::default())
             .slave(SlaveConfig::new(BdAddr::new(2)).scan(ScanPattern::continuous_inquiry()))
             .all_in_range(false)
             .build();
@@ -204,7 +204,7 @@ mod tests {
     fn full_enrollment_pipeline() {
         // Discovery → page → link, end to end through scripted commands.
         let world = BasebandWorld::builder()
-            .master(MasterConfig::new(BdAddr::new(1)).duty(DutyCycle::periodic(
+            .master(MasterConfig::default().duty(DutyCycle::periodic(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(4),
             )))

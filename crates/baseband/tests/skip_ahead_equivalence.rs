@@ -5,15 +5,17 @@
 //! chain over slot pairs no slave can hear and accounts them in closed
 //! form. Those pairs perform no RNG draws (the `chance()`/`hear_id()`
 //! draws in `transmit_id` sit behind the `hears_inquiry`/`scan_freq`
-//! gates), so every observable — discovery traces, medium counters and
-//! the engine's RNG stream position — must be *bitwise identical*
-//! between the two modes, for any topology, duty cycle, scan pattern,
-//! scripted range flap or activity toggle.
+//! gates), and both modes order an instant's events by the medium's one
+//! rank table, so every observable — discovery traces, links, medium
+//! counters and the engine's RNG stream position — must be *bitwise
+//! identical* between the two modes, for any topology, duty cycle, scan
+//! pattern, scripted range flap, activity toggle or page.
 
 use bt_baseband::hop::Train;
-use bt_baseband::medium::BbStats;
+use bt_baseband::medium::{BbStats, MasterId};
 use bt_baseband::params::{
-    DutyCycle, MediumConfig, ScanFreqModel, ScanPattern, StartFreq, StartTrain, TrainPolicy,
+    DutyCycle, MediumConfig, PageModel, ScanFreqModel, ScanPattern, StartFreq, StartTrain,
+    TrainPolicy,
 };
 use bt_baseband::world::BasebandWorld;
 use bt_baseband::{BbEvent, BdAddr, Discovery, MasterConfig, SlaveConfig};
@@ -43,6 +45,10 @@ struct Scenario {
     flaps: Vec<(u64, usize, usize, bool)>,
     /// Scripted `(at_ms, slave, active)` toggles.
     toggles: Vec<(u64, usize, bool)>,
+    /// Scripted `(at_ms, master, slave)` page requests.
+    pages: Vec<(u64, usize, usize)>,
+    /// Slot-accurate paging rather than the analytic model.
+    slot_accurate: bool,
     horizon_ms: u64,
 }
 
@@ -52,8 +58,8 @@ impl Scenario {
     /// structured sampling lives here, on a dedicated `SimRng` stream.
     fn from_generator_seed(gen_seed: u64) -> Scenario {
         let mut rng = SimRng::seed_from(gen_seed);
-        let n_masters = 1 + rng.below(2) as usize;
-        let n_slaves = 1 + rng.below(6) as usize;
+        let n_masters = 1 + rng.below(4) as usize;
+        let n_slaves = 1 + rng.below(10) as usize;
         let duties = (0..n_masters)
             .map(|_| {
                 rng.chance(0.5)
@@ -95,8 +101,35 @@ impl Scenario {
             lossy: rng.chance(0.3),
             flaps,
             toggles,
+            pages: Vec::new(),
+            slot_accurate: false,
             horizon_ms: 3000 + rng.below(6000),
         }
+    }
+
+    /// The scenario of `gen_seed` with paging layered on, from a stream of
+    /// its own: a few scripted pages after the flaps and toggles, either
+    /// page model, and a duty cycle — whose service phases run the pages —
+    /// for most always-inquiring masters.
+    fn with_paging(gen_seed: u64) -> Scenario {
+        let mut sc = Scenario::from_generator_seed(gen_seed);
+        let mut rng = SimRng::seed_from(gen_seed ^ 0x9E37_79B9_7F4A_7C15);
+        sc.pages = (0..1 + rng.below(4))
+            .map(|_| {
+                (
+                    rng.below(8000),
+                    rng.below(sc.n_masters as u64) as usize,
+                    rng.below(sc.n_slaves as u64) as usize,
+                )
+            })
+            .collect();
+        sc.slot_accurate = rng.chance(0.5);
+        for duty in sc.duties.iter_mut().filter(|d| d.is_none()) {
+            if rng.chance(0.7) {
+                *duty = Some((200 + rng.below(1800), 2000 + rng.below(4000)));
+            }
+        }
+        sc
     }
 }
 
@@ -104,6 +137,8 @@ impl Scenario {
 #[derive(Debug, PartialEq)]
 struct Observed {
     discoveries: Vec<Discovery>,
+    /// Each slave's link at the end.
+    connections: Vec<Option<MasterId>>,
     stats: BbStats,
     now: SimTime,
     /// Three draws taken from the engine RNG after the run: equal draws
@@ -120,11 +155,16 @@ fn run_mode(sc: &Scenario, skip_ahead: bool) -> (Observed, u64) {
             ScanFreqModel::PerDevice
         },
         packet_success: if sc.lossy { 0.9 } else { 1.0 },
+        page_model: if sc.slot_accurate {
+            PageModel::SlotAccurate
+        } else {
+            PageModel::Analytic
+        },
         skip_ahead,
         ..MediumConfig::default()
     });
     for m in 0..sc.n_masters {
-        let mut cfg = MasterConfig::new(BdAddr::new(0xA0_0000 + m as u64));
+        let mut cfg = MasterConfig::default();
         if let Some((inq, per)) = sc.duties[m] {
             cfg = cfg.duty(DutyCycle::periodic(
                 SimDuration::from_millis(inq),
@@ -168,15 +208,23 @@ fn run_mode(sc: &Scenario, skip_ahead: bool) -> (Observed, u64) {
             BbEvent::set_slave_active(slaves[s], on),
         );
     }
+    for &(at, m, s) in &sc.pages {
+        engine.schedule(
+            SimTime::from_millis(at),
+            BbEvent::request_page(masters[m], slaves[s]),
+        );
+    }
     engine.run_until(SimTime::from_millis(sc.horizon_ms));
     let steps = engine.steps();
     let now = engine.now();
     let bb = engine.world().baseband();
     let discoveries = bb.discoveries().to_vec();
+    let connections = slaves.iter().map(|&s| bb.slave_connection(s)).collect();
     let stats = bb.stats();
     let rng = engine.context_mut().rng();
     let observed = Observed {
         discoveries,
+        connections,
         stats,
         now,
         rng_tail: [rng.next_u64(), rng.next_u64(), rng.next_u64()],
@@ -209,6 +257,48 @@ proptest! {
     fn skip_ahead_matches_naive(gen_seed in 0u64..u64::MAX) {
         assert_equivalent(&Scenario::from_generator_seed(gen_seed));
     }
+
+    /// The same scenarios with pages and duty cycles layered on, so the
+    /// page transmissions and resolves, links and the scan chains they
+    /// stop and restart run in both modes too.
+    #[test]
+    fn skip_ahead_matches_naive_with_paging(gen_seed in 0u64..u64::MAX) {
+        assert_equivalent(&Scenario::with_paging(gen_seed));
+    }
+}
+
+// Generator seeds whose scenarios diverged while skip-ahead rebuilt the
+// eager chain's same-instant order by hand instead of sharing its rank
+// table. All hold sibling masters whose chains tie at an instant.
+
+#[test]
+fn generator_seed_11553103301410999715() {
+    assert_equivalent(&Scenario::from_generator_seed(11553103301410999715));
+}
+
+#[test]
+fn generator_seed_464716042497598714() {
+    assert_equivalent(&Scenario::from_generator_seed(464716042497598714));
+}
+
+#[test]
+fn generator_seed_11293756313138736988() {
+    assert_equivalent(&Scenario::from_generator_seed(11293756313138736988));
+}
+
+#[test]
+fn paging_seed_5130109210540090031() {
+    assert_equivalent(&Scenario::with_paging(5130109210540090031));
+}
+
+#[test]
+fn paging_seed_15958404545705115635() {
+    assert_equivalent(&Scenario::with_paging(15958404545705115635));
+}
+
+#[test]
+fn paging_seed_12426051266237026031() {
+    assert_equivalent(&Scenario::with_paging(12426051266237026031));
 }
 
 /// The Table 1 configuration (spec trains, random start frequencies,
@@ -228,6 +318,8 @@ fn table1_style_replications_match() {
         lossy: false,
         flaps: vec![],
         toggles: vec![],
+        pages: vec![],
+        slot_accurate: false,
         horizon_ms: 11_000,
     };
     let deriver = desim::SeedDeriver::new(2003);
@@ -261,6 +353,8 @@ fn figure2_style_replications_match() {
                 lossy: false,
                 flaps: vec![],
                 toggles: vec![],
+                pages: vec![],
+                slot_accurate: false,
                 horizon_ms: 14_000,
             };
             assert_equivalent(&sc);

@@ -44,7 +44,7 @@ fn fig2_like_scenario_with_errors(
     scan: ScanPattern,
     packet_success: f64,
 ) -> DiscoveryScenario {
-    let master = MasterConfig::new(BdAddr::new(0xA0_0000))
+    let master = MasterConfig::default()
         .duty(DutyCycle::periodic(
             SimDuration::from_secs(1),
             SimDuration::from_secs(5),

@@ -100,7 +100,7 @@ fn build_world(n: usize, skip_ahead: bool) -> BasebandWorld {
         ..MediumConfig::default()
     });
     builder = builder.master(
-        MasterConfig::new(BdAddr::new(0xA0_0000))
+        MasterConfig::default()
             .duty(DutyCycle::periodic(
                 SimDuration::from_secs(1),
                 SimDuration::from_secs(5),

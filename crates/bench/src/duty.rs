@@ -68,7 +68,7 @@ pub struct DutySweepResult {
 pub fn scenario(inquiry_s: f64, slaves: usize) -> DiscoveryScenario {
     let horizon = SimDuration::from_secs_f64(inquiry_s);
     // One phase only: period = horizon so the slot fills the run.
-    let master = MasterConfig::new(BdAddr::new(0xA0_0000))
+    let master = MasterConfig::default()
         .duty(DutyCycle::always_inquiry())
         .trains(TrainPolicy::spec());
     let slave_cfgs: Vec<SlaveConfig> = (0..slaves)

@@ -95,7 +95,7 @@ pub struct Figure2Result {
 /// The scenario for one slave count (exposed for the Criterion bench and
 /// the ablation suite).
 pub fn scenario(n: usize, cfg: &Figure2Config) -> DiscoveryScenario {
-    let master = MasterConfig::new(BdAddr::new(0xA0_0000))
+    let master = MasterConfig::default()
         .duty(DutyCycle::periodic(cfg.inquiry, cfg.period))
         .trains(TrainPolicy::Single)
         .start_train(StartTrain::Fixed(Train::A));

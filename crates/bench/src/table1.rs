@@ -70,7 +70,7 @@ pub struct Table1Result {
 /// The scenario underlying the table (exposed for the Criterion bench).
 pub fn scenario(horizon: SimDuration) -> DiscoveryScenario {
     DiscoveryScenario::new(
-        MasterConfig::new(BdAddr::new(0xA0_0000)),
+        MasterConfig::default(),
         vec![SlaveConfig::new(BdAddr::new(0x10_0000)).scan(ScanPattern::alternating())],
         horizon,
     )

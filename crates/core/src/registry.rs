@@ -120,7 +120,6 @@ impl std::error::Error for RegistryError {}
 #[derive(Debug, Clone)]
 struct UserRecord {
     id: UserId,
-    name: String,
     salt: u64,
     digest: u64,
     rights: AccessRights,
@@ -202,7 +201,6 @@ impl Registry {
         self.by_name.insert(name.to_string(), self.users.len());
         self.users.push(UserRecord {
             id,
-            name: name.to_string(),
             salt,
             digest: digest(salt, password),
             rights,
@@ -221,11 +219,6 @@ impl Registry {
             .get(name)
             .and_then(|&i| self.users.get(i))
             .map(|u| u.id)
-    }
-
-    /// A user's display name.
-    pub fn name_of(&self, id: UserId) -> Option<&str> {
-        self.users.get(id.0 as usize).map(|u| u.name.as_str())
     }
 
     /// A user's access rights.
@@ -439,12 +432,12 @@ mod tests {
     #[test]
     fn ids_and_names_round_trip() {
         let r = reg_with(&["x", "y", "z"]);
-        for n in ["x", "y", "z"] {
-            let id = r.id_of(n).unwrap();
-            assert_eq!(r.name_of(id), Some(n));
-        }
+        let ids: Vec<UserId> = ["x", "y", "z"]
+            .iter()
+            .map(|n| r.id_of(n).unwrap())
+            .collect();
+        assert_eq!(ids, vec![UserId(0), UserId(1), UserId(2)]);
         assert_eq!(r.id_of("nope"), None);
-        assert_eq!(r.name_of(UserId(99)), None);
         assert_eq!(r.num_users(), 3);
     }
 }

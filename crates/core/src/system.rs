@@ -1301,10 +1301,7 @@ impl SystemBuilder {
         let mut workstations = Vec::with_capacity(n_rooms);
         let mut host_to_ws = HashMap::new();
         for room in 0..n_rooms {
-            let master = bb.add_master(
-                MasterConfig::new(BdAddr::new(0x00A0_0000_0000 + room as u64)).duty(config.duty),
-                &mut rng,
-            );
+            let master = bb.add_master(MasterConfig::default().duty(config.duty), &mut rng);
             let host = lan.attach();
             host_to_ws.insert(host.index(), room);
             workstations.push(WsRuntime {

@@ -53,7 +53,7 @@
 //! # let _ = e2;
 //! ```
 
-use crate::engine::{Context, EventId};
+use crate::engine::{Context, EventId, DEFAULT_RANK};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -65,12 +65,22 @@ use crate::time::SimTime;
 pub trait SubScheduler<E> {
     /// Current virtual time.
     fn now(&self) -> SimTime;
-    /// Schedules a sub-model event at absolute time `at`.
+    /// Schedules a sub-model event at absolute time `at`, at
+    /// [`DEFAULT_RANK`].
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    fn schedule(&mut self, at: SimTime, event: E) -> EventId;
+    fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+        self.schedule_ranked(at, DEFAULT_RANK, event)
+    }
+    /// Schedules a sub-model event at absolute time `at` with rank `rank`
+    /// (see [`Context::schedule_ranked`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `rank` exceeds [`DEFAULT_RANK`].
+    fn schedule_ranked(&mut self, at: SimTime, rank: u32, event: E) -> EventId;
     /// Cancels a previously scheduled event; `true` if it was pending.
     fn cancel(&mut self, id: EventId) -> bool;
     /// The deterministic random stream.
@@ -81,8 +91,8 @@ impl<E> SubScheduler<E> for Context<E> {
     fn now(&self) -> SimTime {
         Context::now(self)
     }
-    fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        self.schedule_at(at, event)
+    fn schedule_ranked(&mut self, at: SimTime, rank: u32, event: E) -> EventId {
+        Context::schedule_ranked(self, at, rank, event)
     }
     fn cancel(&mut self, id: EventId) -> bool {
         Context::cancel(self, id)
@@ -115,8 +125,8 @@ where
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
-    fn schedule(&mut self, at: SimTime, event: Sub) -> EventId {
-        self.ctx.schedule_at(at, (self.wrap)(event))
+    fn schedule_ranked(&mut self, at: SimTime, rank: u32, event: Sub) -> EventId {
+        self.ctx.schedule_ranked(at, rank, (self.wrap)(event))
     }
     fn cancel(&mut self, id: EventId) -> bool {
         self.ctx.cancel(id)

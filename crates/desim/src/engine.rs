@@ -6,10 +6,14 @@
 //! [`Context`] through which the handler reads the clock, schedules or
 //! cancels future events, and draws randomness.
 //!
-//! Determinism: events at equal times run in the order they were scheduled
-//! (FIFO tie-break by a monotone sequence number), and all randomness comes
-//! from the engine's seeded RNG, so a simulation is a pure function of the
-//! initial world, the seed, and the initial events.
+//! Determinism: events at equal times run in rank order, and events of
+//! equal rank in the order they were scheduled (FIFO tie-break by a
+//! monotone sequence number). A model that makes the order of simultaneous
+//! events part of the model gives its events ranks
+//! ([`Context::schedule_ranked`]); everything else runs at
+//! [`DEFAULT_RANK`], after the ranked events of its instant. All randomness
+//! comes from the engine's seeded RNG, so a simulation is a pure function
+//! of the initial world, the seed, and the initial events.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -90,15 +94,16 @@ pub trait Observer<E> {
     }
 }
 
-/// One entry in the calendar heap: the `(at, seq)` order key packed into
-/// one `u128` — time in the high word, the monotone sequence number in
-/// the low word — so a single integer compare gives time order with a
-/// FIFO tie-break, plus the slab slot that holds the event itself.
+/// One entry in the calendar heap: the `(at, rank, seq)` order key packed
+/// into one `u128` — time in the high word; in the low word the rank in
+/// the top [`RANK_BITS`] and the monotone sequence number below it — so a
+/// single integer compare gives time order, then rank order, then FIFO,
+/// plus the slab slot that holds the event itself.
 ///
 /// Entries are small and `Copy`, so sifts move 32 bytes instead of the
 /// event payload; keys are unique (every schedule takes a fresh `seq`),
-/// so the pop order is the `(at, seq)` total order whatever the heap's
-/// internal layout.
+/// so the pop order is the `(at, rank, seq)` total order whatever the
+/// heap's internal layout.
 #[derive(Clone, Copy)]
 struct Entry {
     key: u128,
@@ -111,6 +116,18 @@ impl Entry {
         SimTime::ZERO + SimDuration::from_units_0125us((self.key >> 64) as u64)
     }
 }
+
+/// Bits of an entry key's low word that hold the rank; the sequence number
+/// takes the other [`SEQ_BITS`].
+const RANK_BITS: u32 = 20;
+
+/// Bits of an entry key's low word that hold the sequence number.
+const SEQ_BITS: u32 = 64 - RANK_BITS;
+
+/// The rank of an event scheduled without one. It is the highest rank, so
+/// within an instant unranked events run after every ranked one, in the
+/// order they were scheduled.
+pub const DEFAULT_RANK: u32 = (1 << RANK_BITS) - 1;
 
 /// Per-slot slab metadata: where the slot's entry currently sits in the
 /// heap, and a generation tag bumped every time the slot is vacated.
@@ -173,19 +190,34 @@ impl<E> Context<E> {
         self.now
     }
 
-    /// Schedules `event` at absolute time `at`.
+    /// Schedules `event` at absolute time `at`, at [`DEFAULT_RANK`].
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than [`now`](Context::now) — the calendar
     /// cannot rewind.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+        self.schedule_ranked(at, DEFAULT_RANK, event)
+    }
+
+    /// Schedules `event` at absolute time `at` with rank `rank`. Among the
+    /// events of one instant, lower ranks run first, and events of equal
+    /// rank run in the order they were scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than [`now`](Context::now), if `rank`
+    /// exceeds [`DEFAULT_RANK`], or once the calendar has handed out
+    /// 2^44 sequence numbers.
+    pub fn schedule_ranked(&mut self, at: SimTime, rank: u32, event: E) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
+        assert!(rank <= DEFAULT_RANK, "calendar rank overflow: {rank}");
         let seq = self.next_seq;
+        assert!(seq >> SEQ_BITS == 0, "calendar sequence overflow");
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -203,7 +235,7 @@ impl<E> Context<E> {
         self.events[slot as usize] = Some(event);
         let units = at.elapsed().div_duration(SimDuration::from_units_0125us(1));
         let entry = Entry {
-            key: (u128::from(units) << 64) | u128::from(seq),
+            key: (u128::from(units) << 64) | (u128::from(rank) << SEQ_BITS) | u128::from(seq),
             slot,
         };
         // Open a hole at the end and let the new entry rise into place.
@@ -218,8 +250,10 @@ impl<E> Context<E> {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Schedules `event` to run after all events already scheduled for the
-    /// current instant.
+    /// Schedules `event` at the current instant, at [`DEFAULT_RANK`]: it
+    /// runs after the instant's pending events of equal or lower rank —
+    /// all of them — and after any ranked event scheduled for this instant
+    /// later.
     pub fn schedule_now(&mut self, event: E) -> EventId {
         self.schedule_at(self.now, event)
     }
@@ -588,6 +622,39 @@ mod tests {
         e.run();
         let evs: Vec<u32> = e.world().seen.iter().map(|&(_, v)| v).collect();
         assert_eq!(evs, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ranks_order_an_instant_before_fifo() {
+        let mut e = recorder();
+        let t = SimTime::from_millis(5);
+        e.context_mut().schedule_ranked(t, 5, 1);
+        e.schedule(t, 2);
+        e.context_mut().schedule_ranked(t, 2, 3);
+        e.context_mut().schedule_ranked(t, 5, 4);
+        e.context_mut().schedule_ranked(t, DEFAULT_RANK, 5);
+        e.context_mut()
+            .schedule_ranked(t + SimDuration::from_micros(1), 0, 6);
+        e.run();
+        let evs: Vec<u32> = e.world().seen.iter().map(|&(_, v)| v).collect();
+        assert_eq!(evs, vec![3, 1, 4, 2, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "calendar rank overflow")]
+    fn rank_overflow_panics() {
+        recorder()
+            .context_mut()
+            .schedule_ranked(SimTime::ZERO, DEFAULT_RANK + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "calendar sequence overflow")]
+    fn sequence_overflow_panics() {
+        let mut e = recorder();
+        e.context_mut().next_seq = (1 << SEQ_BITS) - 1;
+        e.schedule(SimTime::ZERO, 0);
+        e.schedule(SimTime::ZERO, 1);
     }
 
     #[test]

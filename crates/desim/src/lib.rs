@@ -12,8 +12,8 @@
 //!   [`SimDuration`]) — fine enough to express the 312.5 µs Bluetooth
 //!   half-slot as an even number of ticks without floating-point drift.
 //! * **Events** are user-defined values handled by a [`World`]; ties in time
-//!   are broken by insertion order, so a run is a pure function of
-//!   `(world, seed, initial events)`.
+//!   are broken by the rank a model gives its events, then by insertion
+//!   order, so a run is a pure function of `(world, seed, initial events)`.
 //! * **Randomness** flows from a single master seed through
 //!   [`rng::SeedDeriver`], so replications and parallel parameter sweeps
 //!   are reproducible and independent.
@@ -77,7 +77,7 @@ pub mod stats;
 pub mod time;
 pub mod tracing;
 
-pub use engine::{Context, Engine, EventId, Observer, World};
+pub use engine::{Context, Engine, EventId, Observer, World, DEFAULT_RANK};
 pub use hdr::{HdrHistogram, HdrMergeError};
 pub use metrics::{Metric, MetricSet};
 pub use report::{Json, RunReport};

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use desim::{Context, Engine, EventId, SimDuration, SimTime, World};
+use desim::{Context, Engine, EventId, SimDuration, SimTime, World, DEFAULT_RANK};
 use proptest::prelude::*;
 
 #[derive(Default)]
@@ -90,8 +90,9 @@ proptest! {
 
 proptest! {
     /// Differential test of the calendar against an ordered map keyed
-    /// `(at, seq)`: random `schedule_at`, `schedule_now`, `cancel` and
-    /// `step` calls — cancels hitting live, already-run and
+    /// `(at, rank, seq)`: random `schedule_at`, `schedule_ranked`,
+    /// `schedule_now`, `cancel` and `step` calls — ranks drawn from a few
+    /// low values and the default, cancels hitting live, already-run and
     /// already-cancelled events — pop in the same order, answer every
     /// cancel the same, keep `pending()` equal to the live count, and
     /// never hold more slab slots than the most events ever pending at
@@ -101,22 +102,30 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0u64..40, any::<u64>()), 1..400)
     ) {
         let mut e = Engine::new(Recorder::default(), 0);
-        let mut model: BTreeMap<(SimTime, u64), u32> = BTreeMap::new();
+        let mut model: BTreeMap<(SimTime, u32, u64), u32> = BTreeMap::new();
         // Every id handed out, with its model key.
-        let mut issued: Vec<(EventId, (SimTime, u64))> = Vec::new();
+        let mut issued: Vec<(EventId, (SimTime, u32, u64))> = Vec::new();
         let mut high_water = 0usize;
         for (seq, &(kind, delay, pick)) in ops.iter().enumerate() {
             let seq = seq as u64;
             match kind {
-                0..=2 => {
+                0 => {
                     let at = e.now() + SimDuration::from_micros(delay);
-                    issued.push((e.schedule(at, seq as u32), (at, seq)));
-                    model.insert((at, seq), seq as u32);
+                    let key = (at, DEFAULT_RANK, seq);
+                    issued.push((e.schedule(at, seq as u32), key));
+                    model.insert(key, seq as u32);
+                }
+                1 | 2 => {
+                    let at = e.now() + SimDuration::from_micros(delay);
+                    let rank = [0, 1, 5, DEFAULT_RANK][(pick % 4) as usize];
+                    let id = e.context_mut().schedule_ranked(at, rank, seq as u32);
+                    issued.push((id, (at, rank, seq)));
+                    model.insert((at, rank, seq), seq as u32);
                 }
                 3 => {
-                    let at = e.now();
-                    issued.push((e.context_mut().schedule_now(seq as u32), (at, seq)));
-                    model.insert((at, seq), seq as u32);
+                    let key = (e.now(), DEFAULT_RANK, seq);
+                    issued.push((e.context_mut().schedule_now(seq as u32), key));
+                    model.insert(key, seq as u32);
                 }
                 4 | 5 if !issued.is_empty() => {
                     let (id, key) = issued[(pick % issued.len() as u64) as usize];
@@ -125,7 +134,7 @@ proptest! {
                 _ => {
                     let want = model.pop_first();
                     prop_assert_eq!(e.step(), want.is_some());
-                    if let Some(((at, _), v)) = want {
+                    if let Some(((at, _, _), v)) = want {
                         prop_assert_eq!(e.world().seen.last(), Some(&(at, v)));
                     }
                 }
@@ -134,7 +143,7 @@ proptest! {
             prop_assert_eq!(e.context_mut().pending(), model.len());
             prop_assert!(e.context_mut().calendar_slots() <= high_water);
         }
-        let rest: Vec<(SimTime, u32)> = model.iter().map(|(&(at, _), &v)| (at, v)).collect();
+        let rest: Vec<(SimTime, u32)> = model.iter().map(|(&(at, _, _), &v)| (at, v)).collect();
         let before = e.world().seen.len();
         e.run();
         prop_assert_eq!(&e.world().seen[before..], &rest[..]);

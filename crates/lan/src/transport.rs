@@ -375,8 +375,8 @@ where
     fn now(&self) -> SimTime {
         self.s.now()
     }
-    fn schedule(&mut self, at: SimTime, event: LanEvent) -> desim::EventId {
-        self.s.schedule(at, (self.wrap)(event))
+    fn schedule_ranked(&mut self, at: SimTime, rank: u32, event: LanEvent) -> desim::EventId {
+        self.s.schedule_ranked(at, rank, (self.wrap)(event))
     }
     fn cancel(&mut self, id: desim::EventId) -> bool {
         self.s.cancel(id)
@@ -436,8 +436,8 @@ mod tests {
         fn now(&self) -> SimTime {
             self.0.now()
         }
-        fn schedule(&mut self, at: SimTime, e: LanEvent) -> desim::EventId {
-            self.0.schedule_at(at, Ev::Lan(e))
+        fn schedule_ranked(&mut self, at: SimTime, rank: u32, e: LanEvent) -> desim::EventId {
+            self.0.schedule_ranked(at, rank, Ev::Lan(e))
         }
         fn cancel(&mut self, id: desim::EventId) -> bool {
             self.0.cancel(id)

@@ -24,8 +24,8 @@ impl<'a> SubScheduler<LanEvent> for Wrap<'a> {
     fn now(&self) -> SimTime {
         self.0.now()
     }
-    fn schedule(&mut self, at: SimTime, e: LanEvent) -> desim::EventId {
-        self.0.schedule_at(at, Ev::Lan(e))
+    fn schedule_ranked(&mut self, at: SimTime, rank: u32, e: LanEvent) -> desim::EventId {
+        self.0.schedule_ranked(at, rank, Ev::Lan(e))
     }
     fn cancel(&mut self, id: desim::EventId) -> bool {
         self.0.cancel(id)

@@ -14,7 +14,7 @@ use bips::mobility::dwell;
 use bips::sim::{SimDuration, SimRng};
 
 fn discovered_fraction(inquiry_s: f64, slaves: usize, reps: u64, seed: u64) -> f64 {
-    let master = MasterConfig::new(BdAddr::new(0xA0))
+    let master = MasterConfig::default()
         .duty(DutyCycle::always_inquiry())
         .trains(TrainPolicy::spec());
     let slave_cfgs: Vec<SlaveConfig> = (0..slaves)

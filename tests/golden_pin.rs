@@ -11,11 +11,15 @@
 //!
 //! Re-recorded: `steps` fell from 72,069 to 29,298 when the skip-ahead
 //! medium stopped scheduling slave scan-window and backoff events and
-//! settled them in closed form instead. Every other field held, and the
-//! eager medium (`skip_ahead = false`) must still reproduce them, under
-//! both page models: that is the system-level check of the skip-ahead
-//! scheduler, with a dozen masters sharing slot grids and a duty-cycle
-//! origin, pages, links and mobility-driven range flaps.
+//! settled them in closed form instead, and from 29,298 to 28,942 (the
+//! department run's from 14,051 to 13,940, which moves its digest) when
+//! the calendar began ordering an instant's medium events by rank and
+//! skip-ahead stopped requeueing `InqTx` events behind their instant.
+//! Every other field held, and the eager medium (`skip_ahead = false`)
+//! must still reproduce them, under both page models: that is the
+//! system-level check of the skip-ahead scheduler, with a dozen masters
+//! sharing slot grids and a duty-cycle origin, pages, links and
+//! mobility-driven range flaps.
 //!
 //! The department pin covers the deployment's query path, which the
 //! tracking run's counters do not see: every answer a handheld shows, when
@@ -92,7 +96,7 @@ fn tracking_run(medium: MediumConfig) -> TrackingPin {
 }
 
 const RECORDED: TrackingPin = TrackingPin {
-    steps: 29_298,
+    steps: 28_942,
     db_applied: 730,
     ids_transmitted: 4_349_952,
     fhs_collisions: 50,
@@ -268,12 +272,12 @@ fn department_scenario_matches_the_recorded_queries() {
     assert_eq!(
         department_run(),
         DepartmentPin {
-            steps: 14_051,
+            steps: 13_940,
             logins_completed: 12,
             rpc_round_trips: 734,
             data_delivered: 32,
             queries_answered: 4,
-            digest: 13_340_341_148_509_854_089,
+            digest: 15_191_854_770_087_108_522,
         }
     );
 }
