@@ -2284,6 +2284,64 @@ mod tests {
         );
     }
 
+    /// A world whose bootstrap handler starts the medium and puts every
+    /// slave in every master's range, the way an embedder may call
+    /// [`Baseband::start`] from its own bootstrap.
+    struct BootWorld {
+        bb: Baseband,
+    }
+
+    impl World for BootWorld {
+        type Event = BbEvent;
+        fn handle(&mut self, ctx: &mut Context<BbEvent>, ev: BbEvent) {
+            if ev != BbEvent::start() {
+                self.bb.handle(ctx, ev);
+                return;
+            }
+            self.bb.start(ctx);
+            for m in 0..self.bb.num_masters() {
+                for sl in 0..self.bb.num_slaves() {
+                    self.bb
+                        .set_in_range(ctx, MasterId::new(m), SlaveId::new(sl), true);
+                }
+            }
+        }
+        fn quiesce(&mut self, ctx: &mut Context<BbEvent>) {
+            self.bb.settle(ctx.now());
+        }
+    }
+
+    /// Range set in the handler that enters the masters' first phases
+    /// comes before their first pairs, which the eager chain has
+    /// scheduled but not yet sent: skip-ahead must leave them for the
+    /// chain, whichever way each wake-up re-aims it.
+    #[test]
+    fn range_set_while_starting_matches_the_eager_chain() {
+        let run = |seed: u64, skip_ahead: bool| {
+            let mut bb = Baseband::new(MediumConfig {
+                scan_freq_model: ScanFreqModel::PerDevice,
+                skip_ahead,
+                ..MediumConfig::default()
+            });
+            let mut rng = desim::SeedDeriver::new(seed).rng(0);
+            for _ in 0..4 {
+                bb.add_master(MasterConfig::default(), &mut rng);
+            }
+            for i in 0..6 {
+                bb.add_slave(continuous_slave(i), &mut rng);
+            }
+            let mut e = Engine::new(BootWorld { bb }, seed);
+            e.schedule(SimTime::ZERO, BbEvent::start());
+            e.run_until(SimTime::from_secs(2));
+            let rng_tail = e.context_mut().rng().next_u64();
+            let bb = &e.world().bb;
+            (bb.discoveries().to_vec(), bb.stats(), rng_tail)
+        };
+        for seed in 0..40 {
+            assert_eq!(run(seed, true), run(seed, false), "seed {seed}");
+        }
+    }
+
     #[test]
     fn census_labels_prefix_each_kind() {
         let tx = BbEvent(Ev::InqTx {
