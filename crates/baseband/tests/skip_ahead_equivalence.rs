@@ -267,9 +267,9 @@ proptest! {
     }
 }
 
-// Generator seeds whose scenarios diverged while skip-ahead rebuilt the
-// eager chain's same-instant order by hand instead of sharing its rank
-// table. All hold sibling masters whose chains tie at an instant.
+// Generator seeds whose scenarios diverged between the two modes while
+// skip-ahead rebuilt the eager chain's same-instant order by hand instead
+// of sharing its rank table; kept as named cases.
 
 #[test]
 fn generator_seed_11553103301410999715() {
