@@ -159,7 +159,8 @@ fn inq_tx_rank(m: usize) -> u32 {
     rank as u32
 }
 
-/// Schedules `ev` at `at` with its rank.
+/// Schedules `ev` at `at` with its rank. Every medium event is scheduled
+/// here, so none can miss its place in the table.
 fn schedule<S: SubScheduler<BbEvent>>(s: &mut S, at: SimTime, ev: Ev) -> EventId {
     s.schedule_ranked(at, ev.rank(), BbEvent(ev))
 }
@@ -1340,21 +1341,21 @@ impl Baseband {
         }
         // The transposed coverage row lists the masters covering `sl` in
         // ascending index order — the order of a scan over all masters.
-        let running = inq_tx_rank(tx_master);
+        let handler_rank = inq_tx_rank(tx_master);
         for w in 0..self.in_range.by_slave.row_words(sl) {
             let mut bits = self.in_range.by_slave.word(sl, w);
             while bits != 0 {
                 let m = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if m != tx_master {
-                    self.wake_master(s, m, running);
+                    self.wake_master(s, m, handler_rank);
                 }
             }
         }
     }
 
     /// An audibility-increasing transition happened in the handler of an
-    /// event of rank `running`: settle master `m`'s chain past every pair
+    /// event of rank `handler_rank`: settle master `m`'s chain past every pair
     /// the eager chain has sent by now, and re-aim it. The eager `InqTx`
     /// for a pair at `now` has run exactly when it ranks before the
     /// running event and is not still pending, as the phase's first pair
@@ -1362,13 +1363,13 @@ impl Baseband {
     /// the phase ends at `now` (its `PhaseBoundary` may not have run yet).
     /// No-op for masters outside an inquiry phase (or with skip-ahead
     /// disabled).
-    fn wake_master<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, running: u32) {
+    fn wake_master<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, handler_rank: u32) {
         let Some(chain) = self.masters[m].skip.as_ref() else {
             return;
         };
         let now = s.now();
         let pending_now = chain.event.is_some_and(|(_, at)| at == now);
-        let sent_now = inq_tx_rank(m) < running
+        let sent_now = inq_tx_rank(m) < handler_rank
             && !pending_now
             && self.masters[m].plan.phase_at(now) == Phase::Inquiry;
         self.settle_master(m, now, sent_now);
