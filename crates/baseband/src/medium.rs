@@ -412,8 +412,6 @@ struct SkipChain {
 
 struct SlaveDev {
     addr: BdAddr,
-    #[allow(dead_code)] // kept for FHS payloads and future clock-accurate paging
-    clock: NativeClock,
     windows: WindowSchedule,
     machine: ScanMachine,
     freq_rot: u8,
@@ -784,10 +782,12 @@ impl Baseband {
             }
         };
         let windows = WindowSchedule::random(cfg.scan_pattern(), rng);
+        // A slave's clock phase is not modelled, but its draw stays so
+        // every later draw, and so every seeded run, is unchanged.
+        let _ = NativeClock::random(rng);
         let id = self.slaves.len();
         self.slaves.push(SlaveDev {
             addr: cfg.addr,
-            clock: NativeClock::random(rng),
             windows,
             machine: ScanMachine::new(cfg.scan_pattern(), cfg.backoff_bound()),
             freq_rot: start.index(),

@@ -22,7 +22,7 @@
 //! * **burst model** — [`run_burst_model`] composes measured flush
 //!   holds and the barriered service distribution into a deterministic
 //!   open-loop write-burst tail per path; `speedup.p999_write_burst` is
-//!   locked / seqlock, and the seqlock p999 is the gated tail.
+//!   locked / seqlock, and is gated.
 //!
 //! The seqlock contended run arms the flight recorder's retry-storm
 //! trigger ([`FlightRecorder::with_retry_threshold`]); a query burning
@@ -31,27 +31,25 @@
 //!
 //! Usage:
 //!   cargo run -p bips-bench --bin mix_throughput --release -- \
-//!       [--smoke] [--json PATH] [--check FILE] [--jobs N] [--readers N]
+//!       [--smoke] [--json PATH] [--jobs N] [--readers N]
 //!
 //! `--json PATH` writes a `bips-run-report/v1` document with one
 //! section per workload-mix (`full_50_50`, `smoke_99_1`, …; the
 //! default mix keeps bare names). Each section's `sharded` block is
-//! schema-compatible with `server_throughput`'s, whose `--check` reads
-//! its tail (and its throughput at non-default mixes) from this
-//! bench's committed `sharded` blocks. `--check FILE` gates each
-//! section it ran against the `mix_throughput` entry of a committed
-//! baseline file (`BENCH.json`; table in
-//! [`bips_bench::gate::mix_throughput`]):
+//! schema-compatible with `server_throughput`'s. Every run then judges
+//! each section's same-run ratio (table in
+//! [`bips_bench::gate::mix_throughput`]) and exits 1 if one fails:
 //!
 //! | field | gate |
 //! |-------|------|
-//! | `burst_model_seqlock.p999_us` | ≤ committed + 20% + 5 µs |
-//! | `sharded.queries_per_sec` | advisory: a warning below committed − 20%, never a failure |
+//! | `speedup.p999_write_burst` | locked ÷ seqlock model p999 ≥ 20, when the model's per-shard hold is ≥ 50 µs |
 //!
-//! Throughput is advisory because a smoke query phase is tens of
-//! milliseconds of wall clock, and on shared one-core runners a single
-//! preemption swings it 3x; `server_throughput`'s longer windows carry
-//! the hard throughput gate.
+//! A query path slowed toward the order of a flush's lock hold (a scan
+//! per answer, say) lifts the seqlock tail toward the locked one; a
+//! hold of a few µs (the 99:1 mix) is within a few service tails, so
+//! its ratio is not judged. A seqlock read that takes the writer lock
+//! is the `serve-lock-reach` lint's to catch: the model charges lock
+//! holds to the locked path only.
 
 // Bench binary: wall-clock reads feed the perf report, not simulation
 // results.
@@ -173,7 +171,6 @@ fn print_contended(label: &str, r: &ContendedResult) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
-    let (args, check_path) = take_flag(args, "--check");
     let (args, readers_arg) = take_flag(args, "--readers");
     let (args, jobs) = take_jobs(args);
     let (args, smoke_only) = take_switch(args, "--smoke");
@@ -212,10 +209,8 @@ fn main() {
             );
             let trace = generate_trace(&w);
             // Unmeasured warmup replay: the first section of a fresh
-            // process otherwise pays cold caches/page faults that later
-            // sections don't, which skews --smoke runs (section order
-            // differs from the committed full run) enough to trip the
-            // qps gate.
+            // process otherwise pays cold caches and page faults that
+            // later sections don't.
             let _ = run_sharded_with(&w, &trace, jobs, ReadPath::Seqlock);
             let (sharded, _) = run_sharded_with(&w, &trace, jobs, ReadPath::Seqlock);
             let (locked, _) = run_sharded_with(&w, &trace, jobs, ReadPath::Locked);
@@ -333,9 +328,12 @@ fn main() {
                 .set("burst_model_locked", burst_model_json(&model_lck))
                 .set("speedup", speedup);
             report.section(w.name, section);
-            rows.extend(gate::mix_throughput(w.name));
+            rows.extend(gate::mix_throughput(
+                w.name,
+                model_lck.hold_ns as f64 / 1000.0,
+            ));
         }
     }
     report.artifact("flight_recorder_dumps", total_dumps);
-    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
+    gate::finish(&report, json_path.as_deref(), &rows);
 }

@@ -14,7 +14,7 @@
 //!
 //! Usage:
 //!   cargo run -p bips-bench --bin net_throughput --release -- \
-//!       [--smoke] [--json PATH] [--check FILE] [--mix Q:U] \
+//!       [--smoke] [--json PATH] [--mix Q:U] \
 //!       [--connect HOST:PORT [--conns N]]
 //!
 //! `--mix Q:U` re-tunes the workloads to a query:update preset
@@ -24,22 +24,27 @@
 //! against the same server instance.
 //!
 //! `--json PATH` writes a `bips-run-report/v1` document with a section
-//! per workload holding `socket_c{N}` blocks (end-to-end RTT HDR
-//! quantiles — p50/p99/p999 — queries/sec, checksums; schema in
-//! `docs/OBSERVABILITY.md`). `--check FILE` gates each `socket_c{N}`
-//! block the run produced against the `net_throughput` entry of a
-//! committed baseline file (`BENCH.json`; table in
-//! [`bips_bench::gate::net_throughput`]):
+//! per workload holding the in-process reference (`inproc_jobs1`) and
+//! `socket_c{N}` blocks (end-to-end RTT HDR quantiles — p50/p99/p999 —
+//! queries/sec, checksums; schema in `docs/OBSERVABILITY.md`). Each
+//! `socket_c{N}` block also carries `p50_over_inproc`, its p50 over the
+//! in-process p50 of the same replay, and every run judges that ratio
+//! for each connection count it drove (table in
+//! [`bips_bench::gate::net_throughput`]), exiting 1 if one fails:
 //!
 //! | field | gate |
 //! |-------|------|
-//! | `socket_c{N}.p99_us` | ≤ committed + 20% |
+//! | `socket_c{N}.p50_over_inproc` | < 1000 |
+//!
+//! The frames and bytes each request costs on the wire are exact and
+//! pinned by the `socket_e2e` Tier-1 test instead.
 //!
 //! `--connect HOST:PORT` is the two-process mode CI's network smoke
 //! job uses: instead of spawning in-process servers, the client drives
 //! one externally launched `bips-serve` (which must carry the same
-//! workload), verifies the checksums against an in-process replay, and
-//! shuts the server down over the socket.
+//! workload), verifies the checksums against an in-process replay that
+//! it records and gates against in the same way, and shuts the server
+//! down over the socket.
 
 // Bench binary: wall-clock reads feed the perf report, not simulation
 // results.
@@ -98,10 +103,18 @@ fn verify(w: &Workload, conns: usize, socket: &ModeResult, reference: &ModeResul
     assert_eq!(socket.latencies_ns.len() as u64, w.queries());
 }
 
+/// A socket run's block: its own numbers plus its p50 over the
+/// in-process p50 of the same replay.
+fn socket_json(socket: &ModeResult, reference: &ModeResult) -> Json {
+    let ratio = socket.percentile_us(0.50) / reference.percentile_us(0.50).max(1e-3);
+    let mut j = socket.to_json();
+    j.set("p50_over_inproc", ratio);
+    j
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
-    let (args, check_path) = take_flag(args, "--check");
     let (args, connect) = take_flag(args, "--connect");
     let (args, conns_flag) = take_flag(args, "--conns");
     let (args, mix) = take_mix(args);
@@ -143,7 +156,9 @@ fn main() {
             r.checksum, r.ack_checksum
         );
         let mut section = Json::object();
-        section.set(&format!("socket_c{conns}"), r.to_json());
+        section
+            .set("inproc_jobs1", reference.to_json())
+            .set(&format!("socket_c{conns}"), socket_json(&r, &reference));
         report.section(w.name, section);
         rows.extend(gate::net_throughput(w.name, &[conns]));
     } else {
@@ -205,7 +220,7 @@ fn main() {
                 });
                 verify(&w, conns, &r, &reference);
                 r.print_row(&format!("socket_c{conns}"));
-                section.set(&format!("socket_c{conns}"), r.to_json());
+                section.set(&format!("socket_c{conns}"), socket_json(&r, &reference));
                 let mut metrics = desim::metrics::MetricSet::new();
                 stats.export_metrics(&mut metrics);
                 if w.name == "full" && conns == 4 {
@@ -220,5 +235,5 @@ fn main() {
             rows.extend(gate::net_throughput(w.name, &CONNS));
         }
     }
-    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
+    gate::finish(&report, json_path.as_deref(), &rows);
 }

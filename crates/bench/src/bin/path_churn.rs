@@ -16,23 +16,23 @@
 //!
 //! Usage:
 //!   cargo run -p bips-bench --bin path_churn --release -- \
-//!       [--smoke] [--json PATH] [--check FILE]
+//!       [--smoke] [--json PATH]
 //!
 //! By default both the `cells_*` full sections and the seconds-scale
 //! `smoke_*` sections run. `--smoke` runs the smoke sections only.
 //! `--json PATH` writes a `bips-run-report/v1` document with one
-//! section per workload (see `docs/PERF.md`). `--check FILE` gates each
-//! section it ran against the `path_churn` entry of a committed
-//! baseline file (`BENCH.json`; table in
-//! [`bips_bench::gate::path_churn`]):
+//! section per workload (see `docs/PERF.md`). Every run then judges
+//! each section's same-run bounds (table in
+//! [`bips_bench::gate::path_churn`]) and exits 1 if one fails:
 //!
 //! | field | gate |
 //! |-------|------|
-//! | `repair_speedup` | ≥ 20 (same run) |
-//! | `queries.churn_over_quiet` | ≥ 0.8 (same run) |
-//! | `vm_hwm_mb` | < 2048 (same run; `*_100k` sections only) |
-//! | `repair.mutations` | = committed (the churn schedule is deterministic) |
-//! | `queries.churn_qps` | ≥ committed − 20% |
+//! | `repair_speedup` | ≥ 20 |
+//! | `queries.churn_over_quiet` | ≥ 0.8 |
+//! | `vm_hwm_mb` | < 2048 (`*_100k` sections only) |
+//!
+//! The repair counters (`core.graph.*`) are exact and pinned by the
+//! `path_pin` and `graph_churn` Tier-1 tests instead.
 
 // Bench binary: wall-clock reads feed the perf report, not simulation
 // results.
@@ -95,7 +95,7 @@ impl Workload {
                 name: "smoke_10k",
                 cells: 10_000,
                 extra_edges: 20_000,
-                ticks: 5,
+                ticks: 7,
                 queries_per_tick: 50_000,
                 warm_sources: 16,
                 seed: 2003,
@@ -105,8 +105,8 @@ impl Workload {
                 name: "smoke_100k",
                 cells: 100_000,
                 extra_edges: 200_000,
-                ticks: 2,
-                queries_per_tick: 25_000,
+                ticks: 7,
+                queries_per_tick: 150_000,
                 warm_sources: 8,
                 seed: 2003,
                 check_memory: true,
@@ -126,10 +126,9 @@ struct SectionResult {
     est_rebuild_secs: f64,
     mutations: u64,
     repair_secs: f64,
-    churn_queries: u64,
-    churn_query_secs: f64,
-    quiet_queries: u64,
-    quiet_query_secs: f64,
+    queries_per_phase: u64,
+    /// Each tick's churn and quiet query-phase seconds.
+    phase_secs: Vec<(f64, f64)>,
     found: u64,
     unreachable: u64,
     vm_hwm_mb: Option<f64>,
@@ -145,16 +144,25 @@ impl SectionResult {
         self.est_rebuild_secs / self.mean_repair_secs()
     }
 
+    fn qps(&self, phase: impl Fn(&(f64, f64)) -> f64) -> f64 {
+        let secs: f64 = self.phase_secs.iter().map(phase).sum();
+        (self.queries_per_phase * self.phase_secs.len() as u64) as f64 / secs
+    }
+
     fn churn_qps(&self) -> f64 {
-        self.churn_queries as f64 / self.churn_query_secs
+        self.qps(|p| p.0)
     }
 
     fn quiet_qps(&self) -> f64 {
-        self.quiet_queries as f64 / self.quiet_query_secs
+        self.qps(|p| p.1)
     }
 
+    /// The median over ticks of churn ÷ quiet queries/sec: a phase a
+    /// neighbour process preempted moves one tick's ratio, not the gate.
     fn churn_over_quiet(&self) -> f64 {
-        self.churn_qps() / self.quiet_qps()
+        let mut ratios: Vec<f64> = self.phase_secs.iter().map(|(c, q)| q / c).collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[ratios.len() / 2]
     }
 }
 
@@ -193,8 +201,9 @@ fn run_section(w: &Workload) -> SectionResult {
     let mut downed: Vec<usize> = Vec::new();
     let mut mutations = 0u64;
     let mut repair_secs = 0.0f64;
-    let mut churn_query_secs = 0.0f64;
+    let mut phase_secs = Vec::with_capacity(w.ticks as usize);
     let (mut found, mut unreachable) = (0u64, 0u64);
+    let (mut qfound, mut qunreachable) = (0u64, 0u64);
     let mut buf = Vec::new();
     let mut run_queries =
         |engine: &mut PathEngine, rng: &mut SimRng, found: &mut u64, unreachable: &mut u64| {
@@ -243,15 +252,13 @@ fn run_section(w: &Workload) -> SectionResult {
             engine.warm(s);
         }
         repair_secs += t.elapsed().as_secs_f64();
-        churn_query_secs += run_queries(&mut engine, &mut rng, &mut found, &mut unreachable);
-    }
-
-    // Quiet phase: the same query volume with churn stopped — the
-    // denominator of the "throughput under churn" ratio.
-    let mut quiet_query_secs = 0.0f64;
-    let (mut qfound, mut qunreachable) = (0u64, 0u64);
-    for _tick in 0..w.ticks {
-        quiet_query_secs += run_queries(&mut engine, &mut rng, &mut qfound, &mut qunreachable);
+        let churn = run_queries(&mut engine, &mut rng, &mut found, &mut unreachable);
+        // Quiet phase: the same query volume with no mutation since the
+        // last one — the denominator of the "throughput under churn"
+        // ratio. Alternating the phases tick by tick lets host drift
+        // hit both alike.
+        let quiet = run_queries(&mut engine, &mut rng, &mut qfound, &mut qunreachable);
+        phase_secs.push((churn, quiet));
     }
 
     let mut ms = MetricSet::new();
@@ -274,10 +281,8 @@ fn run_section(w: &Workload) -> SectionResult {
         est_rebuild_secs,
         mutations,
         repair_secs,
-        churn_queries: w.ticks * w.queries_per_tick,
-        churn_query_secs,
-        quiet_queries: w.ticks * w.queries_per_tick,
-        quiet_query_secs,
+        queries_per_phase: w.queries_per_tick,
+        phase_secs,
         found: found + qfound,
         unreachable: unreachable + qunreachable,
         vm_hwm_mb: vm_hwm_mb(),
@@ -331,7 +336,6 @@ fn section_json(w: &Workload, r: &SectionResult) -> Json {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, json_path) = take_flag(args, "--json");
-    let (args, check_path) = take_flag(args, "--check");
     let (args, smoke_only) = take_switch(args, "--smoke");
     reject_unknown(&args);
 
@@ -378,5 +382,5 @@ fn main() {
         report.section(w.name, section_json(w, &r));
         rows.extend(gate::path_churn(w.name, w.check_memory));
     }
-    gate::finish(&report, json_path.as_deref(), check_path.as_deref(), &rows);
+    gate::finish(&report, json_path.as_deref(), &rows);
 }

@@ -15,9 +15,10 @@ use bt_baseband::hop::Train;
 use bt_baseband::params::{
     DutyCycle, MediumConfig, ScanFreqModel, ScanPattern, StartFreq, StartTrain, TrainPolicy,
 };
+use bt_baseband::world::BasebandWorld;
 use bt_baseband::{BdAddr, DiscoveryScenario, MasterConfig, SlaveConfig};
 use desim::stats::EmpiricalCdf;
-use desim::SimDuration;
+use desim::{Engine, SimDuration};
 
 /// Configuration of the Figure 2 reproduction.
 #[derive(Debug, Clone)]
@@ -92,9 +93,8 @@ pub struct Figure2Result {
     pub curves: Vec<Figure2Curve>,
 }
 
-/// The scenario for one slave count (exposed for the Criterion bench and
-/// the ablation suite).
-pub fn scenario(n: usize, cfg: &Figure2Config) -> DiscoveryScenario {
+/// The master, slaves and medium of the scenario for `n` slaves.
+fn parts(n: usize, cfg: &Figure2Config) -> (MasterConfig, Vec<SlaveConfig>, MediumConfig) {
     let master = MasterConfig::default()
         .duty(DutyCycle::periodic(cfg.inquiry, cfg.period))
         .trains(TrainPolicy::Single)
@@ -115,7 +115,78 @@ pub fn scenario(n: usize, cfg: &Figure2Config) -> DiscoveryScenario {
         scan_freq_model: ScanFreqModel::SharedSequence,
         ..MediumConfig::default()
     };
+    (master, slaves, medium)
+}
+
+/// The scenario for one slave count (exposed for the Criterion bench and
+/// the ablation suite).
+pub fn scenario(n: usize, cfg: &Figure2Config) -> DiscoveryScenario {
+    let (master, slaves, medium) = parts(n, cfg);
     DiscoveryScenario::new(master, slaves, cfg.horizon).medium(medium)
+}
+
+/// A `perf_baseline` workload: the default figure's scenario at a few
+/// slave counts, run once per inquiry scheduler mode. Tier-1 pins the
+/// smoke shape's dispatched events and allocations.
+#[derive(Debug)]
+pub struct PerfWorkload {
+    /// Report section name.
+    pub name: &'static str,
+    /// The slave counts run.
+    pub slave_counts: Vec<usize>,
+    /// Replications per slave count.
+    pub replications: u64,
+    /// Virtual run length of each replication.
+    pub horizon: SimDuration,
+    /// Master seed, derived per curve as in [`run_with_metrics`].
+    pub seed: u64,
+}
+
+impl PerfWorkload {
+    /// The figure's slave counts at 50 replications.
+    pub fn full() -> PerfWorkload {
+        PerfWorkload {
+            name: "full",
+            slave_counts: vec![2, 4, 6, 8, 10, 15, 20],
+            replications: 50,
+            horizon: SimDuration::from_secs(14),
+            seed: 1967,
+        }
+    }
+
+    /// A seconds-scale subset for CI.
+    pub fn smoke() -> PerfWorkload {
+        PerfWorkload {
+            name: "smoke",
+            slave_counts: vec![2, 6, 10],
+            replications: 25,
+            ..PerfWorkload::full()
+        }
+    }
+
+    /// One engine per replication, each built when the iterator
+    /// reaches it, with the scheduler mode set by `skip_ahead`; run each
+    /// to [`horizon`](Self::horizon).
+    pub fn engines(&self, skip_ahead: bool) -> impl Iterator<Item = Engine<BasebandWorld>> + '_ {
+        let cfg = Figure2Config::default();
+        let curve_seeds = desim::SeedDeriver::new(self.seed);
+        self.slave_counts.iter().flat_map(move |&n| {
+            let (master, slaves, medium) = parts(n, &cfg);
+            let rep_seeds = desim::SeedDeriver::new(curve_seeds.derive(n as u64));
+            (0..self.replications).map(move |i| {
+                let mut builder = BasebandWorld::builder()
+                    .medium(MediumConfig {
+                        skip_ahead,
+                        ..medium
+                    })
+                    .master(master);
+                for &s in &slaves {
+                    builder = builder.slave(s);
+                }
+                builder.build().into_engine(rep_seeds.derive(i))
+            })
+        })
+    }
 }
 
 /// Runs the full figure.

@@ -195,11 +195,10 @@ impl Workload {
 
     /// The same workload re-tuned to `mix`: the per-tick block sizes
     /// come from the preset and, for non-default mixes, the section
-    /// name gains a mix suffix (`full` → `full_50_50`) so reports and
-    /// baselines never collide across mixes. The default mix keeps the
-    /// bare name, so the committed `server_throughput` and
-    /// `net_throughput` sections keep matching. `tiny`'s blocks grow to
-    /// the standard preset sizes; its per-run cost stays seconds-scale.
+    /// name gains a mix suffix (`full` → `full_50_50`) so report
+    /// sections never collide across mixes. The default mix keeps the
+    /// bare name. `tiny`'s blocks grow to the standard preset sizes;
+    /// its per-run cost stays seconds-scale.
     pub fn with_mix(mut self, mix: Mix) -> Workload {
         self.updates_per_tick = mix.updates_per_tick();
         self.queries_per_tick = mix.queries_per_tick();

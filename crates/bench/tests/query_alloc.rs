@@ -1,18 +1,23 @@
-//! Pins the "zero allocations per steady-state WhereIs query" claim.
+//! Pins allocation counts: zero per steady-state WhereIs query, and
+//! the exact counts of a notice burst, of a run of path mutations and
+//! of the Figure 2 simulation runs.
 //!
 //! A counting global allocator wraps the system one; after warming the
 //! caller-owned path buffer, a burst of `where_is` queries across the
-//! whole outcome spectrum must not allocate at all. This lives in an
-//! integration test (its own crate root) outside `bips-core`, which
-//! forbids unsafe code.
+//! whole outcome spectrum must not allocate at all. The other counts
+//! are exact on every host, so any allocation added to those paths
+//! fails here. This lives in an integration test (its own crate root)
+//! outside `bips-core`, which forbids unsafe code.
 
 use std::sync::Arc;
 
+use bips_bench::figure2::PerfWorkload;
 use bips_core::graph::{PathEngine, PathEngineKind, WsGraph};
 use bips_core::registry::{AccessRights, Registry};
 use bips_core::service::{ReadPath, ShardedService, WhereIs};
 use bt_baseband::BdAddr;
 use desim::tracing::Tracer;
+use desim::SimTime;
 
 /// The benchmark's counting allocator, armed per thread: only the thread
 /// inside `counting::count` counts, so tests running in parallel on
@@ -208,4 +213,70 @@ fn steady_state_traced_queries_do_not_allocate() {
     assert_zero_alloc_burst(&svc);
     assert!(tracer.recorded() >= 800, "traced burst recorded no events");
     assert_eq!(tracer.dropped(), 0);
+}
+
+/// A steady-state move burst: each of the 510 present users moves one
+/// cell, then one flush applies them all. Ingest allocates nothing; the
+/// count is the flush's.
+#[test]
+fn steady_state_notice_burst_allocates_as_pinned() {
+    let svc = build_service(None);
+    let mut ts = USERS;
+    let mut burst = |round: u64| {
+        for uid in 2..USERS {
+            ts += 1;
+            let cell = ((uid + round) % CELLS as u64) as u32;
+            svc.ingest(BdAddr::new(1000 + uid), cell, true, ts);
+        }
+        svc.flush(1)
+    };
+    // Warm-up: grows the pending queues and flush buffers once.
+    let acks = burst(1);
+    assert!(acks.iter().all(|&ok| ok), "warm-up burst rejected a notice");
+    let (acks, allocs) = counting::count(|| burst(2));
+    assert_eq!(acks.len(), 510);
+    assert_eq!(allocs, 15, "510 notices and one flush");
+}
+
+/// 50 weight changes on the dense engine, each repairing every row,
+/// after 50 that grew the repair scratch: 39 are decreases, each
+/// allocating its repair op's two lists, and 11 increases allocate
+/// nothing.
+#[test]
+fn dense_mutations_allocate_as_pinned() {
+    let mut g = WsGraph::new(CELLS);
+    for i in 0..CELLS - 1 {
+        g.add_edge(i, i + 1, 10.0);
+    }
+    let mut engine = PathEngine::new(PathEngineKind::DynamicDense, g);
+    let mut mutate = |round: usize| {
+        for i in 0..50 {
+            let a = (i * 7 + round) % (CELLS - 1);
+            let weight = 1.0 + ((i * 13 + round) % 40) as f64;
+            assert_eq!(engine.set_edge_weight(a, a + 1, weight), Ok(true));
+        }
+    };
+    mutate(0);
+    let ((), allocs) = counting::count(|| mutate(1));
+    assert_eq!(allocs, 78, "50 dense weight changes");
+}
+
+/// The Figure 2 smoke shape `perf_baseline` times, in both scheduler
+/// modes: events dispatched and allocations made inside `run_until`.
+/// An allocation per dispatched event would add at least 2,655.
+#[test]
+fn figure2_smoke_runs_dispatch_and_allocate_as_pinned() {
+    let w = PerfWorkload::smoke();
+    let end = SimTime::ZERO + w.horizon;
+    let tally = |skip_ahead: bool| {
+        let (mut steps, mut allocs) = (0, 0);
+        for mut engine in w.engines(skip_ahead) {
+            let (_, n) = counting::count(|| engine.run_until(end));
+            steps += engine.steps();
+            allocs += n;
+        }
+        (steps, allocs)
+    };
+    assert_eq!(tally(true), (2_655, 2_023), "skip-ahead steps, allocations");
+    assert_eq!(tally(false), (183_973, 2_320), "eager steps, allocations");
 }

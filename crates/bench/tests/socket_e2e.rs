@@ -49,11 +49,14 @@ fn tcp_serving_is_bit_identical_to_in_process() {
         use std::sync::atomic::Ordering;
         assert_eq!(stats.conns.load(Ordering::Relaxed), 1 + conns as u64);
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 0);
-        let frames = stats.frames.load(Ordering::Relaxed);
-        assert!(
-            frames > w.queries(),
-            "served {frames} frames, expected more than {} queries",
-            w.queries()
+        // Exact wire counts: every request's frame and bytes, the same
+        // however the requests are spread over connections.
+        let wire =
+            [&stats.frames, &stats.bytes_in, &stats.bytes_out].map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(
+            wire,
+            [1_703, 93_478, 74_094],
+            "frames, bytes in and bytes out at {conns} conns"
         );
     }
 }

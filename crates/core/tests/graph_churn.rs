@@ -245,15 +245,25 @@ fn sparse_eviction_and_invalidation_match_rebuild() {
     }
     let mut m = desim::MetricSet::default();
     sparse.export_metrics(&mut m);
-    let misses = m
-        .counter_value("core.graph.cache_misses")
-        .expect("exported");
-    let invalidations = m
-        .counter_value("core.graph.epoch_invalidations")
-        .expect("exported");
+    let counter = |name| m.counter_value(name).expect("exported");
+    let [repairs, touched, invalidations, misses, hits] = [
+        "core.graph.tree_repairs",
+        "core.graph.vertices_touched",
+        "core.graph.epoch_invalidations",
+        "core.graph.cache_misses",
+        "core.graph.cache_hits",
+    ]
+    .map(counter);
     assert!(
         misses > SLOTS as u64,
         "{misses} misses: no slot was evicted"
     );
     assert!(invalidations > 0, "no repair exceeded its budget");
+    // Exact: a repair done twice, or one more eviction, moves them
+    // while every answer above still matches.
+    assert_eq!(
+        [repairs, touched, invalidations, misses, hits],
+        [127, 1_183, 7, 475, 96_000],
+        "sparse repair and cache counters moved"
+    );
 }

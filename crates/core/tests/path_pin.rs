@@ -67,12 +67,13 @@ fn table_digest(g: &WsGraph) -> u64 {
 /// Applies a fixed 200-mutation schedule to an engine of `kind` over a
 /// 100-node graph (small enough that the rebuild kind's 200 full
 /// recomputes stay cheap in a debug build) and digests every mutation
-/// outcome and then every pair's answer. Every fifth mutation flaps a node: it brings
+/// outcome and then every pair's answer. Also returns the engine's
+/// `core.graph.tree_repairs` and `core.graph.vertices_touched`. Every fifth mutation flaps a node: it brings
 /// a down node back up or takes a node down. The rest set a weight
 /// on a random pair, adding the edge if absent; weights span ~2
 /// decades, so increases and decreases both occur, and a pair with a
 /// down endpoint is a rejection.
-fn schedule_digest(kind: PathEngineKind) -> u64 {
+fn schedule_digest(kind: PathEngineKind) -> (u64, [u64; 2]) {
     let g = random_connected_graph(100, 150, 1999);
     let n = g.num_nodes();
     let mut e = PathEngine::new(kind, g);
@@ -115,7 +116,11 @@ fn schedule_digest(kind: PathEngineKind) -> u64 {
             fold_answer(&mut h, d, &path);
         }
     }
-    h
+    let mut m = desim::MetricSet::new();
+    e.export_metrics(&mut m);
+    let counter = |name| m.counter_value(name).expect("exported");
+    let repairs = ["core.graph.tree_repairs", "core.graph.vertices_touched"].map(counter);
+    (h, repairs)
 }
 
 #[test]
@@ -128,19 +133,32 @@ fn offline_tables_are_pinned() {
     );
 }
 
+/// Every kind gives the same answers; the dense kinds also repair
+/// exactly as many rows and vertices as pinned, which a repair done
+/// twice moves although its answers do not. The rebuild kind keeps no
+/// incremental state, and no sparse tree is warm while this schedule
+/// mutates, so both count zero.
 #[test]
 fn every_engine_kind_answers_the_pinned_schedule() {
     const WANT: u64 = 374184958074314859;
-    for kind in [
-        PathEngineKind::Rebuild,
-        PathEngineKind::Dynamic,
-        PathEngineKind::DynamicDense,
-        PathEngineKind::DynamicSparse,
+    const DENSE: [u64; 2] = [7_375, 37_564];
+    for (kind, repairs) in [
+        (PathEngineKind::Rebuild, [0, 0]),
+        (PathEngineKind::Dynamic, DENSE),
+        (PathEngineKind::DynamicDense, DENSE),
+        (PathEngineKind::DynamicSparse, [0, 0]),
     ] {
+        let (digest, got) = schedule_digest(kind);
         assert_eq!(
-            schedule_digest(kind),
+            digest,
             WANT,
             "{}: answers after the pinned schedule moved",
+            kind.name()
+        );
+        assert_eq!(
+            got,
+            repairs,
+            "{}: tree repairs and vertices touched moved",
             kind.name()
         );
     }
