@@ -2,19 +2,23 @@
 //! bench.
 //!
 //! Every row bounds a ratio or a peak that the run itself measured
-//! (traced against untraced, sharded against the seed server, socket
-//! against in process, churn against quiet), so a gate reads the same
-//! on a fast host and a slow one and needs no committed baseline. The
-//! exact counts (events, allocations, repairs, bytes) are pinned by
-//! Tier-1 tests instead. A bench hands [`finish`] its own report and
-//! the rows of its table; a [`Row`] names a section, a field path below
-//! it and a [`Kind`]. A row whose field is missing from the run fails
-//! and names the full path — no row is skipped.
+//! (traced against untraced, sharded against the seed server, locked
+//! against seqlock, socket against in process, churn against quiet), so
+//! a gate reads the same on a fast host and a slow one and needs no
+//! committed baseline. The exact counts (events, allocations, repairs,
+//! bytes) are pinned by Tier-1 tests instead. A bench hands [`finish`]
+//! its own report and the rows of its table; a [`Row`] names a section,
+//! a field path below it and a [`Kind`]. A row whose field is missing
+//! from the run fails and names the full path — no row is skipped.
 //!
-//! Rows are built from what the run did: only the sections it ran, and
-//! for `net_throughput` only the connection counts it drove.
+//! Rows are built from what the run did: only the sections it ran, for
+//! `net_throughput` only the connection counts it drove, and for
+//! `server_throughput` from each section's workload. No row is chosen
+//! by a number the run measured.
 
 use desim::report::{Json, RunReport};
+
+use crate::loadgen::{Workload, WRITE_BURST_TICKS};
 
 /// How a row judges its number.
 #[derive(Debug, Clone, Copy)]
@@ -51,43 +55,41 @@ impl Row {
     }
 }
 
-/// `server_throughput`: the sharded engine answers ≥ 2× the seed
-/// server's queries/sec (a per-answer scan of the querier's shard
-/// drops it below 1×) and, when the untraced query phase ran at least
-/// 0.2 s, traced/untraced throughput ≥ 0.7. Shorter phases are noise,
-/// and on one core the smoke ratio's median sits near 0.65.
-pub fn server_throughput(section: &str, untraced_query_secs: f64) -> Vec<Row> {
+/// `server_throughput`, its rows chosen from the workload alone:
+///
+/// * the sharded engine answers ≥ 2× the seed server's queries/sec (a
+///   per-answer scan of the querier's shard drops it below 1×);
+/// * the write-burst model's locked p999 ≥ 20× its seqlock p999, when
+///   a burst flushes at least 256 notices per shard (80:20 and 50:50
+///   flush 512–2,560, 99:1 only 24–48). The locked p999 is about one
+///   per-shard lock hold and the seqlock p999 a 1–2 µs service tail, so
+///   a query path slowed toward a hold's length (a per-answer scan, or
+///   a tail-only stall) erases the gap, and a 99:1 hold of a few µs
+///   cannot show it;
+/// * traced/untraced throughput ≥ 0.7, when the section replays at
+///   least 1M queries (every full mix). A smoke section's ratio is two
+///   short phases; on one core its median sits near 0.65.
+pub fn server_throughput(w: &Workload) -> Vec<Row> {
     let mut rows = vec![Row::new(
-        section,
+        w.name,
         "speedup.queries_per_sec",
         Kind::AtLeast(2.0),
     )];
-    if untraced_query_secs >= 0.2 {
+    if WRITE_BURST_TICKS * 2 * w.updates_per_tick / w.shards >= 256 {
         rows.push(Row::new(
-            section,
+            w.name,
+            "speedup.p999_write_burst",
+            Kind::AtLeast(20.0),
+        ));
+    }
+    if w.queries() >= 1_000_000 {
+        rows.push(Row::new(
+            w.name,
             "speedup.tracing_overhead",
             Kind::AtLeast(0.7),
         ));
     }
     rows
-}
-
-/// `mix_throughput`: the write-burst model's locked p999 ≥ 20× its
-/// seqlock p999, when the measured per-shard lock hold is at least
-/// 50 µs. A query path slowed toward the order of a flush's lock hold
-/// (a scan of the querier's shard per answer reads 3–11×) erases the
-/// gap the seqlock exists for. The locked p999 is about one hold and
-/// the seqlock p999 a 0.6–2.1 µs service tail, so a shorter hold (the
-/// 99:1 mix's 6–18 µs) cannot show a 20× gap.
-pub fn mix_throughput(section: &str, hold_us: f64) -> Vec<Row> {
-    if hold_us < 50.0 {
-        return Vec::new();
-    }
-    vec![Row::new(
-        section,
-        "speedup.p999_write_burst",
-        Kind::AtLeast(20.0),
-    )]
 }
 
 /// `net_throughput`: each connection count's socket p50 below 1,000×

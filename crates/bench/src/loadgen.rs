@@ -19,11 +19,9 @@
 //! * [`run_socket`] — the same engine behind `bips-serve`, driven over
 //!   a real socket by a closed-loop multi-connection client.
 //!
-//! Two measurement modes sit beside them. [`run_contended`] races
-//! reader threads against a continuously flushing writer to measure
-//! tail latency under genuine write contention; it asserts outcome
-//! validity rather than checksums. [`run_burst_model`] composes measured
-//! flush and query times into a deterministic model of that tail.
+//! Beside them, [`run_burst_model`] composes measured flush and query
+//! times into a deterministic model of the tail each read path shows
+//! while a write burst is flushed.
 //! [`Workload::with_mix`] re-tunes any workload to a [`Mix`] preset
 //! (80:20, 50:50, 99:1 query:update).
 //!
@@ -37,7 +35,6 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -800,259 +797,6 @@ fn fold_locate(checksum: &mut u64, found: &mut u64, out: &LocateOutcome) {
 }
 
 // ---------------------------------------------------------------------
-// Contended mode
-// ---------------------------------------------------------------------
-
-/// Expected per-query service interval (ns) used for coordinated-
-/// omission correction in [`run_contended`]. The closed-loop readers
-/// measure one slow sample per writer-lock stall and then sit out the
-/// rest of it, silently omitting every query an open-loop arrival
-/// stream would have issued (and delayed) meanwhile — so stalls
-/// thousands of times the service time barely dent a naive p999. Each
-/// sample is therefore recorded with
-/// [`HdrHistogram::record_corrected`] at this interval: ~4x the
-/// uncontended p50, so genuine stalls back-fill their implied delayed
-/// arrivals while ordinary jitter records nothing extra.
-pub const CONTENDED_EXPECTED_SERVICE_NS: u64 = 1_000;
-
-/// Result of one [`run_contended`] run.
-pub struct ContendedResult {
-    /// All readers' per-query latencies, merged in reader-index order
-    /// into one HDR histogram (so the merge is deterministic even
-    /// though the interleaving is not), recorded with coordinated-
-    /// omission correction at [`CONTENDED_EXPECTED_SERVICE_NS`].
-    pub hdr: HdrHistogram,
-    /// Latencies of only the queries that overlapped a flush — the
-    /// write-burst subset, recorded uncorrected. This is the
-    /// scheme-sensitive tail: a locked reader that lands in a burst
-    /// queues behind the writer's whole per-shard batch, a seqlock
-    /// reader reads straight through it. Conditioning on the burst
-    /// window also keeps the comparison meaningful on small machines,
-    /// where OS preemption noise (milliseconds, hitting both paths
-    /// alike) would otherwise bury the lock-wait signal in the overall
-    /// percentiles.
-    pub burst_hdr: HdrHistogram,
-    /// Queries actually served, all readers and schedule passes
-    /// together (readers loop the schedule until the writer finishes,
-    /// so this is at least one full schedule).
-    pub queries: u64,
-    /// Queries answered `Found`.
-    pub found: u64,
-    /// Seqlock read retries accumulated by the service over the run
-    /// (always 0 on [`ReadPath::Locked`]).
-    pub read_retries: u64,
-    /// Slot publishes performed by the writer over the run.
-    pub slot_publishes: u64,
-    /// Wall seconds from the first query to the last reader joining.
-    pub wall_secs: f64,
-}
-
-impl ContendedResult {
-    /// Queries per wall second, all readers together.
-    pub fn queries_per_sec(&self) -> f64 {
-        self.queries as f64 / self.wall_secs
-    }
-
-    /// The write-burst tail at quantile `q`, in nanoseconds: the burst
-    /// subset when any query overlapped a flush, falling back to the
-    /// overall histogram when none did (a writer so quick no burst was
-    /// ever observed).
-    pub fn burst_quantile(&self, q: f64) -> u64 {
-        if self.burst_hdr.is_empty() {
-            self.hdr.quantile(q)
-        } else {
-            self.burst_hdr.quantile(q)
-        }
-    }
-
-    /// Mean seqlock read retries per query.
-    pub fn retries_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.read_retries as f64 / self.queries as f64
-        }
-    }
-}
-
-/// Replays the query schedule against a *continuously flushing* writer
-/// — the write-burst scenario the barriered replays cannot produce.
-///
-/// The deterministic modes ([`run_sharded`], [`run_socket`]) alternate
-/// move blocks and query blocks with a barrier between them, so a
-/// query never actually races a flush and the blocking cost of
-/// [`ReadPath::Locked`] is invisible in their tails. Here one writer
-/// thread loops the workload's move schedule (wrapping around for as
-/// long as the readers are querying) and flushes every `burst_ticks`
-/// tick blocks — one flush then applies `burst_ticks *
-/// 2 * updates_per_tick` notices, holding each shard's writer lock for
-/// the whole per-shard batch. That is the write burst of the paper's
-/// deployment (an inquiry sweep re-announcing a wave of users at
-/// once): locked readers queue behind the batch, seqlock readers read
-/// through it.
-///
-/// The writer paces the run: it replays the move schedule `passes`
-/// times (with a final drain flush) and then signals completion, while
-/// `readers` reader threads partition the query schedule — query `i`
-/// rides reader `i % readers` — and loop their partition until the
-/// writer is done, so queries are in flight across every write burst.
-/// Each reader completes at least one full partition pass even if the
-/// writer finishes first. Schedule wrap-around is sound on both sides:
-/// a replayed `present(new)` re-publishes the slot and the stale
-/// `absent(old)` is dropped by the claims check, so every user stays
-/// logged in and present for the whole run.
-///
-/// Because queries genuinely race flushes, answers are *not*
-/// checksummed against the barriered replay — readers instead assert
-/// outcome validity (a `Found` cell is in range). Bit-identity of the
-/// seqlock path is proven separately by the differential suites; this
-/// mode exists to measure the tail under contention.
-///
-/// Every per-query latency lands in the overall histogram with
-/// coordinated-omission correction; queries that overlapped a flush
-/// (the writer raises a flush-active flag around each burst) land in
-/// the burst histogram too — see [`ContendedResult::burst_hdr`].
-///
-/// When `recorder` is armed with a retry threshold
-/// (`FlightRecorder::with_retry_threshold`), each query feeds its
-/// shard's read-retry delta to the retry-storm trigger. Concurrent
-/// readers of one shard may attribute each other's retries, so the
-/// delta is an over-approximation — fine for a storm detector.
-pub fn run_contended(
-    w: &Workload,
-    trace: &Trace,
-    readers: usize,
-    burst_ticks: usize,
-    passes: usize,
-    read_path: ReadPath,
-    recorder: Option<&FlightRecorder>,
-) -> ContendedResult {
-    assert!(readers >= 1, "need at least one reader");
-    assert!(burst_ticks >= 1, "need at least one tick per write burst");
-    assert!(passes >= 1, "need at least one writer pass");
-    let svc = new_service(w, read_path);
-    populate(&svc, w, trace, 1);
-
-    let cells = w.cells() as u32;
-    let shard_mask = (w.shards as u64).saturating_sub(1);
-    let done = AtomicBool::new(false);
-    let flushing = AtomicBool::new(false);
-    let start = Instant::now();
-    let per_reader: Vec<(HdrHistogram, HdrHistogram, u64, u64)> = std::thread::scope(|s| {
-        let svc = &svc;
-        let done = &done;
-        let flushing = &flushing;
-        let writer = s.spawn(move || {
-            let mut ts = w.users;
-            let mut since_flush = 0usize;
-            let burst_flush = |svc: &ShardedService| {
-                flushing.store(true, Ordering::Release);
-                svc.flush(1);
-                flushing.store(false, Ordering::Release);
-            };
-            for _pass in 0..passes {
-                for tick in 0..w.ticks {
-                    ingest_tick(svc, w, trace, tick, &mut ts);
-                    since_flush += 1;
-                    if since_flush >= burst_ticks {
-                        burst_flush(svc);
-                        since_flush = 0;
-                    }
-                }
-            }
-            if since_flush > 0 {
-                burst_flush(svc);
-            }
-            done.store(true, Ordering::Release);
-        });
-        let handles: Vec<_> = (0..readers)
-            .map(|k| {
-                s.spawn(move || {
-                    let mut hdr = HdrHistogram::with_default_resolution();
-                    let mut burst_hdr = HdrHistogram::with_default_resolution();
-                    let mut path = Vec::new();
-                    let mut found = 0u64;
-                    let mut queries = 0u64;
-                    let mut pass = 0usize;
-                    'serve: loop {
-                        let mut i = k;
-                        while i < trace.queries.len() {
-                            // The first partition pass always completes
-                            // (coverage even against an instant writer);
-                            // later passes bail as soon as the writer is
-                            // done.
-                            if pass > 0 && done.load(Ordering::Acquire) {
-                                break 'serve;
-                            }
-                            let (querier, target, from_cell) = trace.queries[i];
-                            let shard = (querier & shard_mask) as usize;
-                            let before = recorder.map(|_| svc.shard_read_retries(shard));
-                            let in_burst = flushing.load(Ordering::Acquire);
-                            let t0 = Instant::now();
-                            let out = svc.where_is(querier, target, from_cell as usize, &mut path);
-                            let lat = t0.elapsed().as_nanos() as u64;
-                            hdr.record_corrected(lat, CONTENDED_EXPECTED_SERVICE_NS);
-                            // A flush is orders of magnitude longer than
-                            // a query, so sampling the flag on both edges
-                            // catches every overlap.
-                            if in_burst || flushing.load(Ordering::Acquire) {
-                                burst_hdr.record(lat);
-                            }
-                            if let (Some(rec), Some(b)) = (recorder, before) {
-                                let delta = svc.shard_read_retries(shard).saturating_sub(b);
-                                rec.observe_read_retries(SpanId::NONE, shard, delta);
-                            }
-                            if let WhereIs::Found { cell, .. } = out {
-                                assert!(cell < cells, "Found cell {cell} out of range");
-                                found += 1;
-                            }
-                            queries += 1;
-                            i += readers;
-                        }
-                        pass += 1;
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                    (hdr, burst_hdr, found, queries)
-                })
-            })
-            .collect();
-        let collected = handles
-            .into_iter()
-            .map(|h| h.join().expect("reader thread"))
-            .collect();
-        writer.join().expect("writer thread");
-        collected
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let mut hdr = HdrHistogram::with_default_resolution();
-    let mut burst_hdr = HdrHistogram::with_default_resolution();
-    let mut found = 0u64;
-    let mut queries = 0u64;
-    for (h, b, f, q) in &per_reader {
-        if let Err(e) = hdr.merge(h) {
-            eprintln!("reader hdr merge failed: {e}");
-        }
-        if let Err(e) = burst_hdr.merge(b) {
-            eprintln!("reader burst hdr merge failed: {e}");
-        }
-        found += f;
-        queries += q;
-    }
-    ContendedResult {
-        hdr,
-        burst_hdr,
-        queries,
-        found,
-        read_retries: svc.read_retries(),
-        slot_publishes: svc.slot_publishes(),
-        wall_secs,
-    }
-}
-
-// ---------------------------------------------------------------------
 // Write-burst tail model
 // ---------------------------------------------------------------------
 
@@ -1072,8 +816,14 @@ pub struct BurstModelResult {
     pub duty: f64,
 }
 
+/// Ticks of moves a write burst accumulates before one flush applies
+/// them: `WRITE_BURST_TICKS * 2 * updates_per_tick` notices, the wave
+/// of re-announced users an inquiry sweep delivers at once (8,192 at
+/// 80:20, 20,480 at 50:50, 384 at 99:1).
+pub const WRITE_BURST_TICKS: usize = 64;
+
 /// Deterministic open-loop model of the tail a read path shows under
-/// write bursts — the reproducible companion to [`run_contended`].
+/// write bursts.
 ///
 /// Thread-against-thread tail measurements are scheduler-bound: on a
 /// small host (CI runners, single-core boxes) OS preemption stalls are
@@ -1104,10 +854,11 @@ pub struct BurstModelResult {
 /// An arrival that lands inside the hold window of *its own* shard
 /// waits out the remaining hold on [`ReadPath::Locked`] before being
 /// served; on [`ReadPath::Seqlock`] it is served immediately (the read
-/// path takes no lock; the rare same-slot retry is measured separately
-/// by [`run_contended`] as `retries_per_query`). Queueing *behind*
-/// delayed arrivals is not modeled, so the locked tail is a lower
-/// bound.
+/// path takes no lock, which `bips-core`'s
+/// `a_held_writer_lock_stalls_only_locked_reads` test checks; the rare
+/// same-slot retry shows in the `core.service.shard<i>.read_retries`
+/// counters). Queueing *behind* delayed arrivals is not modeled, so the
+/// locked tail is a lower bound.
 ///
 /// Everything entering the histogram is either measured wall time or
 /// arithmetic on it; given the same measured inputs the model is
@@ -1506,28 +1257,6 @@ mod tests {
                 w.name
             );
             assert_eq!(seq.found, locked.found);
-        }
-    }
-
-    #[test]
-    fn contended_run_covers_the_schedule_on_both_paths() {
-        let w = Workload::tiny();
-        let trace = generate_trace(&w);
-        for read_path in [ReadPath::Seqlock, ReadPath::Locked] {
-            let r = run_contended(&w, &trace, 2, 4, 1, read_path, None);
-            // Readers loop the schedule until the writer's pass ends,
-            // so at least one full schedule is always covered.
-            assert!(r.queries >= w.queries(), "{}", read_path.name());
-            // Coordinated-omission correction back-fills samples, so
-            // the histogram holds at least one sample per query.
-            assert!(r.hdr.count() >= r.queries);
-            assert!(r.found > 0, "no query ever found anyone");
-            assert!(r.slot_publishes > 0, "writer never published");
-            assert!(r.wall_secs > 0.0);
-            if read_path == ReadPath::Locked {
-                assert_eq!(r.read_retries, 0, "locked readers cannot retry");
-                assert_eq!(r.retries_per_query(), 0.0);
-            }
         }
     }
 

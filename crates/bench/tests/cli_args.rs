@@ -6,10 +6,9 @@
 
 use std::process::Command;
 
-const GATED: [&str; 5] = [
+const GATED: [&str; 4] = [
     env!("CARGO_BIN_EXE_perf_baseline"),
     env!("CARGO_BIN_EXE_server_throughput"),
-    env!("CARGO_BIN_EXE_mix_throughput"),
     env!("CARGO_BIN_EXE_net_throughput"),
     env!("CARGO_BIN_EXE_path_churn"),
 ];

@@ -3,6 +3,7 @@
 //! exactly the listed same-run rows.
 
 use bips_bench::gate::{self, Kind, Row};
+use bips_bench::loadgen::{Mix, Workload};
 use desim::report::Json;
 
 fn json(text: &str) -> Json {
@@ -74,14 +75,10 @@ fn describe(rows: &[Row]) -> Vec<String> {
 fn ci_gates_are_exactly_the_listed_rows() {
     // The `--smoke` commands CI runs, in order; `perf_baseline` gates
     // nothing.
-    // The smoke untraced phase is well under 0.2 s: no overhead row.
-    let mut rows = gate::server_throughput("smoke", 0.05);
-    rows.extend(gate::server_throughput("smoke_50_50", 0.05));
-    // Per-shard lock holds as the smoke mixes measure them: the 99:1
-    // mix's few-µs hold leaves its ratio unjudged.
-    for (section, hold_us) in [("smoke", 90.0), ("smoke_50_50", 300.0), ("smoke_99_1", 6.0)] {
-        rows.extend(gate::mix_throughput(section, hold_us));
-    }
+    let mut rows = gate::server_throughput(&Workload::smoke());
+    rows.extend(gate::server_throughput(
+        &Workload::smoke().with_mix(Mix::Q50U50),
+    ));
     rows.extend(gate::path_churn("smoke_10k", false));
     rows.extend(gate::path_churn("smoke_100k", true));
     rows.extend(gate::net_throughput("smoke", &[1, 4, 8]));
@@ -90,8 +87,8 @@ fn ci_gates_are_exactly_the_listed_rows() {
 
     let expected = [
         "smoke.speedup.queries_per_sec AtLeast(2.0)",
-        "smoke_50_50.speedup.queries_per_sec AtLeast(2.0)",
         "smoke.speedup.p999_write_burst AtLeast(20.0)",
+        "smoke_50_50.speedup.queries_per_sec AtLeast(2.0)",
         "smoke_50_50.speedup.p999_write_burst AtLeast(20.0)",
         "smoke_10k.repair_speedup AtLeast(20.0)",
         "smoke_10k.queries.churn_over_quiet AtLeast(0.8)",
@@ -105,10 +102,25 @@ fn ci_gates_are_exactly_the_listed_rows() {
     ];
     assert_eq!(describe(&rows), expected);
 
-    // A long enough untraced phase adds the overhead bound.
-    let long = gate::server_throughput("full", 0.2);
-    assert_eq!(
-        describe(&long).last().map(String::as_str),
-        Some("full.speedup.tracing_overhead AtLeast(0.7)")
-    );
+    // Full runs replay at least 1M queries, which adds the overhead
+    // row; a 99:1 burst is too small to judge, at either size.
+    let mut rows = Vec::new();
+    for mix in Mix::ALL {
+        rows.extend(gate::server_throughput(&Workload::full().with_mix(mix)));
+    }
+    rows.extend(gate::server_throughput(
+        &Workload::smoke().with_mix(Mix::Q99U1),
+    ));
+    let expected = [
+        "full.speedup.queries_per_sec AtLeast(2.0)",
+        "full.speedup.p999_write_burst AtLeast(20.0)",
+        "full.speedup.tracing_overhead AtLeast(0.7)",
+        "full_50_50.speedup.queries_per_sec AtLeast(2.0)",
+        "full_50_50.speedup.p999_write_burst AtLeast(20.0)",
+        "full_50_50.speedup.tracing_overhead AtLeast(0.7)",
+        "full_99_1.speedup.queries_per_sec AtLeast(2.0)",
+        "full_99_1.speedup.tracing_overhead AtLeast(0.7)",
+        "smoke_99_1.speedup.queries_per_sec AtLeast(2.0)",
+    ];
+    assert_eq!(describe(&rows), expected);
 }

@@ -137,16 +137,6 @@ pub enum ReadPath {
     Locked,
 }
 
-impl ReadPath {
-    /// Stable lower-case name, for bench reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReadPath::Seqlock => "seqlock",
-            ReadPath::Locked => "locked",
-        }
-    }
-}
-
 /// The 16-byte per-user record every query touches, seqlock-published.
 /// Kept minimal so a building's worth of users stays cache-resident:
 /// 1M users ≈ 16 MB, versus ~250 MB of string-keyed maps in the seed
@@ -382,7 +372,7 @@ enum EnginePaths {
 
 /// Anomaly code recorded (and carried in a
 /// [`TraceKind::Anomaly`] event) when a path walk hits a corrupt
-/// table: distinguishes it from latency (0) and retry-storm (1) dumps.
+/// table: distinguishes it from a latency anomaly (0).
 pub const ANOMALY_PATH_CORRUPT: u32 = 2;
 
 /// The sharded serving engine. See the [module docs](self) for the
@@ -650,15 +640,6 @@ impl ShardedService {
             .iter()
             .map(|s| s.read_retries.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Read retries of one shard (see
-    /// [`read_retries`](ShardedService::read_retries)); 0 for an
-    /// out-of-range index.
-    pub fn shard_read_retries(&self, shard: usize) -> u64 {
-        self.shards
-            .get(shard)
-            .map_or(0, |s| s.read_retries.load(Ordering::Relaxed))
     }
 
     /// Total seqlock slot publishes across all shards (login, logout
@@ -1532,6 +1513,55 @@ mod tests {
             svc.ingest(addr(b), 9, true, 2);
             svc.flush(1);
             assert_eq!(svc.where_is(a, b, 0, &mut path_buf), WhereIs::OutOfCoverage);
+        }
+    }
+
+    /// The seqlock read path takes no lock: a query whose querier and
+    /// target share a shard is answered while a writer holds that
+    /// shard's lock. The locked path is the control that shows the test
+    /// can see a blocked reader.
+    #[test]
+    fn a_held_writer_lock_stalls_only_locked_reads() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        for read_path in [ReadPath::Seqlock, ReadPath::Locked] {
+            // Users 1 and 3 both live in shard 1 of 2.
+            let svc = service_with(4, 2, read_path);
+            let (querier, target) = (1, 3);
+            svc.login(querier, "pw", addr(querier)).unwrap();
+            svc.login(target, "pw", addr(target)).unwrap();
+            svc.ingest(addr(target), 5, true, 1);
+            svc.flush(1);
+            let mut free_path = Vec::new();
+            let free = svc.where_is(querier, target, 0, &mut free_path);
+            assert!(matches!(free, WhereIs::Found { cell: 5, .. }));
+
+            let svc = &svc;
+            std::thread::scope(|s| {
+                let guard = write_lock(&svc.shards[1].writer);
+                let (tx, rx) = mpsc::channel();
+                s.spawn(move || {
+                    let mut path = Vec::new();
+                    let out = svc.where_is(querier, target, 0, &mut path);
+                    // The receiver is gone only if the test already failed.
+                    let _ = tx.send((out, path));
+                });
+                let answer = match read_path {
+                    ReadPath::Seqlock => rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("a seqlock read waited on the writer lock"),
+                    ReadPath::Locked => {
+                        assert!(
+                            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                            "a locked read answered through a held writer lock"
+                        );
+                        drop(guard);
+                        rx.recv_timeout(Duration::from_secs(10))
+                            .expect("the locked read never resumed")
+                    }
+                };
+                assert_eq!(answer, (free, free_path.clone()), "{read_path:?}");
+            });
         }
     }
 

@@ -150,27 +150,6 @@ impl HdrHistogram {
         self.record_n(v, 1);
     }
 
-    /// Record `v` with coordinated-omission correction: when a
-    /// closed-loop probe measures a stall longer than its expected
-    /// inter-sample interval, the samples it *would* have taken during
-    /// the stall were silently omitted — so alongside `v` this also
-    /// records the implied delayed samples `v - interval`,
-    /// `v - 2*interval`, … down to `interval` (the standard
-    /// HdrHistogram `recordValueWithExpectedInterval` scheme). A no-op
-    /// beyond plain [`record`](HdrHistogram::record) when
-    /// `expected_interval` is 0 or `v` never exceeded it.
-    pub fn record_corrected(&mut self, v: u64, expected_interval: u64) {
-        self.record(v);
-        if expected_interval == 0 {
-            return;
-        }
-        let mut missing = v.saturating_sub(expected_interval);
-        while missing >= expected_interval {
-            self.record(missing);
-            missing -= expected_interval;
-        }
-    }
-
     /// Record `n` occurrences of `v`.
     pub fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
@@ -259,25 +238,6 @@ mod tests {
         assert_eq!(h.index_of(0), 0);
         assert_eq!(h.index_of(127), 127);
         assert_ne!(h.index_of(64), h.index_of(65));
-    }
-
-    #[test]
-    fn corrected_recording_backfills_omitted_samples() {
-        let mut h = HdrHistogram::new(7);
-        // A 10-interval stall implies 9 omitted samples: 100, 90, ... 10.
-        h.record_corrected(100, 10);
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.min(), 10);
-        assert_eq!(h.max(), 100);
-        // At or below the interval: just the sample itself.
-        let mut h = HdrHistogram::new(7);
-        h.record_corrected(10, 10);
-        h.record_corrected(3, 10);
-        assert_eq!(h.count(), 2);
-        // Interval 0 disables correction entirely.
-        let mut h = HdrHistogram::new(7);
-        h.record_corrected(1000, 0);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub enum TraceKind {
     /// direction, `arg` = correlation id).
     FrameEncode = 5,
     /// An anomaly tripped a flight-recorder threshold (`code` = 0 for
-    /// a latency anomaly with `arg` = nanoseconds, `code` = 1 for a
-    /// seqlock retry storm with `arg` = read retries on one query).
+    /// a latency anomaly with `arg` = nanoseconds).
     Anomaly = 6,
 }
 
@@ -421,7 +420,6 @@ pub struct FlightRecorder {
     dir: PathBuf,
     last_n: usize,
     latency_threshold_ns: Option<u64>,
-    retry_threshold: Option<u64>,
     dumps: AtomicU64,
 }
 
@@ -434,7 +432,6 @@ impl FlightRecorder {
             dir: dir.to_path_buf(),
             last_n: last_n.max(1),
             latency_threshold_ns: None,
-            retry_threshold: None,
             dumps: AtomicU64::new(0),
         }
     }
@@ -443,15 +440,6 @@ impl FlightRecorder {
     /// dumps when a sample exceeds `threshold_ns`.
     pub fn with_latency_threshold_ns(mut self, threshold_ns: u64) -> FlightRecorder {
         self.latency_threshold_ns = Some(threshold_ns);
-        self
-    }
-
-    /// Arm the retry-storm trigger: [`FlightRecorder::observe_read_retries`]
-    /// dumps when one query's seqlock read-retry count exceeds
-    /// `retries` — the signature of a writer re-publishing a hot slot
-    /// fast enough to starve its readers.
-    pub fn with_retry_threshold(mut self, retries: u64) -> FlightRecorder {
-        self.retry_threshold = Some(retries);
         self
     }
 
@@ -476,20 +464,6 @@ impl FlightRecorder {
         self.tracer
             .record(ring, TraceKind::Anomaly, span, ring as u16, 0, nanos);
         self.dump("latency-anomaly").ok()
-    }
-
-    /// Feed one query's seqlock read-retry count; if the retry-storm
-    /// threshold is armed and exceeded, records a
-    /// [`TraceKind::Anomaly`] event (`code` = 1) and dumps. Returns the
-    /// artifact path when a dump was written.
-    pub fn observe_read_retries(&self, span: SpanId, ring: usize, retries: u64) -> Option<PathBuf> {
-        let threshold = self.retry_threshold?;
-        if retries <= threshold {
-            return None;
-        }
-        self.tracer
-            .record(ring, TraceKind::Anomaly, span, ring as u16, 1, retries);
-        self.dump("retry-storm").ok()
     }
 
     /// Drain the last-N events into a fresh JSONL artifact now.
@@ -668,29 +642,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read dump");
         assert!(text.contains("anomaly"));
         assert!(text.contains("\"arg\":5000"));
-        assert_eq!(rec.dumps(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retry_storm_trigger_dumps() {
-        let dir = std::env::temp_dir().join("bips-trace-test-retry-storm");
-        let _ = std::fs::remove_dir_all(&dir);
-        let tracer = Arc::new(Tracer::new(1, 8));
-        let rec = FlightRecorder::new(Arc::clone(&tracer), &dir, 8).with_retry_threshold(16);
-        // At or below the threshold: armed but quiet.
-        assert!(rec.observe_read_retries(SpanId(9), 0, 16).is_none());
-        // An unarmed trigger never dumps either.
-        let quiet = FlightRecorder::new(Arc::clone(&tracer), &dir, 8);
-        assert!(quiet
-            .observe_read_retries(SpanId(9), 0, 1_000_000)
-            .is_none());
-        let path = rec.observe_read_retries(SpanId(9), 0, 17).expect("dump");
-        assert!(path.to_string_lossy().contains("retry-storm"));
-        let text = std::fs::read_to_string(&path).expect("read dump");
-        assert!(text.contains("anomaly"));
-        assert!(text.contains("\"code\":1"));
-        assert!(text.contains("\"arg\":17"));
         assert_eq!(rec.dumps(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
