@@ -1,6 +1,6 @@
 //! Pins allocation counts: zero per steady-state WhereIs query, and
-//! the exact counts of a notice burst, of a run of path mutations and
-//! of the Figure 2 simulation runs.
+//! the exact counts of a set of logins, of a notice burst, of a run of
+//! path mutations and of the Figure 2 simulation runs.
 //!
 //! A counting global allocator wraps the system one; after warming the
 //! caller-owned path buffer, a burst of `where_is` queries across the
@@ -31,11 +31,9 @@ static GLOBAL: counting::Counting = counting::Counting;
 const USERS: u64 = 512;
 const CELLS: usize = 64;
 
-/// The shared fixture: a line-graph building with the whole outcome
-/// spectrum reachable. With `tracer`, trace rings are attached and
-/// every query gets a fresh span — the hot path must stay
-/// allocation-free either way.
-fn build_service(tracer: Option<Arc<Tracer>>) -> ShardedService {
+/// The shared fixture's engine before any login: a line-graph building
+/// on 8 shards. With `tracer`, trace rings are attached.
+fn new_service(tracer: Option<Arc<Tracer>>) -> ShardedService {
     let mut reg = Registry::new();
     for i in 0..USERS {
         reg.register(&format!("user{i}"), "pw", AccessRights::open())
@@ -49,12 +47,26 @@ fn build_service(tracer: Option<Arc<Tracer>>) -> ShardedService {
     if let Some(t) = tracer {
         svc.attach_tracer(t);
     }
-    let mut ts = 0;
-    // User 0 stays logged out (NotLoggedIn answers); user 1 stays out
-    // of coverage (no presence).
+    svc
+}
+
+/// The fixture's 511 logins. User 0 stays logged out (NotLoggedIn
+/// answers).
+fn log_in(svc: &ShardedService) {
     for uid in 1..USERS {
         svc.login(uid, "pw", BdAddr::new(1000 + uid)).unwrap();
     }
+}
+
+/// The shared fixture: a line-graph building with the whole outcome
+/// spectrum reachable. With `tracer`, trace rings are attached and
+/// every query gets a fresh span — the hot path must stay
+/// allocation-free either way.
+fn build_service(tracer: Option<Arc<Tracer>>) -> ShardedService {
+    let svc = new_service(tracer);
+    log_in(&svc);
+    let mut ts = 0;
+    // User 1 stays out of coverage (no presence).
     for uid in 2..USERS {
         ts += 1;
         svc.ingest(
@@ -141,10 +153,8 @@ fn build_dynamic_service(kind: PathEngineKind) -> ShardedService {
         g.add_edge(i, i + 1, 10.0);
     }
     let svc = ShardedService::new_dynamic(&reg, PathEngine::new(kind, g), 8, ReadPath::Seqlock);
+    log_in(&svc);
     let mut ts = 0;
-    for uid in 1..USERS {
-        svc.login(uid, "pw", BdAddr::new(1000 + uid)).unwrap();
-    }
     for uid in 2..USERS {
         ts += 1;
         svc.ingest(
@@ -213,6 +223,18 @@ fn steady_state_traced_queries_do_not_allocate() {
     assert_zero_alloc_burst(&svc);
     assert!(tracer.recorded() >= 800, "traced burst recorded no events");
     assert_eq!(tracer.dropped(), 0);
+}
+
+/// The fixture's 511 logins into a freshly built engine. Each of the 8
+/// address tables starts at 128 slots, twice its share of the 512
+/// users, and allocates only when a login would fill more than half of
+/// it. Two tables take more than 64 of these addresses (104 and 112)
+/// and double once each.
+#[test]
+fn logins_allocate_as_pinned() {
+    let svc = new_service(None);
+    let ((), allocs) = counting::count(|| log_in(&svc));
+    assert_eq!(allocs, 2, "511 logins");
 }
 
 /// A steady-state move burst: each of the 510 present users moves one

@@ -10,9 +10,10 @@
 //! This module is the serving-path redesign:
 //!
 //! * **Interned identities.** User ids are dense `u64`s (the registry
-//!   already allocates them densely) and `BD_ADDR`s are interned into a
-//!   sharded address table once at login. The steady-state query path
-//!   never touches a string.
+//!   already allocates them densely) and `BD_ADDR`s are interned once at
+//!   login into flat open-addressed tables, sharded by address hash, so
+//!   ingest resolves a notice's address in one short probe. The
+//!   steady-state query path never touches a string.
 //! * **Sharded state.** Users are partitioned over `nshards`
 //!   (power-of-two) shards by `uid & (nshards - 1)`. Each shard holds a
 //!   16-byte *hot slot* per user (bound address, current cell) made of
@@ -65,7 +66,6 @@
 //!
 //! [`flush`]: ShardedService::flush
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -254,6 +254,167 @@ struct PendingNotice {
     since_us: u64,
 }
 
+/// An empty [`AddrTable`] slot. No `BD_ADDR` reaches 48 bits, so no
+/// binding can be mistaken for it.
+const EMPTY: (u64, u32) = (NO_ADDR, 0);
+
+/// The smallest [`AddrTable`]: one run of eight addresses.
+const MIN_TABLE_SLOTS: usize = 8;
+
+/// The splitmix64 finalizer: a bijection on `u64` in which every output
+/// bit depends on every input bit.
+#[inline]
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// An address's hash: the run index `addr >> 3` mixed, and the offset
+/// within the run kept as the low three bits. The eight addresses of an
+/// aligned run therefore share an address shard (bits 35 and up) and
+/// have consecutive home slots in its table (the low bits).
+#[inline]
+fn addr_hash(addr: u64) -> u64 {
+    (splitmix64(addr >> 3) << 3) | (addr & 7)
+}
+
+/// Index of the address shard for hash `h`, among `nshards` (a power of
+/// two). Disjoint from the bits any table below 2^35 slots reads.
+#[inline]
+fn addr_shard(h: u64, nshards: usize) -> usize {
+    (h >> 35) as usize & nshards.wrapping_sub(1)
+}
+
+/// One address shard's `BD_ADDR` → uid bindings: an open-addressed
+/// table with linear probing.
+///
+/// - The length is a power of two, presized at construction to twice
+///   the shard's share of the registry's users, so a full set of logins
+///   normally allocates nothing. A binding that would fill more than
+///   half the table doubles it first, so the load stays at or below 1/2.
+/// - [`remove`](AddrTable::remove) shifts the rest of the cluster back
+///   into the hole, so no tombstones build up.
+/// - Every probe loop is bounded by the table length.
+#[derive(Debug)]
+struct AddrTable {
+    /// `(addr, uid)` per slot; [`EMPTY`] where none is bound.
+    slots: Box<[(u64, u32)]>,
+    /// Bound addresses: at most half of `slots.len()`.
+    len: usize,
+}
+
+impl AddrTable {
+    /// An empty table sized for one of `nshards` shards' share of
+    /// `users` bindings.
+    fn presized(users: u64, nshards: usize) -> AddrTable {
+        let share = users.div_ceil(nshards as u64) as usize;
+        AddrTable::with_slots(share.saturating_mul(2).max(MIN_TABLE_SLOTS))
+    }
+
+    fn with_slots(slots: usize) -> AddrTable {
+        AddrTable {
+            slots: vec![EMPTY; slots.next_power_of_two()].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    /// Walks `addr`'s probe sequence from its home slot (`h` is its
+    /// [`addr_hash`]): `Ok` with the slot that binds `addr`, `Err` with
+    /// the first empty slot, or `None` if neither turns up in one lap
+    /// of the table.
+    #[inline]
+    fn probe(&self, addr: u64, h: u64) -> Option<Result<usize, usize>> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = h as usize & mask;
+        for _ in 0..self.slots.len() {
+            let &(a, _) = self.slots.get(i)?;
+            if a == addr {
+                return Some(Ok(i));
+            }
+            if a == NO_ADDR {
+                return Some(Err(i));
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    /// The uid bound to `addr`, if any.
+    #[inline]
+    fn get(&self, addr: u64, h: u64) -> Option<u32> {
+        let i = self.probe(addr, h)?.ok()?;
+        self.slots.get(i).map(|&(_, uid)| uid)
+    }
+
+    /// Binds `addr` to `uid` in `vacant`, the empty slot where its
+    /// [`probe`](AddrTable::probe) ended. If the binding would fill more
+    /// than half the table, the table doubles first and `addr` probes
+    /// again.
+    fn insert(&mut self, vacant: usize, addr: u64, h: u64, uid: u32) {
+        let mut at = vacant;
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+            let Some(Err(i)) = self.probe(addr, h) else {
+                return;
+            };
+            at = i;
+        }
+        if let Some(slot) = self.slots.get_mut(at) {
+            *slot = (addr, uid);
+            self.len += 1;
+        }
+    }
+
+    /// Doubles the table and re-inserts every binding.
+    fn grow(&mut self) {
+        let doubled = AddrTable::with_slots(self.slots.len() * 2);
+        let old = std::mem::replace(self, doubled);
+        for &(addr, uid) in old.slots.iter().filter(|&&(a, _)| a != NO_ADDR) {
+            if let Some(Err(i)) = self.probe(addr, addr_hash(addr)) {
+                if let Some(slot) = self.slots.get_mut(i) {
+                    *slot = (addr, uid);
+                }
+            }
+        }
+        self.len = old.len;
+    }
+
+    /// Unbinds `addr`. Each later member of its cluster whose probe
+    /// sequence passes the hole moves back into it, and the last hole
+    /// is emptied (backward-shift deletion).
+    fn remove(&mut self, addr: u64, h: u64) {
+        let Some(Ok(mut hole)) = self.probe(addr, h) else {
+            return;
+        };
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut j = hole;
+        for _ in 0..self.slots.len() {
+            j = (j + 1) & mask;
+            let Some(&(a, uid)) = self.slots.get(j) else {
+                break;
+            };
+            if a == NO_ADDR {
+                break;
+            }
+            // The binding at `j` may fill the hole only if the hole lies
+            // on its probe sequence, between its home slot and `j`.
+            let home = addr_hash(a) as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                if let Some(slot) = self.slots.get_mut(hole) {
+                    *slot = (a, uid);
+                }
+                hole = j;
+            }
+        }
+        if let Some(slot) = self.slots.get_mut(hole) {
+            *slot = EMPTY;
+        }
+        self.len -= 1;
+    }
+}
+
 /// Session-management errors, mirroring
 /// [`RegistryError`](crate::registry::RegistryError) for the operations
 /// the engine serves.
@@ -414,13 +575,21 @@ pub struct ShardedService {
     /// Ingested notices whose address was not bound to any user: their
     /// `(seq)` still occupies an ack position (always `false`).
     dropped: Mutex<Vec<u64>>,
-    /// Interned `BD_ADDR` → uid bindings, sharded by address hash.
-    /// `BTreeMap` behind the writer-side mutex: point lookups on the
-    /// ingest path, and — unlike the `HashMap` it replaced — an
-    /// iteration order that is deterministic by construction, so no
-    /// future drain/iterate use can reintroduce the per-process-seed
-    /// nondeterminism PR 5 eradicated elsewhere.
-    addr_shards: Box<[Mutex<BTreeMap<u64, u32>>]>,
+    /// Interned `BD_ADDR` → uid bindings: one flat [`AddrTable`] per
+    /// address shard, behind a writer-side mutex.
+    /// - The hash ([`addr_hash`]) mixes the run index `addr >> 3` with
+    ///   splitmix64 and keeps `addr & 7`, so an aligned run of eight
+    ///   addresses sits in eight consecutive slots of one shard. Logins
+    ///   and first notices that stream in address order then share
+    ///   cache lines, where a fully mixed hash would miss on each one.
+    /// - Each table starts at twice the shard's share of the registry's
+    ///   users, keeps its load at or below 1/2 by doubling, and deletes
+    ///   by backward shift, with no tombstones.
+    /// - Only [`login`](ShardedService::login) writes a table, and no
+    ///   socket request reaches `login`. A peer's `IngestBatch` can
+    ///   probe a table with any address it likes, each probe bounded by
+    ///   the table length, but cannot shape the clusters it probes.
+    addr_shards: Box<[Mutex<AddrTable>]>,
     /// Notices ignored because their address was unbound.
     ignored: AtomicU64,
     next_seq: AtomicU64,
@@ -570,7 +739,9 @@ impl ShardedService {
             shards: shards.into_boxed_slice(),
             pending: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
             dropped: Mutex::new(Vec::new()),
-            addr_shards: (0..nshards).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            addr_shards: (0..nshards)
+                .map(|_| Mutex::new(AddrTable::presized(n, nshards)))
+                .collect(),
             ignored: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             num_users: n,
@@ -659,12 +830,10 @@ impl ShardedService {
         )
     }
 
-    /// Address-table shard index: a multiplicative mix so clustered
-    /// `BD_ADDR` assignments still spread over the shards.
+    /// The address table for hash `h`.
     #[inline]
-    fn addr_shard_of(&self, addr: u64) -> usize {
-        let mixed = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (mixed & (self.addr_shards.len() as u64 - 1)) as usize
+    fn addr_table(&self, h: u64) -> Option<&Mutex<AddrTable>> {
+        self.addr_shards.get(addr_shard(h, self.addr_shards.len()))
     }
 
     /// Reads one slot's `(addr, cell)` pair via the engine's configured
@@ -753,13 +922,14 @@ impl ShardedService {
         if crate::registry::digest(meta.salt, password) != meta.digest {
             return Err(SessionError::BadPassword);
         }
-        let Some(addr_lock) = self.addr_shards.get(self.addr_shard_of(addr.raw())) else {
+        let h = addr_hash(addr.raw());
+        let Some(addr_lock) = self.addr_table(h) else {
             return Err(SessionError::AddressInUse);
         };
         let mut addrs = lock_mutex(addr_lock);
-        if addrs.contains_key(&addr.raw()) {
+        let Some(Err(vacant)) = addrs.probe(addr.raw(), h) else {
             return Err(SessionError::AddressInUse);
-        }
+        };
         let Some(hot) = sh.hot.get(slot) else {
             return Err(SessionError::NoSuchUser);
         };
@@ -768,7 +938,7 @@ impl ShardedService {
         if hot.addr.load(Ordering::Relaxed) != NO_ADDR {
             return Err(SessionError::AlreadyLoggedIn);
         }
-        addrs.insert(addr.raw(), uid as u32);
+        addrs.insert(vacant, addr.raw(), h, uid as u32);
         hot.publish(addr.raw(), hot.cell.load(Ordering::Relaxed));
         sh.slot_publishes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -799,8 +969,9 @@ impl ShardedService {
         }
         hot.publish(NO_ADDR, NO_CELL);
         sh.slot_publishes.fetch_add(1, Ordering::Relaxed);
-        if let Some(addr_lock) = self.addr_shards.get(self.addr_shard_of(addr)) {
-            lock_mutex(addr_lock).remove(&addr);
+        let h = addr_hash(addr);
+        if let Some(addr_lock) = self.addr_table(h) {
+            lock_mutex(addr_lock).remove(addr, h);
         }
         if let Some(claims) = w.claims.get_mut(slot) {
             claims.clear();
@@ -832,11 +1003,11 @@ impl ShardedService {
         span: SpanId,
     ) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let h = addr_hash(addr.raw());
         let uid = self
-            .addr_shards
-            .get(self.addr_shard_of(addr.raw()))
+            .addr_table(h)
             // lint:allow(serve-lock-reach): writer-side — ingest resolves the device binding under the address mutex; the query read path never calls ingest
-            .and_then(|lock| lock_mutex(lock).get(&addr.raw()).copied());
+            .and_then(|lock| lock_mutex(lock).get(addr.raw(), h));
         let queued = match uid {
             Some(uid) => {
                 let (shard, slot) = self.shard_of(u64::from(uid));
@@ -2018,5 +2189,92 @@ mod tests {
             Served::Shutdown
         );
         assert_eq!(out, Response::ShutdownAck.encode());
+    }
+
+    /// The address index `login` builds for `addrs`, user `i` bound to
+    /// `addrs[i]`, over `nshards` tables presized for that many users.
+    fn addr_index(addrs: &[u64], nshards: usize) -> Vec<AddrTable> {
+        let mut tables: Vec<AddrTable> = (0..nshards)
+            .map(|_| AddrTable::presized(addrs.len() as u64, nshards))
+            .collect();
+        for (uid, &a) in addrs.iter().enumerate() {
+            let h = addr_hash(a);
+            let table = &mut tables[addr_shard(h, nshards)];
+            let Some(Err(vacant)) = table.probe(a, h) else {
+                panic!("{a:#x} bound twice");
+            };
+            table.insert(vacant, a, h, uid as u32);
+        }
+        tables
+    }
+
+    /// Slots visited by one lookup of each of `addrs`, summed: from the
+    /// home slot to the slot that binds the address or to the empty
+    /// slot that ends its probe.
+    fn total_probes(tables: &[AddrTable], addrs: &[u64]) -> u64 {
+        let mut total = 0;
+        for &a in addrs {
+            let h = addr_hash(a);
+            let table = &tables[addr_shard(h, tables.len())];
+            let (Ok(end) | Err(end)) = table.probe(a, h).expect("a table with an empty slot");
+            total += ((end.wrapping_sub(h as usize) & (table.slots.len() - 1)) + 1) as u64;
+        }
+        total
+    }
+
+    /// Exact probe counts, the same on every host: a hash change that
+    /// clusters addresses, or a probe or insertion change that walks
+    /// further, moves them.
+    #[test]
+    fn addr_index_probe_counts_are_pinned() {
+        const N: u64 = 50_000;
+        // The benchmark's layout: user `uid` at `0x1_0000 + uid`, and the
+        // next N addresses unbound.
+        let bound: Vec<u64> = (0..N).map(|uid| 0x1_0000 + uid).collect();
+        let unbound: Vec<u64> = (N..2 * N).map(|uid| 0x1_0000 + uid).collect();
+        let tables = addr_index(&bound, 16);
+        assert!(
+            tables.iter().all(|t| t.slots.len() == 8192),
+            "a shard outgrew its presized table"
+        );
+        assert_eq!(
+            (
+                total_probes(&tables, &bound),
+                total_probes(&tables, &unbound)
+            ),
+            (176_080, 310_076),
+            "benchmark layout: probes for the bound and the unbound addresses"
+        );
+
+        // Uniform 48-bit addresses drawn by splitmix64.
+        let drawn: Vec<u64> = (0..2 * N)
+            .map(|i| splitmix64(i) & ((1 << 48) - 1))
+            .collect();
+        let mut distinct = drawn.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), drawn.len(), "draws collide");
+        let (bound, unbound) = drawn.split_at(N as usize);
+        let tables = addr_index(bound, 16);
+        assert_eq!(
+            (total_probes(&tables, bound), total_probes(&tables, unbound)),
+            (65_197, 89_764),
+            "drawn addresses: probes for the bound and the unbound addresses"
+        );
+    }
+
+    /// The benchmark's 1M logins into 16 shards: the fullest shard
+    /// stays within half its presized table, so set-up never doubles a
+    /// table.
+    #[test]
+    fn benchmark_logins_fit_the_presized_tables() {
+        const USERS: u64 = 1_000_000;
+        let mut share = [0u64; 16];
+        for uid in 0..USERS {
+            share[addr_shard(addr_hash(0x1_0000 + uid), 16)] += 1;
+        }
+        let slots = AddrTable::presized(USERS, 16).slots.len();
+        assert_eq!(slots, 131_072);
+        assert_eq!(share.iter().max(), Some(&64_200));
     }
 }
