@@ -92,25 +92,14 @@ impl DiscoveryScenario {
         self.run_trial(seed, Some(metrics))
     }
 
-    /// Runs `n` independent replications, accumulating medium counters
-    /// from every trial into `metrics`. Replications run on the ambient
-    /// worker count ([`desim::par::default_jobs`]: `BIPS_JOBS` or the
-    /// machine width); results are bit-identical for every worker count.
-    pub fn run_replications_with_metrics(
-        &self,
-        master_seed: u64,
-        n: u64,
-        metrics: &mut desim::MetricSet,
-    ) -> Vec<DiscoveryOutcome> {
-        self.run_replications_with_metrics_jobs(master_seed, n, metrics, 0)
-    }
-
-    /// Like [`run_replications_with_metrics`](Self::run_replications_with_metrics)
-    /// with an explicit worker count (`0` = ambient). Per-replication
-    /// seeds come from [`desim::SeedDeriver`] keyed by replication index
-    /// and per-trial metric sets are merged in replication-index order,
-    /// so outcomes **and** accumulated telemetry are bit-identical to
-    /// the serial (`jobs = 1`) run.
+    /// Runs `n` independent replications on `jobs` workers (`0` = the
+    /// ambient count, [`desim::par::default_jobs`]: `BIPS_JOBS` or the
+    /// machine width), accumulating medium counters from every trial
+    /// into `metrics`. Per-replication seeds come from
+    /// [`desim::SeedDeriver`] keyed by replication index and per-trial
+    /// metric sets are merged in replication-index order, so outcomes
+    /// **and** accumulated telemetry are bit-identical to the serial
+    /// (`jobs = 1`) run.
     pub fn run_replications_with_metrics_jobs(
         &self,
         master_seed: u64,
@@ -167,7 +156,7 @@ impl DiscoveryScenario {
 
     /// Runs `n` independent replications with seeds derived from
     /// `master_seed`, on the ambient worker count (see
-    /// [`run_replications_with_metrics`](Self::run_replications_with_metrics)).
+    /// [`run_replications_with_metrics_jobs`](Self::run_replications_with_metrics_jobs)).
     pub fn run_replications(&self, master_seed: u64, n: u64) -> Vec<DiscoveryOutcome> {
         self.run_replications_jobs(master_seed, n, 0)
     }

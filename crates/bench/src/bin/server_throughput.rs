@@ -247,7 +247,7 @@ fn main() {
             FlightRecorder::new(Arc::clone(&tracer), Path::new(FLIGHT_DIR), FLIGHT_LAST_N);
         let (traced, traced_metrics) = {
             let _guard = recorder.guard(w.name);
-            run_sharded_traced(&w, &trace, jobs, &tracer, Some(&recorder))
+            run_sharded_traced(&w, &trace, jobs, &tracer)
         };
         total_dumps += recorder.dumps();
         assert_eq!(

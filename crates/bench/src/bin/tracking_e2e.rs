@@ -1,10 +1,8 @@
 //! Runs the full BIPS deployment end to end (experiment E2E).
 //!
-//! Usage: `cargo run -p bips-bench --bin tracking_e2e --release [users] [seconds] [seed] [--jobs N] [--json PATH]`
+//! Usage: `cargo run -p bips-bench --bin tracking_e2e --release [users] [seconds] [seed] [--json PATH]`
 //!
-//! `--jobs N` is accepted for CLI uniformity and recorded in the run
-//! report; the e2e run is a single coupled engine with nothing to
-//! parallelise.
+//! The run is one coupled engine on one thread, so it takes no `--jobs`.
 //!
 //! With `--json PATH`, a structured run report (config, seed, pipeline
 //! numbers, full metric snapshot) is written to `PATH`.
@@ -19,12 +17,8 @@ use desim::SimDuration;
 
 fn main() {
     let (args, json_path) = telemetry::take_flag(std::env::args().skip(1).collect(), "--json");
-    let (args, jobs) = telemetry::take_jobs(args);
     let mut args = args.into_iter();
-    let mut cfg = E2eConfig {
-        jobs,
-        ..E2eConfig::default()
-    };
+    let mut cfg = E2eConfig::default();
     if let Some(u) = args.next() {
         cfg.users = u.parse().expect("users must be an integer");
     }

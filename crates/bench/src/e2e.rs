@@ -30,10 +30,6 @@ pub struct E2eConfig {
     pub accuracy_sample: SimDuration,
     /// Master seed.
     pub seed: u64,
-    /// Worker knob, recorded in the run report for provenance. The e2e
-    /// run is one coupled engine, so there is nothing to parallelise;
-    /// the knob exists so every experiment CLI accepts `--jobs`.
-    pub jobs: usize,
     /// Fold mobility crossing counters into path weights each sweep
     /// round, so the pipeline exercises real topology churn.
     pub congestion: bool,
@@ -46,7 +42,6 @@ impl Default for E2eConfig {
             duration: SimDuration::from_secs(1200),
             accuracy_sample: SimDuration::from_secs(30),
             seed: 42,
-            jobs: 0,
             congestion: true,
         }
     }
@@ -210,7 +205,6 @@ impl E2eResult {
         report
             .config("users", cfg.users)
             .config("duration_s", cfg.duration.as_secs_f64())
-            .config("jobs", desim::par::resolve_jobs(cfg.jobs) as u64)
             .config("congestion", u64::from(cfg.congestion));
         report
             .artifact("logged_in", self.logged_in)

@@ -65,7 +65,9 @@ impl Row {
 ///   per-shard lock hold and the seqlock p999 a 1–2 µs service tail, so
 ///   a query path slowed toward a hold's length (a per-answer scan, or
 ///   a tail-only stall) erases the gap, and a 99:1 hold of a few µs
-///   cannot show it;
+///   cannot show it. The 80:20 row is the one that catches a ~30 µs
+///   stall on 1 answer in 256: its hold is 3–9× the stalled p999, while
+///   the 50:50 hold is 11–22× it, so that row alone may pass the stall;
 /// * traced/untraced throughput ≥ 0.7, when the section replays at
 ///   least 1M queries (every full mix). A smoke section's ratio is two
 ///   short phases; on one core its median sits near 0.65.

@@ -50,7 +50,7 @@ use bt_baseband::BdAddr;
 use desim::hdr::HdrHistogram;
 use desim::metrics::MetricSet;
 use desim::report::{hdr_json, Json};
-use desim::tracing::{FlightRecorder, SpanId, Tracer};
+use desim::tracing::{SpanId, Tracer};
 use desim::{SeedDeriver, SimTime};
 
 use crate::serve::{Bind, Conn};
@@ -571,17 +571,15 @@ pub fn run_sharded_churn(
 
 /// Replays the trace against the sharded engine with `tracer`
 /// attached: every query gets a fresh span, every ingest and flush is
-/// recorded on its shard's ring. When `recorder` is armed with a
-/// latency threshold, each query latency is fed to it.
+/// recorded on its shard's ring.
 pub fn run_sharded_traced(
     w: &Workload,
     trace: &Trace,
     jobs: usize,
     tracer: &Arc<Tracer>,
-    recorder: Option<&FlightRecorder>,
 ) -> (ModeResult, MetricSet) {
     let svc = new_service(w, ReadPath::Seqlock);
-    run_sharded_impl(w, trace, jobs, svc, Some((tracer, recorder)), None)
+    run_sharded_impl(w, trace, jobs, svc, Some(tracer), None)
 }
 
 /// The one sharded replay loop, over `svc` with nobody logged in. Each
@@ -593,13 +591,12 @@ fn run_sharded_impl(
     trace: &Trace,
     jobs: usize,
     mut svc: ShardedService,
-    tracing: Option<(&Arc<Tracer>, Option<&FlightRecorder>)>,
+    tracer: Option<&Arc<Tracer>>,
     mut churn: Option<(desim::SimRng, usize)>,
 ) -> (ModeResult, MetricSet) {
-    if let Some((tracer, _)) = tracing {
+    if let Some(tracer) = tracer {
         svc.attach_tracer(Arc::clone(tracer));
     }
-    let shard_mask = (w.shards as u64).saturating_sub(1);
     let mut ack_checksum = CHECKSUM_INIT;
     fold_acks(&mut ack_checksum, &populate(&svc, w, trace, jobs));
     let mut ts = w.users;
@@ -622,25 +619,18 @@ fn run_sharded_impl(
         for &(querier, target, from_cell) in
             &trace.queries[tick * w.queries_per_tick..(tick + 1) * w.queries_per_tick]
         {
-            let span = match tracing {
-                Some((tracer, _)) => tracer.next_span(),
-                None => SpanId::NONE,
-            };
+            let span = tracer.map_or(SpanId::NONE, |t| t.next_span());
             let out = svc.where_is_traced(querier, target, from_cell as usize, &mut path, span);
             let now = Instant::now();
-            let lat = (now - prev).as_nanos() as u64;
-            latencies_ns.push(lat);
+            latencies_ns.push((now - prev).as_nanos() as u64);
             prev = now;
-            if let Some((_, Some(rec))) = tracing {
-                rec.observe_latency_ns(span, (querier & shard_mask) as usize, lat);
-            }
             fold_where(&mut checksum, &mut found, &out, &path, &mut path32);
         }
         query_secs += block.elapsed().as_secs_f64();
     }
     let mut metrics = MetricSet::new();
     svc.export_metrics(&mut metrics);
-    if let Some((tracer, _)) = tracing {
+    if let Some(tracer) = tracer {
         tracer.export_metrics(&mut metrics);
     }
     (

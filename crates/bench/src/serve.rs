@@ -372,3 +372,62 @@ fn flush_out(conn: &mut Conn, wbuf: &mut Vec<u8>, stats: &ServeStats) -> io::Res
     wbuf.clear();
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadgen::{build_service, Workload};
+    use bips_core::protocol::{Request, Response};
+    use bips_lan::stream::encode_stream_frame;
+
+    /// Sends `rpc` as one stream frame on a fresh connection and reads
+    /// until the server closes it.
+    fn send(bind: &Bind, rpc: &[u8]) -> Vec<u8> {
+        let mut conn = Conn::dial(bind).expect("dial");
+        let mut wire = Vec::new();
+        encode_stream_frame(&mut wire, rpc);
+        conn.write_all(&wire).expect("write");
+        let mut back = Vec::new();
+        conn.read_to_end(&mut back).expect("read");
+        back
+    }
+
+    #[test]
+    fn frames_with_another_first_byte_drop_their_connection() {
+        let svc = Arc::new(build_service(&Workload::tiny()));
+        let server = Server::bind(&Bind::Tcp("127.0.0.1:0".to_string()), svc, 1).expect("bind");
+        let bind = Bind::Tcp(server.tcp_addr().expect("tcp address").to_string());
+        let serving = std::thread::spawn(move || server.serve());
+        let shutdown = Request::Shutdown.encode();
+        // A well-formed 17-byte header (correlation id 42, then a
+        // nonzero word) before a `Shutdown` payload: not a frame for
+        // these first bytes. Were one served, the ack would close its
+        // connection too, so every read below ends.
+        for dir in [2u8, 3, 4, 255] {
+            let mut rpc = vec![dir];
+            rpc.extend_from_slice(&42u64.to_le_bytes());
+            rpc.extend_from_slice(&7u64.to_le_bytes());
+            rpc.extend_from_slice(&shutdown);
+            assert!(send(&bind, &rpc).is_empty(), "first byte {dir} was served");
+        }
+        let (corr, request) = RpcCodec::new().encode_request(&shutdown);
+        let back = send(&bind, &request);
+        let mut reframer = StreamReframer::new();
+        reframer.extend(&back);
+        let frame = reframer
+            .next_frame()
+            .expect("stream frame")
+            .expect("one frame");
+        let Some(RpcFrame::Response {
+            corr: c, payload, ..
+        }) = RpcCodec::decode_ref_bytes(HostId::new(0), frame)
+        else {
+            panic!("not a response: {back:?}");
+        };
+        assert_eq!(c, corr);
+        assert_eq!(Response::decode(payload), Ok(Response::ShutdownAck));
+        let stats = serving.join().expect("server thread");
+        assert_eq!(stats.dropped.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.frames.load(Ordering::Relaxed), 1);
+    }
+}

@@ -94,15 +94,18 @@ fn panicking_serve_path_dumps_last_events_with_offending_span() {
     );
 
     // Every event line parses; the offending span shows up with both
-    // its query_start and query_end events.
+    // its query_start and query_end events, recorded on the querier's
+    // shard ring (querier 2 of 4 shards: ring 2).
     let mut events = 0u64;
-    let mut offending_kinds = Vec::new();
+    let mut offending_events = Vec::new();
     for line in lines {
         let ev = Json::parse(line).expect("event line parses");
         events += 1;
         if ev.get("span") == Some(&Json::UInt(offending.0)) {
-            if let Some(Json::Str(kind)) = ev.get("kind") {
-                offending_kinds.push(kind.clone());
+            if let (Some(Json::Str(kind)), Some(Json::UInt(shard))) =
+                (ev.get("kind"), ev.get("shard"))
+            {
+                offending_events.push((kind.clone(), *shard));
             }
         }
     }
@@ -112,8 +115,8 @@ fn panicking_serve_path_dumps_last_events_with_offending_span() {
         "last-N window respected: {events}"
     );
     assert_eq!(
-        offending_kinds,
-        vec!["query_start".to_string(), "query_end".to_string()],
+        offending_events,
+        vec![("query_start".to_string(), 2), ("query_end".to_string(), 2)],
         "the offending request's span must be in the dump"
     );
 }

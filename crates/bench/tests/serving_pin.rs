@@ -30,7 +30,7 @@ fn all_pins(w: &Workload) -> Vec<(&'static str, Pin)> {
     let trace = loadgen::generate_trace(w);
     let traced = {
         let tracer = Arc::new(Tracer::new(w.shards, 1024));
-        loadgen::run_sharded_traced(w, &trace, 4, &tracer, None).0
+        loadgen::run_sharded_traced(w, &trace, 4, &tracer).0
     };
     let churn = |kind| loadgen::run_sharded_churn(w, &trace, 4, kind, 3, 2).0;
     vec![

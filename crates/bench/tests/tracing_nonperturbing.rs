@@ -25,7 +25,7 @@ fn tracing_is_bit_identical_across_jobs() {
     for jobs in [1usize, 4, 8] {
         let (sharded, _) = run_sharded(&w, &trace, jobs);
         let tracer = Arc::new(Tracer::new(w.shards, 1024));
-        let (traced, _) = run_sharded_traced(&w, &trace, jobs, &tracer, None);
+        let (traced, _) = run_sharded_traced(&w, &trace, jobs, &tracer);
 
         // Sharded agrees with the seed server.
         assert_eq!(

@@ -984,24 +984,10 @@ impl ShardedService {
     ///
     /// Returns the notice's ack position: index `seq` of the vector the
     /// next `flush` returns. Notices for addresses not bound to any
-    /// logged-in user are counted as ignored and ack `false`.
+    /// logged-in user are counted as ignored and ack `false`. When a
+    /// tracer is attached, every notice that reaches a pending queue
+    /// records a [`TraceKind::Ingest`] event on its shard's ring.
     pub fn ingest(&self, addr: BdAddr, cell: u32, present: bool, since_us: u64) -> u64 {
-        self.ingest_traced(addr, cell, present, since_us, SpanId::NONE)
-    }
-
-    /// [`ingest`](ShardedService::ingest) carrying the request's span
-    /// id (e.g. from an `IngestBatch` RPC frame): when a tracer is
-    /// attached, a [`TraceKind::Ingest`] event is recorded on the
-    /// target shard's ring for every notice that reaches a pending
-    /// queue.
-    pub fn ingest_traced(
-        &self,
-        addr: BdAddr,
-        cell: u32,
-        present: bool,
-        since_us: u64,
-        span: SpanId,
-    ) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let h = addr_hash(addr.raw());
         let uid = self
@@ -1022,7 +1008,14 @@ impl ShardedService {
                             since_us,
                         });
                         if let Some(t) = &self.tracer {
-                            t.record(shard, TraceKind::Ingest, span, shard as u16, cell, seq);
+                            t.record(
+                                shard,
+                                TraceKind::Ingest,
+                                SpanId::NONE,
+                                shard as u16,
+                                cell,
+                                seq,
+                            );
                         }
                         true
                     }

@@ -872,7 +872,6 @@ impl BipsSystem {
                 from,
                 corr,
                 payload,
-                ..
             } => {
                 debug_assert_eq!(m.dst, self.server_host, "requests go to the server");
                 let Ok(req) = Request::decode(payload) else {

@@ -2,8 +2,8 @@
 //!
 //! The serving engine answers queries from many threads at once; when a
 //! request misbehaves we want to know *what that request did* — which
-//! frame it arrived in, which shard served it, what it answered — without
-//! paying for the insight on the hot path. This module provides:
+//! shard served it, what it answered — without paying for the insight
+//! on the hot path. This module provides:
 //!
 //! * [`TraceKind`] — the central registry of trace event kinds. Every
 //!   kind recorded anywhere in the workspace must be a variant here and
@@ -47,51 +47,41 @@ use crate::report::Json;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// An RPC frame was decoded and its span extracted (`code` = frame
-    /// direction, `arg` = correlation id).
-    FrameDecode = 0,
     /// A `where_is` query entered its shard (`code` = querier's cell,
     /// `arg` = target user id).
-    QueryStart = 1,
+    QueryStart = 0,
     /// A `where_is` query produced an outcome (`code` = outcome
     /// discriminant, `arg` = found cell or `u64::MAX`).
-    QueryEnd = 2,
+    QueryEnd = 1,
     /// A presence notice was accepted into a shard's pending queue
     /// (`code` = cell, `arg` = ingest sequence number).
-    Ingest = 3,
+    Ingest = 2,
     /// A shard applied its pending notices (`code` = shard, `arg` =
     /// number of notices applied).
-    Flush = 4,
-    /// An RPC response frame was encoded for this span (`code` = frame
-    /// direction, `arg` = correlation id).
-    FrameEncode = 5,
+    Flush = 3,
     /// An anomaly tripped a flight-recorder threshold (`code` = 0 for
     /// a latency anomaly with `arg` = nanoseconds).
-    Anomaly = 6,
+    Anomaly = 4,
 }
 
 impl TraceKind {
     /// All kinds, in discriminant order. Used by decoders and by the
     /// flight recorder's JSONL rendering.
-    pub const ALL: [TraceKind; 7] = [
-        TraceKind::FrameDecode,
+    pub const ALL: [TraceKind; 5] = [
         TraceKind::QueryStart,
         TraceKind::QueryEnd,
         TraceKind::Ingest,
         TraceKind::Flush,
-        TraceKind::FrameEncode,
         TraceKind::Anomaly,
     ];
 
     /// Stable snake_case name, used in JSONL artifacts and docs.
     pub fn name(self) -> &'static str {
         match self {
-            TraceKind::FrameDecode => "frame_decode",
             TraceKind::QueryStart => "query_start",
             TraceKind::QueryEnd => "query_end",
             TraceKind::Ingest => "ingest",
             TraceKind::Flush => "flush",
-            TraceKind::FrameEncode => "frame_encode",
             TraceKind::Anomaly => "anomaly",
         }
     }
@@ -106,8 +96,9 @@ impl TraceKind {
 /// Identifier tying together all trace events of one request.
 ///
 /// Span 0 is reserved as "untraced" ([`SpanId::NONE`]); allocators
-/// start at 1. The id travels through `lan::rpc` traced frames and the
-/// `*_traced` entry points of `core::service::ShardedService`.
+/// start at 1. A span is born in process at [`Tracer::next_span`] and
+/// handed to `core::service::ShardedService::where_is_traced`; it never
+/// goes on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(pub u64);
 
@@ -236,11 +227,6 @@ impl TraceRing {
     /// Occupancy in `[0, 1]`: resident events over capacity.
     pub fn occupancy(&self) -> f64 {
         self.len() as f64 / self.capacity() as f64
-    }
-
-    /// Events evicted by wraparound.
-    pub fn overwritten(&self) -> u64 {
-        self.recorded().saturating_sub(self.mask + 1)
     }
 
     fn slot(&self, idx: u64) -> usize {
@@ -448,11 +434,6 @@ impl FlightRecorder {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// The shared tracer this recorder drains.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
     /// Feed one latency sample; if the anomaly threshold is armed and
     /// exceeded, records a [`TraceKind::Anomaly`] event and dumps.
     /// Returns the artifact path when a dump was written.
@@ -568,7 +549,6 @@ mod tests {
         let ring = t.ring(0).expect("ring 0");
         assert_eq!(ring.capacity(), 4);
         assert_eq!(ring.recorded(), 10);
-        assert_eq!(ring.overwritten(), 6);
         assert!((ring.occupancy() - 1.0).abs() < 1e-12);
         let evs = t.last_events(16);
         let args: Vec<u64> = evs.iter().map(|e| e.arg).collect();

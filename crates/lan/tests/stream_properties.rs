@@ -96,8 +96,8 @@ proptest! {
         }
     }
 
-    /// Well-formed traced and untraced frames survive stream transport
-    /// and decode with their exact span/corr/payload (seed-style
+    /// Well-formed request frames survive stream transport under any
+    /// split and decode back to their exact payloads (seed-style
     /// end-to-end over the reframer).
     #[test]
     fn rpc_frames_survive_the_stream(

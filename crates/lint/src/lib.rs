@@ -10,8 +10,8 @@
 //! analyzer over the workspace source tree, run as
 //! `cargo run -p bips-lint -- --check` (and as the CI `lint` job).
 //!
-//! See `docs/LINTS.md` for the rule catalog and the suppression /
-//! baseline workflow. The scanner is token-level ([`lexer`]) — no
+//! See `docs/LINTS.md` for the rule catalog and the suppression
+//! workflow. The scanner is token-level ([`lexer`]) — no
 //! `syn`, no registry access, same hermeticity bar as the rest of the
 //! workspace.
 
@@ -21,7 +21,6 @@ pub mod parser;
 pub mod reach;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -51,15 +50,6 @@ impl fmt::Display for Finding {
             "{}:{}: [{}] {}\n    {}",
             self.path, self.line, self.rule, self.message, self.snippet
         )
-    }
-}
-
-impl Finding {
-    /// The committed-baseline representation: line numbers are omitted
-    /// so that unrelated edits above a grandfathered finding do not
-    /// invalidate the entry.
-    pub fn baseline_entry(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.path, self.snippet)
     }
 }
 
@@ -134,8 +124,8 @@ pub fn make_ctx<'a>(rel_path: &'a str, source: &'a str) -> FileCtx<'a> {
 /// each file, the interprocedural reachability rules ([`reach`]) over
 /// the call graph of the whole set, then each file's inline
 /// suppressions applied to the findings that landed in it. Cross-file
-/// doc-drift rules (`metric-doc`, `trace-doc`) and the baseline are
-/// not run here — see [`check_workspace`] / [`apply_baseline`].
+/// doc-drift rules (`metric-doc`, `trace-doc`) are not run here — see
+/// [`check_workspace`].
 pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
     let ctxs: Vec<FileCtx<'_>> = files.iter().map(|(p, s)| make_ctx(p, s)).collect();
     let mut findings = Vec::new();
@@ -415,8 +405,7 @@ pub fn metric_scope(rel: &str) -> bool {
 
 /// Lints the whole workspace rooted at `root`: per-file rules on every
 /// `.rs` file plus the `metric-doc` drift check against
-/// `docs/OBSERVABILITY.md`. Baseline application is the caller's job
-/// ([`apply_baseline`]).
+/// `docs/OBSERVABILITY.md`.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let sources = workspace_sources(root)?;
     let mut findings = check_sources(&sources);
@@ -649,7 +638,7 @@ pub fn metric_doc_drift(doc: &str, registrations: &[(String, String, u32)]) -> V
 /// doc catalog.
 pub const TRACE_KIND_FILE: &str = "crates/desim/src/tracing.rs";
 
-/// `FrameDecode` → `frame_decode`: the stable snake_case names
+/// `QueryStart` → `query_start`: the stable snake_case names
 /// `TraceKind::name()` uses in JSONL artifacts and the doc catalog.
 pub fn trace_kind_snake(variant: &str) -> String {
     let mut out = String::with_capacity(variant.len() + 4);
@@ -773,56 +762,6 @@ pub fn trace_doc_drift(doc: &str, kinds: &[(String, u32)]) -> Vec<Finding> {
     findings
 }
 
-// ---------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------
-
-/// Applies a committed baseline: findings matching an entry are
-/// dropped; entries matching nothing become `stale-baseline` findings
-/// (the grandfathered problem was fixed — delete the entry).
-pub fn apply_baseline(findings: Vec<Finding>, baseline: &str) -> Vec<Finding> {
-    let mut entries: BTreeMap<(String, String, String), (u32, bool)> = BTreeMap::new();
-    for (idx, raw) in baseline.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(rule), Some(path), Some(snippet)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        entries.insert(
-            (rule.to_string(), path.to_string(), snippet.to_string()),
-            (idx as u32 + 1, false),
-        );
-    }
-
-    let mut remaining = Vec::new();
-    for f in findings {
-        let key = (f.rule.to_string(), f.path.clone(), f.snippet.clone());
-        if let Some((_, used)) = entries.get_mut(&key) {
-            *used = true;
-        } else {
-            remaining.push(f);
-        }
-    }
-    for ((rule, path, snippet), (line, used)) in entries {
-        if !used {
-            remaining.push(Finding {
-                rule: "stale-baseline",
-                path: "crates/lint/baseline.txt".to_string(),
-                line,
-                message: format!(
-                    "baseline entry for [{rule}] {path} no longer matches any finding — delete it"
-                ),
-                snippet,
-            });
-        }
-    }
-    remaining
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,27 +811,5 @@ mod tests {
                 "engine.events.*"
             ]
         );
-    }
-
-    #[test]
-    fn baseline_round_trip_and_staleness() {
-        let f = Finding {
-            rule: "entropy",
-            path: "crates/x/src/a.rs".into(),
-            line: 10,
-            message: "no".into(),
-            snippet: "let r = thread_rng();".into(),
-        };
-        let baseline = format!(
-            "# comment\n\n{}\nentropy\tgone.rs\told line\n",
-            f.baseline_entry()
-        );
-        let out = apply_baseline(vec![f.clone()], &baseline);
-        // The live finding is absorbed; the dangling entry surfaces.
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "stale-baseline");
-        assert!(out[0].message.contains("gone.rs"));
-        // Without the baseline the finding passes through.
-        assert_eq!(apply_baseline(vec![f], "").len(), 1);
     }
 }

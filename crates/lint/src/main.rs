@@ -9,15 +9,15 @@
 //! $ cargo run -p bips-lint -- --explain serve-panic-reach
 //! ```
 //!
-//! `--check` lints the workspace against the committed baseline and
-//! exits 1 if any finding survives — the CI `lint` job gate.
+//! `--check` lints the workspace and exits 1 on any finding — the CI
+//! `lint` job gate.
 //! `--sarif-out FILE` writes a SARIF 2.1.0 report alongside the
 //! primary format in the same scan (CI uploads it as an artifact).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bips_lint::{apply_baseline, check_workspace, rules, Finding};
+use bips_lint::{check_workspace, rules, Finding};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -28,21 +28,19 @@ enum Format {
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     format: Format,
     sarif_out: Option<PathBuf>,
     list_rules: bool,
     explain: Option<String>,
 }
 
-const USAGE: &str = "usage: bips-lint --check [--root DIR] [--baseline FILE] \
+const USAGE: &str = "usage: bips-lint --check [--root DIR] \
                      [--format text|json|sarif] [--sarif-out FILE] \
                      | --list-rules | --explain RULE";
 
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         root: PathBuf::from("."),
-        baseline: None,
         format: Format::Text,
         sarif_out: None,
         list_rules: false,
@@ -59,9 +57,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--root" => {
                 out.root = PathBuf::from(argv.next().ok_or("--root needs a directory")?);
-            }
-            "--baseline" => {
-                out.baseline = Some(PathBuf::from(argv.next().ok_or("--baseline needs a file")?));
             }
             "--format" => match argv.next().as_deref() {
                 Some("text") => out.format = Format::Text,
@@ -114,23 +109,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Default baseline location; a missing default file means "empty".
-    // An explicitly named baseline must exist.
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("crates/lint/baseline.txt"));
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(s) => s,
-        Err(e) if args.baseline.is_none() && e.kind() == std::io::ErrorKind::NotFound => {
-            String::new()
-        }
-        Err(e) => {
-            eprintln!("bips-lint: cannot read {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
     let findings = match check_workspace(&args.root) {
         Ok(f) => f,
         Err(e) => {
@@ -138,8 +116,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let findings = apply_baseline(findings, &baseline);
-
     if let Some(path) = &args.sarif_out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             let _ = std::fs::create_dir_all(dir);

@@ -132,13 +132,6 @@ pub const RULES: &[RuleInfo] = &[
                     nothing is debt pretending to be documentation.",
         roots: "",
     },
-    RuleInfo {
-        id: "stale-baseline",
-        summary: "baseline entries must still match a finding — delete fixed ones",
-        rationale: "The baseline is a ratchet: once a finding is fixed its entry must go, or \
-                    the entry will silently excuse a future regression at the same site.",
-        roots: "",
-    },
 ];
 
 /// Methods on `desim::metrics::MetricSet` that register a metric name.

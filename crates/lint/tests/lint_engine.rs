@@ -4,7 +4,7 @@
 //! the path-scoped rules activate; the files themselves are never
 //! compiled.
 
-use bips_lint::{apply_baseline, check_source, Finding};
+use bips_lint::{check_source, Finding};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -314,27 +314,6 @@ fn bad_suppression_fixture() {
 fn clean_fixture_is_clean() {
     let findings = check_source("crates/core/src/system.rs", &fixture("clean.rs"));
     assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn baseline_absorbs_and_reports_stale() {
-    let findings = check_source("crates/mobility/src/walker.rs", &fixture("entropy.rs"));
-    assert!(!findings.is_empty());
-
-    // A baseline holding every finding absorbs them all.
-    let baseline: String = findings
-        .iter()
-        .map(|f| format!("{}\n", f.baseline_entry()))
-        .collect();
-    let remaining = apply_baseline(findings.clone(), &baseline);
-    assert!(remaining.is_empty(), "{remaining:#?}");
-
-    // An entry matching nothing resurfaces as stale-baseline.
-    let with_stale = format!("{baseline}entropy\tcrates/gone.rs\tlet r = OsRng;\n");
-    let remaining = apply_baseline(findings, &with_stale);
-    assert_eq!(remaining.len(), 1, "{remaining:#?}");
-    assert_eq!(remaining[0].rule, "stale-baseline");
-    assert!(remaining[0].message.contains("crates/gone.rs"));
 }
 
 #[test]

@@ -32,7 +32,6 @@ struct Args {
     seed: u64,
     inquiry_s: f64,
     cycle_s: f64,
-    jobs: usize,
     batch: bool,
     query: Option<(String, String)>,
     json: Option<String>,
@@ -43,7 +42,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bips-sim [--building department|office:<floors>|corridor:<rooms>]\n\
          \x20               [--users N] [--duration SECONDS] [--seed SEED]\n\
-         \x20               [--inquiry SECS] [--cycle SECS] [--jobs N] [--batch]\n\
+         \x20               [--inquiry SECS] [--cycle SECS] [--batch]\n\
          \x20               [--query USER:TARGET]\n\
          \x20               [--json PATH] [--jsonl PATH]"
     );
@@ -58,7 +57,6 @@ fn parse_args() -> Args {
         seed: 42,
         inquiry_s: 3.84,
         cycle_s: 15.4,
-        jobs: 0,
         batch: false,
         query: None,
         json: None,
@@ -79,7 +77,6 @@ fn parse_args() -> Args {
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--inquiry" => args.inquiry_s = val("--inquiry").parse().unwrap_or_else(|_| usage()),
             "--cycle" => args.cycle_s = val("--cycle").parse().unwrap_or_else(|_| usage()),
-            "--jobs" => args.jobs = val("--jobs").parse().unwrap_or_else(|_| usage()),
             "--batch" => args.batch = true,
             "--query" => {
                 let v = val("--query");
@@ -346,7 +343,6 @@ fn main() {
             .config("duration_s", args.duration_s)
             .config("inquiry_s", args.inquiry_s)
             .config("cycle_s", args.cycle_s)
-            .config("jobs", bips::sim::par::resolve_jobs(args.jobs) as u64)
             .config("batch_updates", args.batch);
         headline_artifacts(&mut run, engine.world(), args.users);
         run.artifact("wall_secs", wall_secs);

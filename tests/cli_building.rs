@@ -2,7 +2,8 @@
 //! `building` directive accepts. A spec outside them used to be clamped
 //! silently (`office:0` ran one floor, `corridor:1` two rooms); it must
 //! instead exit 2 before running anything. A scenario file runs to the
-//! end and exits 0.
+//! end and exits 0. `--jobs` is not a flag: the simulation runs one
+//! engine on one thread, so it too exits 2.
 
 use std::process::Command;
 
@@ -20,6 +21,17 @@ fn bad_building_specs_exit_2() {
             "--building {spec} not named: {stderr}"
         );
     }
+}
+
+#[test]
+fn jobs_flag_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_bips-sim"))
+        .args(["--jobs", "2", "--duration", "1"])
+        .output()
+        .expect("bips-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--jobs 2: {stderr}");
+    assert!(stderr.contains("--jobs"), "--jobs not named: {stderr}");
 }
 
 #[test]
