@@ -14,24 +14,18 @@
 #![allow(clippy::disallowed_methods)]
 
 use bips_bench::ablations;
-use bips_bench::telemetry;
+use bips_bench::telemetry::{self, Positionals};
 use desim::{Json, RunReport};
 
 fn main() {
     let (args, json_path) = telemetry::take_flag(std::env::args().skip(1).collect(), "--json");
     let (args, jobs) = telemetry::take_jobs(args);
-    let mut args = args.into_iter();
-    let reps: u64 = args
-        .next()
-        .map(|r| r.parse().expect("replications must be an integer"))
-        .unwrap_or(150);
+    let mut args = Positionals::new(args, 2);
+    let reps: u64 = args.next("replications").unwrap_or(150);
     // Default bumped 7 -> 8 when per-arm seed streams moved to
     // `SeedDeriver` (the old `seed ^ b` / `seed ^ p.to_bits()` arms were
     // correlated); reference numbers are re-baselined in EXPERIMENTS.md.
-    let seed: u64 = args
-        .next()
-        .map(|s| s.parse().expect("seed must be an integer"))
-        .unwrap_or(8);
+    let seed: u64 = args.next("seed").unwrap_or(8);
 
     let wall_start = std::time::Instant::now();
     let suite = [

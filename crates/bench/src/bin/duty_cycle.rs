@@ -16,22 +16,22 @@
 use bips_bench::duty::{
     render_tradeoff, run_dwell, run_sweep, run_tradeoff, DutySweepConfig, TradeoffConfig,
 };
-use bips_bench::telemetry;
+use bips_bench::telemetry::{self, Positionals};
 use desim::{Json, RunReport};
 
 fn main() {
     let (args, json_path) = telemetry::take_flag(std::env::args().skip(1).collect(), "--json");
     let (args, jobs) = telemetry::take_jobs(args);
-    let mut args = args.into_iter();
+    let mut args = Positionals::new(args, 2);
     let mut cfg = DutySweepConfig {
         jobs,
         ..DutySweepConfig::default()
     };
-    if let Some(r) = args.next() {
-        cfg.replications = r.parse().expect("replications must be an integer");
+    if let Some(replications) = args.next("replications") {
+        cfg.replications = replications;
     }
-    if let Some(s) = args.next() {
-        cfg.seed = s.parse().expect("seed must be an integer");
+    if let Some(seed) = args.next("seed") {
+        cfg.seed = seed;
     }
     let wall_start = std::time::Instant::now();
     let sweep = run_sweep(&cfg);

@@ -18,23 +18,23 @@
 #![allow(clippy::disallowed_methods)]
 
 use bips_bench::figure2::{run_with_metrics, Figure2Config};
-use bips_bench::telemetry::{self, SnapshotConfig};
+use bips_bench::telemetry::{self, Positionals, SnapshotConfig};
 
 fn main() {
     let (args, json_path) = telemetry::take_flag(std::env::args().skip(1).collect(), "--json");
     let (args, jobs) = telemetry::take_jobs(args);
-    let mut args = args.into_iter();
+    let mut args = Positionals::new(args, 3);
     let mut cfg = Figure2Config {
         jobs,
         ..Figure2Config::default()
     };
-    if let Some(r) = args.next() {
-        cfg.replications = r.parse().expect("replications must be an integer");
+    if let Some(replications) = args.next("replications") {
+        cfg.replications = replications;
     }
-    if let Some(s) = args.next() {
-        cfg.seed = s.parse().expect("seed must be an integer");
+    if let Some(seed) = args.next("seed") {
+        cfg.seed = seed;
     }
-    let svg_path = args.next();
+    let svg_path: Option<String> = args.next("svg-path");
     let wall_start = std::time::Instant::now();
     let (result, mut metrics) = run_with_metrics(&cfg);
     let wall_secs = wall_start.elapsed().as_secs_f64();

@@ -14,21 +14,21 @@
 #![allow(clippy::disallowed_methods)]
 
 use bips_bench::table1::{run_with_metrics, Table1Config};
-use bips_bench::telemetry::{self, SnapshotConfig};
+use bips_bench::telemetry::{self, Positionals, SnapshotConfig};
 
 fn main() {
     let (args, json_path) = telemetry::take_flag(std::env::args().skip(1).collect(), "--json");
     let (args, jobs) = telemetry::take_jobs(args);
-    let mut args = args.into_iter();
+    let mut args = Positionals::new(args, 2);
     let mut cfg = Table1Config {
         jobs,
         ..Table1Config::default()
     };
-    if let Some(t) = args.next() {
-        cfg.trials = t.parse().expect("trials must be an integer");
+    if let Some(trials) = args.next("trials") {
+        cfg.trials = trials;
     }
-    if let Some(s) = args.next() {
-        cfg.seed = s.parse().expect("seed must be an integer");
+    if let Some(seed) = args.next("seed") {
+        cfg.seed = seed;
     }
     let wall_start = std::time::Instant::now();
     let (result, mut metrics) = run_with_metrics(&cfg);

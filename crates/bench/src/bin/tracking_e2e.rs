@@ -12,21 +12,21 @@
 #![allow(clippy::disallowed_methods)]
 
 use bips_bench::e2e::{run_with_metrics, E2eConfig};
-use bips_bench::telemetry;
+use bips_bench::telemetry::{self, Positionals};
 use desim::SimDuration;
 
 fn main() {
     let (args, json_path) = telemetry::take_flag(std::env::args().skip(1).collect(), "--json");
-    let mut args = args.into_iter();
+    let mut args = Positionals::new(args, 3);
     let mut cfg = E2eConfig::default();
-    if let Some(u) = args.next() {
-        cfg.users = u.parse().expect("users must be an integer");
+    if let Some(users) = args.next("users") {
+        cfg.users = users;
     }
-    if let Some(d) = args.next() {
-        cfg.duration = SimDuration::from_secs(d.parse().expect("seconds must be an integer"));
+    if let Some(seconds) = args.next("seconds") {
+        cfg.duration = SimDuration::from_secs(seconds);
     }
-    if let Some(s) = args.next() {
-        cfg.seed = s.parse().expect("seed must be an integer");
+    if let Some(seed) = args.next("seed") {
+        cfg.seed = seed;
     }
     let wall_start = std::time::Instant::now();
     let (result, metrics) = run_with_metrics(&cfg);

@@ -119,6 +119,34 @@ pub fn reject_unknown(args: &[String]) {
     }
 }
 
+/// The positional arguments left once every flag is taken, parsed in
+/// order. Each fault exits with status 2 before any work, naming the
+/// argument: one that looks like a flag (`--…`, none this binary
+/// knows), one beyond the count the binary takes, or one that does not
+/// parse.
+pub struct Positionals(std::vec::IntoIter<String>);
+
+impl Positionals {
+    /// Checks that `args` holds no flag and at most `max` arguments.
+    pub fn new(args: Vec<String>, max: usize) -> Positionals {
+        if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+            reject_unknown(std::slice::from_ref(flag));
+        }
+        reject_unknown(args.get(max..).unwrap_or_default());
+        Positionals(args.into_iter())
+    }
+
+    /// The next argument parsed as `T` (the binary's `name` for it, in
+    /// the error), or `None` if there are no more.
+    pub fn next<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        let arg = self.0.next()?;
+        Some(arg.parse().unwrap_or_else(|_| {
+            eprintln!("invalid {name}: {arg}");
+            std::process::exit(2);
+        }))
+    }
+}
+
 /// Strips `--jobs N` from the CLI args, returning the remaining args and
 /// the requested replication-worker count. `0` (the default) means
 /// ambient: `BIPS_JOBS` if set, else the machine width (`desim::par`).

@@ -32,19 +32,55 @@
 //! a strict `<` and pops a min-heap ordered by `(dist, node)` via
 //! `total_cmp`, so its output is *canonical*: `dist[v]` is the unique
 //! least fixpoint of `min over neighbors u of (dist[u] + w(u,v))` in
-//! exact f64 arithmetic, and `prev[v]` is the argmin by key
-//! `(dist[u], u)` among the neighbors achieving that minimum (equal
-//! sums of identical f64 values are bitwise equal, so "the minimum" is
-//! a unique bit pattern). The repairs re-settle exactly the vertices
-//! whose fixpoint inputs changed, with the same heap order and the
-//! same additions, and then recompute `prev` by the same argmin rule
-//! over the set of vertices whose inputs (own distance, any neighbor
-//! distance, any incident weight) changed — so every cell of the table
-//! lands on the same bits a scratch rebuild would produce. The
-//! differential suites (`graph_churn`, `churn_differential`) pin this.
+//! exact f64 arithmetic (equal sums of identical f64 values are bitwise
+//! equal, so "the minimum" is a unique bit pattern), and `prev[v]` is
+//! the first popped neighbor achieving it: the argmin by key
+//! `(dist[u], u)` among the neighbors `u` with `dist[u] + w(u,v) ==
+//! dist[v]`. The repairs re-settle exactly the vertices whose distance
+//! can change, with the same additions, and settle `prev` in the same
+//! relax step by that argmin: a strictly shorter sum takes `v` over,
+//! and an equal one replaces `prev[v]` only when its `(dist[u], u)`
+//! comes before `(dist[prev[v]], prev[v])`. Keys only fall during a
+//! repair, so the kept `prev[v]` is the argmin over every neighbor that
+//! offered itself at its final distance, and every achiever of a vertex
+//! whose `prev` can move does offer itself:
+//!
+//! - *Decrease* (weight down, edge or node up): a vertex whose distance
+//!   falls is reached only through vertices that fell too or through a
+//!   changed edge; one whose distance holds only gains achievers, each a
+//!   vertex that fell or a changed edge's endpoint. Fallen vertices offer
+//!   themselves to every neighbor when popped, at their final distance,
+//!   and the changed edges are offered in both directions when the repair
+//!   is seeded, so no other vertex's `prev` can move.
+//! - *Increase* or *node down*: only the shortest-path subtree below the
+//!   changed edge or node can change, and it is rebuilt. Each of its
+//!   vertices is seeded with the argmin over its neighbors outside the
+//!   subtree, whose distances are final, and region vertices offer
+//!   themselves when popped. A vertex outside the subtree keeps its `prev`,
+//!   which lies outside too: it only loses achievers, never that one.
+//!
+//! So every cell of the table lands on the same bits a scratch rebuild
+//! would produce. The differential suites (`graph_churn`,
+//! `churn_differential`) pin this, including grids of few distinct
+//! weights where equal sums abound.
+//!
+//! **Rows are repaired on several cores.** Each row's repair reads only
+//! the graph and writes only its own row, so dense mode hands blocks of
+//! `ROW_BLOCK` rows out to `std::thread::scope` workers, each with its
+//! own scratch kept in the engine, and sums their counts afterwards: the
+//! table and the counters are bit-identical at any width. Blocks go out
+//! on demand, not as fixed shares, because the rows one mutation changes
+//! cluster together. Each mutation spawns its workers afresh, at a fixed
+//! cost per thread on the mutating thread, so a table gets one thread
+//! per `ROWS_PER_THREAD` rows, at most [`desim::par::default_jobs`]
+//! (`BIPS_JOBS`, else the machine width), resolved once at construction.
+//! Width 1 runs the same loop on the calling thread, with no thread.
+//! docs/PERF.md has the measured crossover; widths above 2 are not yet
+//! measured.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use super::walk::{walk_prev_row, PathWalkError};
 use super::{Apsp, HeapEntry, NodeId, WsGraph, NO_PREV};
@@ -66,6 +102,17 @@ const REPAIR_BUDGET_DIV: usize = 4;
 
 /// Sentinel for an unoccupied cache slot.
 const NO_SRC: u32 = u32::MAX;
+
+/// Rows of a dense table per thread its repairs run on: a table of `n`
+/// rows is repaired on `n / ROWS_PER_THREAD` threads, at least one and
+/// at most [`desim::par::default_jobs`]. Every mutation spawns its
+/// threads afresh, one after another on the mutating thread, so each
+/// must bring enough rows to pay for its spawn; docs/PERF.md has the
+/// measured crossover and why the bound sits above it.
+const ROWS_PER_THREAD: usize = 256;
+
+/// Rows a dense repair worker takes at a time.
+const ROW_BLOCK: usize = 16;
 
 /// Engine selection: every kind answers identically; only the
 /// maintenance cost differs.
@@ -336,11 +383,34 @@ enum Tables {
     Sparse(TreeCache),
 }
 
+/// Row repairs done and the vertices they touched: the
+/// `core.graph.tree_repairs` and `core.graph.vertices_touched` counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    tree_repairs: u64,
+    vertices_touched: u64,
+}
+
+impl Tally {
+    /// Counts one completed row repair that touched `touched` vertices.
+    fn repaired(&mut self, touched: usize) {
+        if touched > 0 {
+            self.tree_repairs += 1;
+            self.vertices_touched += touched as u64;
+        }
+    }
+
+    /// Adds `other`'s counts to these.
+    fn add(&mut self, other: Tally) {
+        self.tree_repairs += other.tree_repairs;
+        self.vertices_touched += other.vertices_touched;
+    }
+}
+
 /// `core.graph.*` counters (see docs/OBSERVABILITY.md).
 #[derive(Debug, Default)]
 struct Counters {
-    tree_repairs: u64,
-    vertices_touched: u64,
+    repairs: Tally,
     epoch_invalidations: u64,
     cache_misses: u64,
     /// Atomic: bumped on the shared-reference query path.
@@ -350,8 +420,7 @@ struct Counters {
 impl Clone for Counters {
     fn clone(&self) -> Counters {
         Counters {
-            tree_repairs: self.tree_repairs,
-            vertices_touched: self.vertices_touched,
+            repairs: self.repairs,
             epoch_invalidations: self.epoch_invalidations,
             cache_misses: self.cache_misses,
             cache_hits: AtomicU64::new(self.cache_hits.load(Ordering::Relaxed)),
@@ -359,31 +428,20 @@ impl Clone for Counters {
     }
 }
 
-impl Counters {
-    /// Counts one completed row repair that moved `touched` vertices.
-    fn repaired(&mut self, touched: usize) {
-        if touched > 0 {
-            self.tree_repairs += 1;
-            self.vertices_touched += touched as u64;
-        }
-    }
-}
-
-/// Reusable repair scratch: generation-stamped membership arrays avoid
-/// an O(n) clear per repair.
+/// Reusable repair scratch, one per repair worker: generation-stamped
+/// membership arrays avoid an O(n) clear per repair.
 #[derive(Debug, Default)]
 struct Scratch {
-    heap: std::collections::BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<HeapEntry>,
     /// Rebuild region (affected shortest-path subtree).
     region: Vec<u32>,
     region_mark: Vec<u64>,
-    /// Vertices whose distance was modified this repair: (node, old).
-    touched: Vec<(u32, f64)>,
+    /// Vertices whose distance fell this repair, each counted once.
+    touched: usize,
     touched_mark: Vec<u64>,
-    /// `prev`-recompute set.
-    aset: Vec<u32>,
-    aset_mark: Vec<u64>,
     generation: u64,
+    /// This worker's dense row repairs in the current mutation.
+    tally: Tally,
 }
 
 impl Scratch {
@@ -392,40 +450,43 @@ impl Scratch {
         if self.region_mark.len() < n {
             self.region_mark.resize(n, 0);
             self.touched_mark.resize(n, 0);
-            self.aset_mark.resize(n, 0);
         }
         self.heap.clear();
         self.region.clear();
-        self.touched.clear();
-        self.aset.clear();
+        self.touched = 0;
+    }
+
+    /// Queues `v`, just lowered to `dist`, counting it touched on its
+    /// first lowering this repair.
+    fn lowered(&mut self, v: usize, dist: f64) {
+        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+        if self.touched_mark[v] != self.generation {
+            self.touched_mark[v] = self.generation; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+            self.touched += 1;
+        }
+        self.heap.push(HeapEntry { dist, node: v });
     }
 }
 
-/// One topology mutation, normalized for row repair.
+/// One topology mutation, normalized for row repair. It borrows the
+/// mutation's edges, so building it allocates nothing.
 #[derive(Debug)]
-enum RepairOp {
-    /// Weight decrease, edge add, or node-up: relax `edges` and
-    /// propagate. `extra` lists endpoints whose incident weights
-    /// changed (their `prev` is re-derived even if no distance moved).
-    Decrease {
-        edges: Vec<(u32, u32, f64)>,
-        extra: Vec<u32>,
-    },
+enum RepairOp<'a> {
+    /// Weight decrease, edge add, or node-up: relax `edges`, all
+    /// incident to `x` (partner, weight), and propagate.
+    Decrease { x: u32, edges: &'a [(u32, f64)] },
     /// Weight increase on edge `a`–`b`.
     Increase { a: u32, b: u32 },
     /// Node `x` went down; `removed` are its former incident edges.
-    NodeDown {
-        x: u32,
-        removed: Vec<(u32, f64)>,
-        extra: Vec<u32>,
-    },
+    NodeDown { x: u32, removed: &'a [(u32, f64)] },
 }
 
 /// Per-row repair outcome.
 enum RowOutcome {
     /// The mutation provably cannot change this row.
     Clean,
-    /// Repaired in place; `usize` = vertices whose distance moved.
+    /// Repaired in place; `usize` = vertices touched (lowered, or in
+    /// the rebuilt region).
     Repaired(usize),
     /// Repair would exceed the budget; the row was possibly left
     /// inconsistent and must be treated as stale.
@@ -453,7 +514,11 @@ pub struct PathEngine {
     epoch: u64,
     tables: Tables,
     counters: Counters,
+    /// The calling thread's repair scratch.
     scratch: Scratch,
+    /// One scratch per further thread a dense repair runs on; empty
+    /// when it runs on the calling thread alone.
+    workers: Vec<Scratch>,
 }
 
 impl Clone for PathEngine {
@@ -465,6 +530,7 @@ impl Clone for PathEngine {
             counters: self.counters.clone(),
             // Transient repair state: a clone starts with empty scratch.
             scratch: Scratch::default(),
+            workers: self.workers.iter().map(|_| Scratch::default()).collect(),
         }
     }
 }
@@ -473,13 +539,27 @@ impl PathEngine {
     /// Builds the engine `kind` over `graph`. [`PathEngineKind::Dynamic`]
     /// picks dense mode for `n ≤` [`DENSE_MAX_NODES`] and the sparse
     /// tree cache otherwise. The mode is fixed for the engine's
-    /// lifetime.
+    /// lifetime, and so is the number of threads a dense table is
+    /// repaired on: one per `ROWS_PER_THREAD` rows, at most
+    /// [`desim::par::default_jobs`] (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if a dense table is asked of a graph too large for the
     /// `prev` encoding.
     pub fn new(kind: PathEngineKind, graph: WsGraph) -> PathEngine {
+        let shares = graph.num_nodes() / ROWS_PER_THREAD;
+        let width = if shares > 1 {
+            desim::par::default_jobs().min(shares)
+        } else {
+            1
+        };
+        PathEngine::with_width(kind, graph, width)
+    }
+
+    /// [`PathEngine::new`] with a dense table's repairs spread over
+    /// `width` threads (at least one), whatever its size.
+    pub(crate) fn with_width(kind: PathEngineKind, graph: WsGraph, width: usize) -> PathEngine {
         let rebuild = match kind {
             PathEngineKind::Rebuild => true,
             PathEngineKind::DynamicDense => false,
@@ -489,7 +569,11 @@ impl PathEngine {
             }
         };
         let table = graph.precompute_all_pairs();
-        PathEngine::with_tables(graph, Tables::Dense { table, rebuild })
+        let mut engine = PathEngine::with_tables(graph, Tables::Dense { table, rebuild });
+        if !rebuild {
+            engine.workers = (1..width).map(|_| Scratch::default()).collect();
+        }
+        engine
     }
 
     /// Sparse mode regardless of size: `slots` cached source trees
@@ -518,6 +602,7 @@ impl PathEngine {
             tables,
             counters: Counters::default(),
             scratch: Scratch::default(),
+            workers: Vec::new(),
         }
     }
 
@@ -687,16 +772,13 @@ impl PathEngine {
     ) -> Result<bool, TopologyError> {
         let upd = self.topo.set_edge_weight(a, b, weight)?;
         let (a, b) = (a as u32, b as u32);
+        let edge = [(b, weight)];
         let op = match upd {
             EdgeUpdate::NoOp => return Ok(false),
-            EdgeUpdate::Added => RepairOp::Decrease {
-                edges: vec![(a, b, weight)],
-                extra: vec![a, b],
-            },
-            EdgeUpdate::Changed { old } if weight < old => RepairOp::Decrease {
-                edges: vec![(a, b, weight)],
-                extra: vec![a, b],
-            },
+            EdgeUpdate::Added => RepairOp::Decrease { x: a, edges: &edge },
+            EdgeUpdate::Changed { old } if weight < old => {
+                RepairOp::Decrease { x: a, edges: &edge }
+            }
             EdgeUpdate::Changed { .. } => RepairOp::Increase { a, b },
         };
         self.apply_op(&op);
@@ -708,28 +790,11 @@ impl PathEngine {
     /// already in the requested state.
     pub fn set_node_up(&mut self, x: NodeId, up: bool) -> Result<bool, TopologyError> {
         let toggle = self.topo.set_node_up(x, up)?;
-        let xk = x as u32;
-        let op = match toggle {
+        let x = x as u32;
+        let op = match &toggle {
             NodeToggle::NoOp => return Ok(false),
-            NodeToggle::Down { removed } => {
-                let extra = std::iter::once(xk)
-                    .chain(removed.iter().map(|&(y, _)| y))
-                    .collect();
-                RepairOp::NodeDown {
-                    x: xk,
-                    removed,
-                    extra,
-                }
-            }
-            NodeToggle::Up { restored } => {
-                let extra = std::iter::once(xk)
-                    .chain(restored.iter().map(|&(y, _)| y))
-                    .collect();
-                RepairOp::Decrease {
-                    edges: restored.iter().map(|&(y, w)| (xk, y, w)).collect(),
-                    extra,
-                }
-            }
+            NodeToggle::Down { removed } => RepairOp::NodeDown { x, removed },
+            NodeToggle::Up { restored } => RepairOp::Decrease { x, edges: restored },
         };
         self.apply_op(&op);
         Ok(true)
@@ -737,7 +802,7 @@ impl PathEngine {
 
     /// Applies one normalized mutation to every maintained row (or,
     /// for the rebuild reference, recomputes the table).
-    fn apply_op(&mut self, op: &RepairOp) {
+    fn apply_op(&mut self, op: &RepairOp<'_>) {
         self.epoch += 1;
         let PathEngine {
             topo,
@@ -745,6 +810,7 @@ impl PathEngine {
             tables,
             counters,
             scratch,
+            workers,
         } = self;
         let graph = &topo.graph;
         match tables {
@@ -756,16 +822,9 @@ impl PathEngine {
                 table,
                 rebuild: false,
             } => {
-                for (src, (dist, prev)) in table.rows_mut().enumerate() {
-                    let row = &mut RowMut { dist, prev };
-                    match repair_row(graph, src, row, op, scratch, usize::MAX) {
-                        RowOutcome::Clean => {}
-                        RowOutcome::Repaired(t) => counters.repaired(t),
-                        RowOutcome::Exceeded => {
-                            // lint:allow(serve-panic-reach): dense repair runs with an unlimited budget; Exceeded cannot occur
-                            unreachable!("dense repair has no budget")
-                        }
-                    }
+                repair_dense(graph, table, op, scratch, workers);
+                for s in std::iter::once(scratch).chain(workers.iter_mut()) {
+                    counters.repairs.add(std::mem::take(&mut s.tally));
                 }
             }
             Tables::Sparse(cache) => {
@@ -784,7 +843,7 @@ impl PathEngine {
                         RowOutcome::Clean => slot.epoch = *epoch,
                         RowOutcome::Repaired(t) => {
                             slot.epoch = *epoch;
-                            counters.repaired(t);
+                            counters.repairs.repaired(t);
                         }
                         RowOutcome::Exceeded => {
                             counters.epoch_invalidations += 1;
@@ -799,8 +858,8 @@ impl PathEngine {
     /// rebuild reference keeps no incremental state and reports zeros.
     pub fn export_metrics(&self, metrics: &mut desim::MetricSet) {
         let c = &self.counters;
-        metrics.set_counter("core.graph.tree_repairs", c.tree_repairs);
-        metrics.set_counter("core.graph.vertices_touched", c.vertices_touched);
+        metrics.set_counter("core.graph.tree_repairs", c.repairs.tree_repairs);
+        metrics.set_counter("core.graph.vertices_touched", c.repairs.vertices_touched);
         metrics.set_counter("core.graph.epoch_invalidations", c.epoch_invalidations);
         metrics.set_counter("core.graph.cache_misses", c.cache_misses);
         metrics.set_counter(
@@ -810,80 +869,119 @@ impl PathEngine {
     }
 }
 
-/// Records `v`'s pre-repair distance on first touch.
-fn touch(
-    touched: &mut Vec<(u32, f64)>,
-    touched_mark: &mut [u64],
-    generation: u64,
-    v: usize,
-    old: f64,
+/// Repairs every row of a dense table for `op`: the calling thread with
+/// `scratch` and one scoped thread per `workers` entry take blocks of
+/// [`ROW_BLOCK`] rows off one shared iterator until none are left, each
+/// adding its row repairs to its own scratch's tally. With no workers
+/// the same loop runs on the calling thread alone.
+fn repair_dense(
+    graph: &WsGraph,
+    table: &mut Apsp,
+    op: &RepairOp<'_>,
+    scratch: &mut Scratch,
+    workers: &mut [Scratch],
 ) {
-    // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-    if touched_mark[v] != generation {
-        touched_mark[v] = generation; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        touched.push((v as u32, old));
+    let n = graph.num_nodes();
+    let blocks = Mutex::new(table.row_blocks_mut(ROW_BLOCK).enumerate());
+    let work = |scratch: &mut Scratch| loop {
+        // Held only to take the next block, which cannot panic, so a
+        // poisoned lock still guards a valid iterator.
+        // lint:allow(serve-lock-reach): mutation-side only; repair workers hold it for one `next()`, never across a repair
+        let next = blocks.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((block, (dist, prev))) = next else {
+            return;
+        };
+        for (i, (dist, prev)) in dist.chunks_mut(n).zip(prev.chunks_mut(n)).enumerate() {
+            let row = &mut RowMut { dist, prev };
+            match repair_row(graph, block * ROW_BLOCK + i, row, op, scratch, usize::MAX) {
+                RowOutcome::Clean => {}
+                RowOutcome::Repaired(t) => scratch.tally.repaired(t),
+                RowOutcome::Exceeded => {
+                    // lint:allow(serve-panic-reach): dense repair runs with an unlimited budget; Exceeded cannot occur
+                    unreachable!("dense repair has no budget")
+                }
+            }
+        }
+    };
+    if workers.is_empty() {
+        return work(scratch);
     }
+    let work = &work;
+    std::thread::scope(|s| {
+        for w in workers.iter_mut() {
+            // A worker that cannot start leaves its blocks to the rest.
+            let _ = std::thread::Builder::new().spawn_scoped(s, move || work(w));
+        }
+        work(scratch);
+    });
 }
 
-/// Seeds the heap from `edges` (relaxing both directions of each) and
-/// propagates a restricted Dijkstra. Returns `false` on budget bail
-/// (row left partially modified — caller must mark it stale).
+/// Offers `u`, settled at `du`, as `v`'s predecessor over an edge of
+/// weight `w`: a strictly shorter sum takes `v` over, an equal one
+/// replaces `prev[v]` only when `(du, u)` comes before
+/// `(dist[prev[v]], prev[v])` — the first-popped achiever `dijkstra`
+/// keeps. Returns `v`'s new distance if it fell.
+#[inline]
+fn relax(row: &mut RowMut<'_>, u: usize, du: f64, v: usize, w: f64) -> Option<f64> {
+    let nd = du + w;
+    // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+    let dv = row.dist[v];
+    if nd < dv {
+        row.dist[v] = nd; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+        row.prev[v] = u as u32;
+        return Some(nd);
+    }
+    // Exact equality is the right test: equal shortest-path sums of
+    // identical f64 inputs are bitwise equal, and all sums are strictly
+    // positive, so `v` is reached and not the source: `prev[v]` is a node.
+    if nd == dv {
+        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+        let p = row.prev[v] as usize;
+        if let Some(&dp) = row.dist.get(p) {
+            if du < dp || (du == dp && u < p) {
+                row.prev[v] = u as u32; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+            }
+        }
+    }
+    None
+}
+
+/// Seeds the heap from `edges` (each incident to `x`, relaxed in both
+/// directions) and propagates a restricted Dijkstra. Returns `false` on
+/// budget bail (row left partially modified — caller must mark it
+/// stale).
 fn propagate_decrease(
     graph: &WsGraph,
     row: &mut RowMut<'_>,
-    edges: &[(u32, u32, f64)],
+    x: usize,
+    edges: &[(u32, f64)],
     scratch: &mut Scratch,
     budget: usize,
 ) -> bool {
-    let Scratch {
-        heap,
-        touched,
-        touched_mark,
-        generation,
-        ..
-    } = scratch;
-    let generation = *generation;
-    for &(a, b, w) in edges {
-        let (a, b) = (a as usize, b as usize);
-        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        let da = row.dist[a];
-        if da.is_finite() {
-            let nd = da + w;
+    for &(y, w) in edges {
+        let y = y as usize;
+        for (u, v) in [(x, y), (y, x)] {
             // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            if nd < row.dist[b] {
-                touch(touched, touched_mark, generation, b, row.dist[b]); // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-                row.dist[b] = nd;
-                heap.push(HeapEntry { dist: nd, node: b });
-            }
-        }
-        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        let db = row.dist[b];
-        if db.is_finite() {
-            let nd = db + w;
-            // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            if nd < row.dist[a] {
-                touch(touched, touched_mark, generation, a, row.dist[a]); // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-                row.dist[a] = nd;
-                heap.push(HeapEntry { dist: nd, node: a });
+            let du = row.dist[u];
+            if du.is_finite() {
+                if let Some(dv) = relax(row, u, du, v, w) {
+                    scratch.lowered(v, dv);
+                }
             }
         }
     }
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+    while let Some(HeapEntry { dist: d, node: u }) = scratch.heap.pop() {
         // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
         if d > row.dist[u] {
             continue; // stale entry
         }
-        if touched.len() > budget {
-            heap.clear();
+        if scratch.touched > budget {
+            scratch.heap.clear();
             return false;
         }
         for &(v, w) in graph.edges(u) {
-            let nd = d + w;
-            // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            if nd < row.dist[v] {
-                touch(touched, touched_mark, generation, v, row.dist[v]); // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-                row.dist[v] = nd;
-                heap.push(HeapEntry { dist: nd, node: v });
+            if let Some(dv) = relax(row, u, d, v, w) {
+                scratch.lowered(v, dv);
             }
         }
     }
@@ -938,8 +1036,8 @@ fn collect_subtree(
     }
 }
 
-/// Invalidates the collected region (saving old distances), seeds each
-/// member from its best out-of-region neighbor, and re-settles with a
+/// Invalidates the collected region, seeds each member with the best
+/// offer of its out-of-region neighbors, and re-settles with a
 /// restricted Dijkstra. Out-of-region distances are provably
 /// unaffected, so the fixpoint reached is the canonical one.
 fn rebuild_region(graph: &WsGraph, row: &mut RowMut<'_>, scratch: &mut Scratch) {
@@ -947,8 +1045,6 @@ fn rebuild_region(graph: &WsGraph, row: &mut RowMut<'_>, scratch: &mut Scratch) 
         heap,
         region,
         region_mark,
-        touched,
-        touched_mark,
         generation,
         ..
     } = scratch;
@@ -956,31 +1052,23 @@ fn rebuild_region(graph: &WsGraph, row: &mut RowMut<'_>, scratch: &mut Scratch) 
     for &u in region.iter() {
         let u = u as usize;
         // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        touch(touched, touched_mark, generation, u, row.dist[u]);
-        row.dist[u] = f64::INFINITY; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+        row.dist[u] = f64::INFINITY;
+        row.prev[u] = NO_PREV; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
     }
     for &u in region.iter() {
         let u = u as usize;
-        let mut best = f64::INFINITY;
         for &(y, w) in graph.edges(u) {
             // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            if region_mark[y] != generation {
-                let dy = row.dist[y]; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-                if dy.is_finite() {
-                    let c = dy + w;
-                    if c < best {
-                        best = c;
-                    }
-                }
+            let dy = row.dist[y];
+            // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
+            if region_mark[y] != generation && dy.is_finite() {
+                relax(row, y, dy, u, w);
             }
         }
         // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        if best < row.dist[u] {
-            row.dist[u] = best; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            heap.push(HeapEntry {
-                dist: best,
-                node: u,
-            });
+        let du = row.dist[u];
+        if du.is_finite() {
+            heap.push(HeapEntry { dist: du, node: u });
         }
     }
     while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
@@ -989,126 +1077,43 @@ fn rebuild_region(graph: &WsGraph, row: &mut RowMut<'_>, scratch: &mut Scratch) 
             continue; // stale entry
         }
         for &(v, w) in graph.edges(u) {
-            let nd = d + w;
-            // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            if nd < row.dist[v] {
-                row.dist[v] = nd; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-                heap.push(HeapEntry { dist: nd, node: v });
+            if let Some(dv) = relax(row, u, d, v, w) {
+                heap.push(HeapEntry { dist: dv, node: v });
             }
         }
-    }
-}
-
-/// The canonical predecessor of `t` in the tree of `src`: the argmin
-/// by `(dist[y], y)` over neighbors `y` achieving
-/// `dist[y] + w(y,t) == dist[t]` — exactly what `dijkstra` assigns
-/// (first-popped achiever wins, pops ascend by `(dist, node)`).
-fn canonical_prev(graph: &WsGraph, row: &RowMut<'_>, src: usize, t: usize) -> u32 {
-    if t == src {
-        return NO_PREV;
-    }
-    // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-    let dt = row.dist[t];
-    if !dt.is_finite() {
-        return NO_PREV;
-    }
-    let mut best = NO_PREV;
-    let mut best_d = f64::INFINITY;
-    for &(y, w) in graph.edges(t) {
-        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        let dy = row.dist[y];
-        // Exact equality is the right test: equal shortest-path sums
-        // of identical f64 inputs are bitwise equal, and all sums are
-        // strictly positive (no ±0 ambiguity).
-        if dy.is_finite() && dy + w == dt {
-            let yk = y as u32;
-            if best == NO_PREV || dy < best_d || (dy == best_d && yk < best) {
-                best = yk;
-                best_d = dy;
-            }
-        }
-    }
-    best
-}
-
-/// Re-derives `prev` for every vertex whose argmin inputs may have
-/// changed: vertices whose distance moved, their neighbors, and the
-/// endpoints of mutated edges (`extra`).
-fn recompute_prevs(
-    graph: &WsGraph,
-    row: &mut RowMut<'_>,
-    src: usize,
-    extra: &[u32],
-    scratch: &mut Scratch,
-) {
-    let Scratch {
-        touched,
-        aset,
-        aset_mark,
-        generation,
-        ..
-    } = scratch;
-    let generation = *generation;
-    fn add(aset: &mut Vec<u32>, aset_mark: &mut [u64], generation: u64, t: u32) {
-        let ti = t as usize;
-        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        if aset_mark[ti] != generation {
-            aset_mark[ti] = generation; // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            aset.push(t);
-        }
-    }
-    for &(u, old) in touched.iter() {
-        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        if row.dist[u as usize].to_bits() == old.to_bits() {
-            continue; // distance unchanged: argmin inputs intact
-        }
-        add(aset, aset_mark, generation, u);
-        for &(y, _) in graph.edges(u as usize) {
-            add(aset, aset_mark, generation, y as u32);
-        }
-    }
-    for &t in extra {
-        add(aset, aset_mark, generation, t);
-    }
-    for &t in aset.iter() {
-        let t = t as usize;
-        let p = canonical_prev(graph, row, src, t);
-        // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-        row.prev[t] = p;
     }
 }
 
 /// Applies `op` to one source row. `budget` caps the number of
-/// distance-modified vertices (sparse mode); dense rows pass
-/// `usize::MAX` and always complete.
+/// touched vertices (sparse mode); dense rows pass `usize::MAX` and
+/// always complete.
 fn repair_row(
     graph: &WsGraph,
     src: usize,
     row: &mut RowMut<'_>,
-    op: &RepairOp,
+    op: &RepairOp<'_>,
     scratch: &mut Scratch,
     budget: usize,
 ) -> RowOutcome {
     let n = graph.num_nodes();
     scratch.begin(n);
-    match op {
-        RepairOp::Decrease { edges, extra } => {
-            if !propagate_decrease(graph, row, edges, scratch, budget) {
+    match *op {
+        RepairOp::Decrease { x, edges } => {
+            if !propagate_decrease(graph, row, x as usize, edges, scratch, budget) {
                 return RowOutcome::Exceeded;
             }
-            recompute_prevs(graph, row, src, extra, scratch);
-            RowOutcome::Repaired(scratch.touched.len())
+            RowOutcome::Repaired(scratch.touched)
         }
         RepairOp::Increase { a, b } => {
-            let (ai, bi) = (*a as usize, *b as usize);
+            let (ai, bi) = (a as usize, b as usize);
             // Only rows whose tree routes through a–b can change; for
             // a non-tree edge a weight increase can neither create a
             // shorter path nor a new equal-cost argmin winner.
             // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            let root = if row.prev[bi] == *a {
+            let root = if row.prev[bi] == a {
                 bi
             // lint:allow(serve-panic-reach): hot repair kernel; ids validated at the Topo boundary and buffers sized to n
-            } else if row.prev[ai] == *b {
+            } else if row.prev[ai] == b {
                 ai
             } else {
                 return RowOutcome::Clean;
@@ -1118,11 +1123,10 @@ fn repair_row(
                 return RowOutcome::Exceeded; // nothing modified yet
             }
             rebuild_region(graph, row, scratch);
-            recompute_prevs(graph, row, src, &[*a, *b], scratch);
-            RowOutcome::Repaired(scratch.touched.len())
+            RowOutcome::Repaired(scratch.region.len())
         }
-        RepairOp::NodeDown { x, removed, extra } => {
-            let xi = *x as usize;
+        RepairOp::NodeDown { x, removed } => {
+            let xi = x as usize;
             if src == xi {
                 // The whole row collapses to the isolated source.
                 for d in row.dist.iter_mut() {
@@ -1144,8 +1148,7 @@ fn repair_row(
                 return RowOutcome::Exceeded;
             }
             rebuild_region(graph, row, scratch);
-            recompute_prevs(graph, row, src, extra, scratch);
-            RowOutcome::Repaired(scratch.touched.len())
+            RowOutcome::Repaired(scratch.region.len())
         }
     }
 }
@@ -1206,7 +1209,71 @@ mod tests {
             d.set_edge_weight(a, b, w).expect("valid mutation");
             assert_matches_rebuild(&d);
         }
-        assert!(d.counters.tree_repairs > 0);
+        assert!(d.counters.repairs.tree_repairs > 0);
+    }
+
+    /// Dense repairs spread over 1, 2 and 3 threads, whatever the
+    /// table's size, leave every row and both repair counters
+    /// identical: on a grid weighted from a few values, where equal-sum
+    /// routes abound, under reweights, chords and node flaps.
+    #[test]
+    fn dense_repairs_are_identical_at_every_width() {
+        const SIDE: usize = 7; // 49 rows: four row blocks
+        const N: usize = SIDE * SIDE;
+        const WEIGHTS: [f64; 5] = [0.5, 1.0, 2.0, 3.0, 10.0];
+        let mut g = WsGraph::new(N);
+        for v in 0..N {
+            if v % SIDE + 1 < SIDE {
+                g.add_edge(v, v + 1, 10.0);
+            }
+            if v + SIDE < N {
+                g.add_edge(v, v + SIDE, 10.0);
+            }
+        }
+        let mut engines: Vec<PathEngine> = [1, 2, 3]
+            .into_iter()
+            .map(|width| PathEngine::with_width(PathEngineKind::DynamicDense, g.clone(), width))
+            .collect();
+        let threads: Vec<usize> = engines.iter().map(|e| e.workers.len() + 1).collect();
+        assert_eq!(threads, [1, 2, 3]);
+        let mut rng = desim::SimRng::seed_from(33);
+        for step in 0..300 {
+            let a = rng.below(N as u64) as usize;
+            let outcomes: Vec<_> = if step % 8 == 0 {
+                let up = rng.below(2) == 0;
+                engines.iter_mut().map(|e| e.set_node_up(a, up)).collect()
+            } else {
+                let b = match rng.below(4) {
+                    0 => rng.below(N as u64) as usize, // a chord
+                    _ if a + SIDE < N => a + SIDE,
+                    _ => a - SIDE,
+                };
+                let w = WEIGHTS[rng.below(WEIGHTS.len() as u64) as usize];
+                engines
+                    .iter_mut()
+                    .map(|e| e.set_edge_weight(a, b, w))
+                    .collect()
+            };
+            assert!(outcomes.windows(2).all(|o| o[0] == o[1]), "{outcomes:?}");
+            let Tables::Dense { table: want, .. } = &engines[0].tables else {
+                unreachable!("dense engine");
+            };
+            for e in &engines[1..] {
+                let Tables::Dense { table, .. } = &e.tables else {
+                    unreachable!("dense engine");
+                };
+                let bits = |t: &Apsp| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(table), bits(want), "step {step}: dist");
+                assert_eq!(table.prev, want.prev, "step {step}: prev");
+                let counts = |e: &PathEngine| {
+                    let r = e.counters.repairs;
+                    (r.tree_repairs, r.vertices_touched)
+                };
+                assert_eq!(counts(e), counts(&engines[0]), "step {step}: counters");
+            }
+        }
+        assert_matches_rebuild(&engines[2]);
+        assert!(engines[0].counters.repairs.tree_repairs > 0);
     }
 
     #[test]

@@ -401,12 +401,16 @@ impl Apsp {
         self.n
     }
 
-    /// Each source's `(dist, prev)` row, mutable, in source order: the
-    /// dynamic engine repairs the table in place through these.
-    pub(crate) fn rows_mut(&mut self) -> impl Iterator<Item = (&mut [f64], &mut [u32])> {
+    /// The `(dist, prev)` cells of each block of `rows` source rows,
+    /// mutable, in source order: the dynamic engine repairs the table in
+    /// place through these.
+    pub(crate) fn row_blocks_mut(
+        &mut self,
+        rows: usize,
+    ) -> impl Iterator<Item = (&mut [f64], &mut [u32])> {
         // `chunks_mut(0)` panics; an empty table has no rows either way.
-        let n = self.n.max(1);
-        self.dist.chunks_mut(n).zip(self.prev.chunks_mut(n))
+        let cells = (self.n * rows).max(1);
+        self.dist.chunks_mut(cells).zip(self.prev.chunks_mut(cells))
     }
 
     /// Test hook: overwrite `prev[a][b]` with the no-predecessor

@@ -6,13 +6,18 @@
 //! every path, and on connectivity, including full disconnect →
 //! unreachable (`None`) → reconnect cycles.
 
-use bips_core::graph::{random_connected_graph, PathEngine, PathEngineKind};
+use bips_core::graph::{random_connected_graph, PathEngine, PathEngineKind, WsGraph};
 use proptest::prelude::*;
 
 const N: usize = 14;
 
+/// The weights of the tie-heavy grids: few, and exact in binary, so
+/// distinct paths often sum to the same bits and a repair's predecessor
+/// choice among equal sums decides most answers.
+const TIE_WEIGHTS: [f64; 5] = [0.5, 1.0, 2.0, 3.0, 10.0];
+
 /// One normalized mutation decoded from the proptest tuple stream.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Mutation {
     SetWeight(usize, usize, f64),
     NodeToggle(usize, bool),
@@ -34,6 +39,55 @@ fn decode(op: (u8, u64, u64, u64)) -> Mutation {
     }
 }
 
+/// A `side`×`side` grid whose corridors weigh a seeded pick of
+/// [`TIE_WEIGHTS`] each.
+fn tie_grid(side: usize, seed: u64) -> WsGraph {
+    let mut rng = desim::SimRng::seed_from(seed);
+    let mut pick = || TIE_WEIGHTS[rng.below(TIE_WEIGHTS.len() as u64) as usize];
+    let mut g = WsGraph::new(side * side);
+    for v in 0..side * side {
+        if v % side + 1 < side {
+            g.add_edge(v, v + 1, pick());
+        }
+        if v + side < side * side {
+            g.add_edge(v, v + side, pick());
+        }
+    }
+    g
+}
+
+/// Decodes one tie-grid mutation: one in eight a node flap, one in
+/// eight a chord between two random cells (added if absent), the rest a
+/// reweight of one of the cell's own corridors; every weight is one of
+/// [`TIE_WEIGHTS`].
+fn decode_tie(side: usize, op: (u8, u64, u64, u8)) -> Mutation {
+    let (kind, a, b, w) = op;
+    let n = side * side;
+    let a = (a % n as u64) as usize;
+    let weight = TIE_WEIGHTS[w as usize % TIE_WEIGHTS.len()];
+    match kind % 8 {
+        0 => Mutation::NodeToggle(a, b % 2 == 0),
+        1 => {
+            let b = (b % n as u64) as usize;
+            Mutation::SetWeight(a, if a == b { (a + 1) % n } else { b }, weight)
+        }
+        _ => {
+            let (row, col) = (a / side, a % side);
+            let corridors: Vec<usize> = [
+                (col + 1 < side).then(|| a + 1),
+                (row + 1 < side).then(|| a + side),
+                (col > 0).then(|| a - 1),
+                (row > 0).then(|| a - side),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            let b = corridors[(b % corridors.len() as u64) as usize];
+            Mutation::SetWeight(a, b, weight)
+        }
+    }
+}
+
 /// Compares all three engines over every pair after one mutation, and
 /// checks the unreachability picture against `is_connected`.
 fn assert_full_agreement(
@@ -41,9 +95,10 @@ fn assert_full_agreement(
     bufs: &mut [Vec<usize>],
     step: usize,
 ) -> Result<(), TestCaseError> {
+    let n = engines.first().map_or(0, PathEngine::num_nodes);
     let mut any_unreachable = false;
-    for a in 0..N {
-        for b in 0..N {
+    for a in 0..n {
+        for b in 0..n {
             let mut reference: Option<(Option<u64>, Vec<usize>)> = None;
             for (e, buf) in engines.iter_mut().zip(bufs.iter_mut()) {
                 let name = e.name();
@@ -87,8 +142,10 @@ fn assert_full_agreement(
     Ok(())
 }
 
-fn replay(seed: u64, ops: &[(u8, u64, u64, u64)]) -> Result<(), TestCaseError> {
-    let g = random_connected_graph(N, 6, seed);
+/// Applies `mutations` to every engine kind over `g`, checking after
+/// each one that all kinds accept or reject it alike and then agree on
+/// every pair.
+fn replay(g: WsGraph, mutations: impl IntoIterator<Item = Mutation>) -> Result<(), TestCaseError> {
     let mut engines: Vec<PathEngine> = [
         PathEngineKind::Rebuild,
         PathEngineKind::DynamicDense,
@@ -98,10 +155,10 @@ fn replay(seed: u64, ops: &[(u8, u64, u64, u64)]) -> Result<(), TestCaseError> {
     .map(|k| PathEngine::new(k, g.clone()))
     .collect();
     let mut bufs = vec![Vec::new(); engines.len()];
-    for (step, &op) in ops.iter().enumerate() {
+    for (step, mutation) in mutations.into_iter().enumerate() {
         let results: Vec<_> = engines
             .iter_mut()
-            .map(|e| match decode(op) {
+            .map(|e| match mutation {
                 Mutation::SetWeight(a, b, w) => e.set_edge_weight(a, b, w),
                 Mutation::NodeToggle(x, up) => e.set_node_up(x, up),
             })
@@ -133,7 +190,24 @@ proptest! {
             1..24,
         )
     ) {
-        replay(seed, &ops)?;
+        let g = random_connected_graph(N, 6, seed);
+        replay(g, ops.iter().map(|&op| decode(op)))?;
+    }
+
+    /// The same check on grids of 3×3 to 5×5 cells weighted from
+    /// [`TIE_WEIGHTS`], with corridor reweights, chords and node flaps:
+    /// equal-length routes abound, so every repair must pick among them
+    /// as a rebuild does.
+    #[test]
+    fn engines_agree_on_tie_heavy_grids(
+        side in 3usize..6,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u8>()),
+            1..12,
+        )
+    ) {
+        replay(tie_grid(side, seed), ops.iter().map(|&op| decode_tie(side, op)))?;
     }
 }
 
