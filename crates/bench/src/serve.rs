@@ -26,8 +26,10 @@
 //!   the reframer cap plus the coalesce limit.
 //! * **Graceful shutdown.** A [`Request::Shutdown`] frame acks, stops
 //!   the acceptor, and drains: every live connection keeps being served
-//!   until its peer closes, and the acceptor joins them all before
-//!   [`Server::serve`] returns.
+//!   until its peer closes or stays silent for 100 ms, and the acceptor
+//!   joins them all before [`Server::serve`] returns. Each accepted
+//!   connection gets that read timeout once, so an idle peer cannot
+//!   hold up the drain and no read costs an extra syscall.
 //!
 //! Protocol errors — bytes that do not deframe, frames that are not
 //! RPC requests, payloads outside the serving subset — drop that
@@ -42,6 +44,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use bips_core::service::{Served, ShardedService};
 use bips_lan::network::HostId;
@@ -56,6 +59,11 @@ const READ_BUF: usize = 64 * 1024;
 /// Flush the coalesced write buffer once it grows past this, bounding
 /// per-connection memory under deep client pipelining.
 const WRITE_COALESCE_LIMIT: usize = 256 * 1024;
+
+/// The read timeout of every accepted connection: how often a silent
+/// connection's thread wakes to see whether a drain has begun, and so
+/// the longest an idle peer delays [`Server::serve`]'s return.
+const DRAIN_POLL: Duration = Duration::from_millis(100);
 
 /// Where a server listens and its clients connect: loopback TCP or a
 /// Unix-domain socket path.
@@ -92,6 +100,14 @@ impl Conn {
             }
             Bind::Uds(path) => Conn::Uds(UnixStream::connect(path)?),
         })
+    }
+
+    /// Sets the socket's read timeout.
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_read_timeout(timeout),
+            Conn::Uds(s) => s.set_read_timeout(timeout),
+        }
     }
 }
 
@@ -133,7 +149,8 @@ pub struct ServeStats {
     /// Bytes written to sockets.
     pub bytes_out: AtomicU64,
     /// Connections dropped on protocol errors (bad frame, non-request,
-    /// unserveable payload).
+    /// unserveable payload), or closed by the drain with part of a
+    /// request unread.
     pub dropped: AtomicU64,
 }
 
@@ -284,7 +301,8 @@ fn wake_acceptor(bind: &Bind) {
     drop(Conn::dial(bind));
 }
 
-/// Serves one connection to EOF, protocol error, or shutdown.
+/// Serves one connection to EOF, protocol error, or shutdown: its own
+/// `Shutdown` request, or a read that times out once a drain has begun.
 fn serve_conn(
     mut conn: Conn,
     host: HostId,
@@ -298,12 +316,28 @@ fn serve_conn(
     let mut rbuf = vec![0u8; READ_BUF];
     let mut wbuf: Vec<u8> = Vec::with_capacity(4096);
     let mut path_scratch = Vec::new();
+    conn.set_read_timeout(Some(DRAIN_POLL))?;
     'conn: loop {
         let n = match conn.read(&mut rbuf) {
             Ok(0) => break 'conn,
             Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+            Err(e) => match e.kind() {
+                io::ErrorKind::Interrupted => continue,
+                // The read timed out: the peer has been silent for
+                // `DRAIN_POLL`. Close it once a drain has begun, and
+                // count it dropped if part of a request is left unserved:
+                // waiting for the rest would let one byte hold the drain.
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                    if shutdown.load(Ordering::SeqCst) {
+                        if reframer.pending() > 0 {
+                            stats.dropped.fetch_add(1, Ordering::Relaxed);
+                        }
+                        break 'conn;
+                    }
+                    continue;
+                }
+                _ => return Err(e),
+            },
         };
         stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
         reframer.extend(&rbuf[..n]);
@@ -429,5 +463,42 @@ mod tests {
         let stats = serving.join().expect("server thread");
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 4);
         assert_eq!(stats.frames.load(Ordering::Relaxed), 1);
+    }
+
+    /// Silent connections do not hold up the drain: once another
+    /// connection's `Shutdown` is acked, `serve` returns while they are
+    /// still open. The one that sent half a frame counts as dropped.
+    #[test]
+    fn an_idle_connection_does_not_block_the_drain() {
+        let svc = Arc::new(build_service(&Workload::tiny()));
+        let server = Server::bind(&Bind::Tcp("127.0.0.1:0".to_string()), svc, 1).expect("bind");
+        let bind = Bind::Tcp(server.tcp_addr().expect("tcp address").to_string());
+        let (done, served) = std::sync::mpsc::channel();
+        let serving = std::thread::spawn(move || {
+            let stats = server.serve();
+            // The receiver is gone only if the test already failed.
+            let _ = done.send((
+                stats.conns.load(Ordering::Relaxed),
+                stats.dropped.load(Ordering::Relaxed),
+            ));
+        });
+        // Accepted first: the listener's backlog is served in order.
+        let idle = Conn::dial(&bind).expect("dial");
+        let (_, shutdown) = RpcCodec::new().encode_request(&Request::Shutdown.encode());
+        let mut wire = Vec::new();
+        encode_stream_frame(&mut wire, &shutdown);
+        let mut half = Conn::dial(&bind).expect("dial");
+        half.write_all(&wire[..wire.len() / 2]).expect("write");
+        assert!(!send(&bind, &shutdown).is_empty(), "no ShutdownAck");
+        let (conns, dropped) = served
+            .recv_timeout(Duration::from_secs(5))
+            .expect("serve was still draining 5 s after Shutdown");
+        assert_eq!(
+            conns, 3,
+            "two silent connections and the one that shut down"
+        );
+        assert_eq!(dropped, 1, "the half-sent frame");
+        drop((idle, half));
+        serving.join().expect("server thread");
     }
 }

@@ -225,6 +225,51 @@ fn steady_state_traced_queries_do_not_allocate() {
     assert_eq!(tracer.dropped(), 0);
 }
 
+/// The fixture's 512 registrations, names formatted beforehand. The
+/// users array, the name arena and its end offsets grow by doubling,
+/// and the name index starts at 8 slots and doubles to 1024; no name
+/// gets a heap object of its own. A `HashMap<String, usize>` index made
+/// 529 here, one `String` per name.
+#[test]
+fn registrations_allocate_as_pinned() {
+    let names: Vec<String> = (0..USERS).map(|i| format!("user{i}")).collect();
+    let (reg, allocs) = counting::count(|| {
+        let mut reg = Registry::new();
+        for name in &names {
+            reg.register(name, "pw", AccessRights::open()).unwrap();
+        }
+        reg
+    });
+    assert_eq!(reg.num_users(), USERS as usize);
+    assert_eq!(allocs, 34, "512 registrations");
+}
+
+/// The fixture's 510 first presences into a freshly logged-in engine,
+/// then one flush. The pending queues are presized to each shard's
+/// users and every user's first claim is held inline, so only the
+/// flush's buffers allocate: the same 15 as a steady-state burst. With
+/// a `Vec` of claims per user and queues that grew on demand, this made
+/// 565.
+#[test]
+fn first_presences_allocate_as_pinned() {
+    let svc = new_service(None);
+    log_in(&svc);
+    let (acks, allocs) = counting::count(|| {
+        for uid in 2..USERS {
+            svc.ingest(
+                BdAddr::new(1000 + uid),
+                (uid % CELLS as u64) as u32,
+                true,
+                uid,
+            );
+        }
+        svc.flush(1)
+    });
+    assert_eq!(acks.len(), 510);
+    assert!(acks.iter().all(|&ok| ok), "a first presence was rejected");
+    assert_eq!(allocs, 15, "510 first presences and one flush");
+}
+
 /// The fixture's 511 logins into a freshly built engine. Each of the 8
 /// address tables starts at 128 slots, twice its share of the 512
 /// users, and allocates only when a login would fill more than half of
@@ -239,7 +284,8 @@ fn logins_allocate_as_pinned() {
 
 /// A steady-state move burst: each of the 510 present users moves one
 /// cell, then one flush applies them all. Ingest allocates nothing; the
-/// count is the flush's.
+/// count is the flush's. The bursts send presences only, so the counted
+/// round takes every user to three claims, all still held inline.
 #[test]
 fn steady_state_notice_burst_allocates_as_pinned() {
     let svc = build_service(None);

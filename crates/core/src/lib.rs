@@ -47,6 +47,7 @@
 pub mod graph;
 pub mod handheld;
 pub mod locationdb;
+mod probe;
 pub mod protocol;
 pub mod registry;
 pub mod server;

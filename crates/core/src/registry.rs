@@ -11,11 +11,33 @@
 //! documented stand-in**, not a cryptographic KDF — the paper does not
 //! specify a scheme, and the simulation only needs the workflow
 //! (register → login → bind userid ↔ BD_ADDR) to be faithful.
+//!
+//! A campus registry holds a million users, so registration makes no
+//! heap object per user. Names sit back to back in one arena `String`,
+//! each ending at an offset kept per user. A flat open-addressed index
+//! (the crate's probing table, which the serving engine's address index
+//! also uses) maps a name to its user:
+//!
+//! - Each slot holds the name's 32-bit tag and the user's index. The
+//!   tag is FNV-1a over the name's bytes, finished with splitmix64. The
+//!   hash is unkeyed, so a registry built from the same names lays out
+//!   the same index.
+//! - A lookup probes linearly from the tag's home slot. A slot whose tag
+//!   matches is confirmed by comparing the name's bytes in the arena.
+//! - The index doubles before its load passes 1/2. Each slot's tag
+//!   fixes its new position, so growth never re-reads or re-hashes a
+//!   name.
+//! - Only [`Registry::register`], the off-line procedure, writes the
+//!   index. A peer that sends names in a login or a query can probe it
+//!   with any name, each probe bounded by the table length, but cannot
+//!   shape the clusters it probes.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use bt_baseband::BdAddr;
+
+use crate::probe::{splitmix64, ProbeSlot, ProbeTable};
 
 /// A registered user's identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,21 +147,121 @@ struct UserRecord {
     rights: AccessRights,
 }
 
+/// FNV-1a 64's offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64's prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a 64 over the salted password, iterated — a placeholder KDF
 /// shape (salt + iteration), explicitly *not* cryptographic. Shared with
 /// the sharded serving engine so the two login paths verify identically.
 pub(crate) fn digest(salt: u64, password: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET ^ salt;
+    let mut h = FNV_OFFSET ^ salt;
     for _round in 0..16 {
         for b in password.as_bytes() {
             h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         h ^= salt.rotate_left(17);
     }
     h
+}
+
+/// A name's 32-bit tag: FNV-1a 64 over its bytes, finished with
+/// splitmix64 so that names differing only in their last bytes still
+/// land far apart, and cut to the high half.
+fn name_tag(name: &str) -> u32 {
+    let mut h = FNV_OFFSET;
+    for b in name.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    (splitmix64(h) >> 32) as u32
+}
+
+/// One name-index slot: a name's tag and the index of its user.
+#[derive(Debug, Clone, Copy)]
+struct NameSlot {
+    tag: u32,
+    user: u32,
+}
+
+impl ProbeSlot for NameSlot {
+    /// User indices stay below `u32::MAX` (see [`Registry::register`]).
+    const EMPTY: NameSlot = NameSlot {
+        tag: 0,
+        user: u32::MAX,
+    };
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.user == u32::MAX
+    }
+
+    #[inline]
+    fn home(&self) -> u64 {
+        u64::from(self.tag)
+    }
+}
+
+/// Every registered name in one arena, under a flat index from name to
+/// user index. The tag of each name is passed in, so a test can give
+/// every name the same one.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    /// The names, back to back in registration order.
+    arena: String,
+    /// `ends[i]`: where user `i`'s name ends in `arena`. It starts where
+    /// user `i - 1`'s ends.
+    ends: Vec<u32>,
+    table: ProbeTable<NameSlot>,
+}
+
+impl NameIndex {
+    /// User `user`'s name.
+    fn name(&self, user: usize) -> Option<&str> {
+        let start = match user.checked_sub(1) {
+            Some(prev) => *self.ends.get(prev)?,
+            None => 0,
+        };
+        let end = *self.ends.get(user)?;
+        self.arena.get(start as usize..end as usize)
+    }
+
+    /// Probes for `name`, whose tag is `tag`: `Ok` with the slot of the
+    /// user registered under it, `Err` with the empty slot where it
+    /// would go. The table is never full, so the probe always ends in a
+    /// slot.
+    fn probe(&self, name: &str, tag: u32) -> Option<Result<usize, usize>> {
+        self.table.probe(u64::from(tag), |s| {
+            s.tag == tag && self.name(s.user as usize) == Some(name)
+        })
+    }
+
+    /// The index of the user registered as `name`.
+    fn user_of(&self, name: &str, tag: u32) -> Option<usize> {
+        let slot = self.probe(name, tag)?.ok()?;
+        self.table.get(slot).map(|s| s.user as usize)
+    }
+
+    /// Adds `name` as the next user, in `vacant`, the empty slot where
+    /// its [`probe`](NameIndex::probe) ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u32::MAX` users are already indexed, or if the names
+    /// would pass `u32::MAX` bytes in all.
+    fn push(&mut self, vacant: usize, name: &str, tag: u32) {
+        let user = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&u| u != u32::MAX)
+            .expect("user indices are 32-bit");
+        let end = u32::try_from(self.arena.len() + name.len())
+            .expect("registered names total under 4 GiB");
+        self.arena.push_str(name);
+        self.ends.push(end);
+        self.table.insert(vacant, NameSlot { tag, user });
+    }
 }
 
 /// The user registry plus live login sessions.
@@ -160,7 +282,8 @@ pub(crate) fn digest(salt: u64, password: &str) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     users: Vec<UserRecord>,
-    by_name: HashMap<String, usize>,
+    /// Every user's name, and the index from name to user.
+    names: NameIndex,
     /// Live sessions: userid ↔ BD_ADDR is one-to-one while logged in.
     addr_to_user: HashMap<BdAddr, UserId>,
     user_to_addr: HashMap<UserId, BdAddr>,
@@ -181,15 +304,22 @@ impl Registry {
     /// # Errors
     ///
     /// [`RegistryError::DuplicateName`] if the name is taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the registry already holds `u32::MAX` users, or if its
+    /// names would pass `u32::MAX` bytes in all (the name index keeps
+    /// 32-bit user indices and name offsets).
     pub fn register(
         &mut self,
         name: &str,
         password: &str,
         rights: AccessRights,
     ) -> Result<UserId, RegistryError> {
-        if self.by_name.contains_key(name) {
+        let tag = name_tag(name);
+        let Some(Err(vacant)) = self.names.probe(name, tag) else {
             return Err(RegistryError::DuplicateName);
-        }
+        };
         // Deterministic salt stream (the simulation must be reproducible).
         self.salt_state = self
             .salt_state
@@ -198,7 +328,7 @@ impl Registry {
             .wrapping_add(1);
         let salt = self.salt_state;
         let id = UserId(self.users.len() as u64);
-        self.by_name.insert(name.to_string(), self.users.len());
+        self.names.push(vacant, name, tag);
         self.users.push(UserRecord {
             id,
             salt,
@@ -215,9 +345,9 @@ impl Registry {
 
     /// Resolves a user name.
     pub fn id_of(&self, name: &str) -> Option<UserId> {
-        self.by_name
-            .get(name)
-            .and_then(|&i| self.users.get(i))
+        self.names
+            .user_of(name, name_tag(name))
+            .and_then(|i| self.users.get(i))
             .map(|u| u.id)
     }
 
@@ -254,7 +384,10 @@ impl Registry {
         password: &str,
         addr: BdAddr,
     ) -> Result<UserId, RegistryError> {
-        let &idx = self.by_name.get(name).ok_or(RegistryError::NoSuchUser)?;
+        let idx = self
+            .names
+            .user_of(name, name_tag(name))
+            .ok_or(RegistryError::NoSuchUser)?;
         let rec = self.users.get(idx).ok_or(RegistryError::NoSuchUser)?;
         if digest(rec.salt, password) != rec.digest {
             return Err(RegistryError::BadPassword);
@@ -427,6 +560,39 @@ mod tests {
         assert_eq!(r.addr_of_user(r.id_of("bob").unwrap()), None);
         // Users remain registered and can log back in.
         assert!(r.login("alice", "pw", BdAddr::new(1)).is_ok());
+    }
+
+    /// Every name gets the same tag, so only the byte comparison in the
+    /// arena tells names apart: the empty name, names that are prefixes
+    /// of one another and multi-byte names each resolve to their own
+    /// user. The 73 names double the table five times, all in one
+    /// cluster.
+    #[test]
+    fn one_tag_for_every_name_leaves_the_bytes_to_tell_names_apart() {
+        fn same_tag(_: &str) -> u32 {
+            0x5EED
+        }
+        let mut names: Vec<String> = ["", "a", "ab", "abc", "b", "é", "e\u{301}", "中", "中文"]
+            .map(String::from)
+            .to_vec();
+        names.extend((0..64).map(|i| format!("user{i}")));
+        let mut index = NameIndex::default();
+        for (i, name) in names.iter().enumerate() {
+            let Some(Err(vacant)) = index.probe(name, same_tag(name)) else {
+                panic!("{name:?} found before it was added");
+            };
+            index.push(vacant, name, same_tag(name));
+            for (j, earlier) in names.iter().enumerate().take(i + 1) {
+                assert_eq!(
+                    index.user_of(earlier, same_tag(earlier)),
+                    Some(j),
+                    "{earlier:?}"
+                );
+            }
+        }
+        for absent in ["abcd", "c", "e", "中文字", "user", "user64", "user1 "] {
+            assert_eq!(index.user_of(absent, same_tag(absent)), None, "{absent:?}");
+        }
     }
 
     #[test]

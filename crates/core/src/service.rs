@@ -19,6 +19,14 @@
 //!   16-byte *hot slot* per user (bound address, current cell) made of
 //!   plain atomics, plus an immutable `SlotMeta` (packed access
 //!   flags, credentials, allow-list) fixed at construction.
+//! * **No heap object per user.** A shard's arrays (hot slots,
+//!   metadata, coverage claims, pending queue) are sized for its share
+//!   of the registry at construction. A user's claims sit inline in a
+//!   40-byte record, up to three of them; a larger set moves whole to a
+//!   list the shard owns, which the record indexes, and moves back once
+//!   it shrinks to three. A million users therefore cost a few large
+//!   allocations to build and to free, and a flushed notice reads its
+//!   claims where its slot index points.
 //! * **Seqlock reads.** Every hot slot carries a sequence word (even =
 //!   stable, odd = write in progress). The default
 //!   [`ReadPath::Seqlock`] query path snapshots `(addr, cell)` with an
@@ -76,6 +84,7 @@ use desim::par;
 use desim::tracing::{SpanId, TraceKind, Tracer};
 
 use crate::graph::{Apsp, NodeId, PathEngine, PathWalkError, WarmQuery};
+use crate::probe::{splitmix64, ProbeSlot, ProbeTable};
 use crate::protocol::{
     ProtocolError, Request, Response, OUTCOME_BAD_QUERY, OUTCOME_DENIED, OUTCOME_FOUND,
     OUTCOME_NOT_LOGGED_IN, OUTCOME_NO_SUCH_USER, OUTCOME_OUT_OF_COVERAGE,
@@ -208,6 +217,55 @@ struct SlotMeta {
     only: Box<[u32]>,
 }
 
+/// Claims a [`ClaimRecord`] holds inline: the most a device held at
+/// once in the paper's tracking pipeline, where three overlapping cells
+/// claimed it after 1% of its presences and four never did. The serving
+/// workloads hold at most two (docs/PERF.md, "Set-up without a heap
+/// object per user").
+const INLINE_CLAIMS: usize = 3;
+
+/// One slot's coverage claims, in 40 bytes and no heap object of its
+/// own: up to [`INLINE_CLAIMS`] inline, or the index of a larger set in
+/// its shard's spill list. A set moves to the list when a claim would
+/// overflow the record, and back once it shrinks to [`INLINE_CLAIMS`].
+/// Either way the claims keep the order a `Vec` gives them under `push`
+/// and `swap_remove`, on which the choice among equal stamps depends.
+#[derive(Debug, Clone, Copy)]
+enum ClaimRecord {
+    Inline {
+        len: u8,
+        cells: [u32; INLINE_CLAIMS],
+        /// `since_us` of each claim.
+        stamps: [u64; INLINE_CLAIMS],
+    },
+    /// An index into [`WriterState::spill`].
+    Spilled(usize),
+}
+
+const _: () = assert!(std::mem::size_of::<ClaimRecord>() == 40);
+
+impl ClaimRecord {
+    const EMPTY: ClaimRecord = ClaimRecord::Inline {
+        len: 0,
+        cells: [0; INLINE_CLAIMS],
+        stamps: [0; INLINE_CLAIMS],
+    };
+
+    /// An inline record of the first [`INLINE_CLAIMS`] claims given.
+    fn inline(from_cells: &[u32], from_stamps: &[u64]) -> ClaimRecord {
+        let (mut len, mut cells, mut stamps) = (0, [0; INLINE_CLAIMS], [0; INLINE_CLAIMS]);
+        for ((c, s), (&cell, &since_us)) in cells
+            .iter_mut()
+            .zip(stamps.iter_mut())
+            .zip(from_cells.iter().zip(from_stamps))
+        {
+            (*c, *s) = (cell, since_us);
+            len += 1;
+        }
+        ClaimRecord::Inline { len, cells, stamps }
+    }
+}
+
 /// Mutable writer-side state of one shard: the overlapping-coverage
 /// claim sets backing the current-cell computation, plus
 /// update-on-change accounting. Only writers (login/logout/flush) and
@@ -215,13 +273,138 @@ struct SlotMeta {
 /// this — the seqlock read path never does.
 #[derive(Debug, Default)]
 struct WriterState {
-    /// Cells currently claiming each slot's user, in claim order:
-    /// `(cell, since_us)`.
-    claims: Vec<Vec<(u32, u64)>>,
+    /// Each slot's claims.
+    claims: Box<[ClaimRecord]>,
+    /// The claim sets too large for their records, in no order: one for
+    /// each slot with more than [`INLINE_CLAIMS`] claims, at the index
+    /// its [`ClaimRecord::Spilled`] names.
+    spill: Vec<SpilledClaims>,
     /// Update-on-change accounting, mirrored from
     /// [`DbStats`](crate::locationdb::DbStats).
     applied: u64,
     redundant: u64,
+}
+
+impl WriterState {
+    /// `slot`'s claims in claim order, as parallel slices of cells and
+    /// their `since_us` stamps.
+    fn claims(&self, slot: usize) -> (&[u32], &[u64]) {
+        match self.claims.get(slot) {
+            Some(ClaimRecord::Inline { len, cells, stamps }) => {
+                let len = usize::from(*len);
+                (
+                    cells.get(..len).unwrap_or(&[]),
+                    stamps.get(..len).unwrap_or(&[]),
+                )
+            }
+            Some(&ClaimRecord::Spilled(at)) => self
+                .spill
+                .get(at)
+                .map_or((&[], &[]), |set| (&set.cells, &set.stamps)),
+            None => (&[], &[]),
+        }
+    }
+
+    /// Appends a claim to `slot`'s set. A claim past [`INLINE_CLAIMS`]
+    /// moves the set to the spill list.
+    fn push(&mut self, slot: usize, cell: u32, since_us: u64) {
+        let Some(rec) = self.claims.get_mut(slot) else {
+            return;
+        };
+        match rec {
+            ClaimRecord::Inline { len, cells, stamps } => {
+                let n = usize::from(*len);
+                if let (Some(c), Some(s)) = (cells.get_mut(n), stamps.get_mut(n)) {
+                    (*c, *s) = (cell, since_us);
+                    *len += 1;
+                    return;
+                }
+                let mut set = SpilledClaims {
+                    slot,
+                    cells: Vec::with_capacity(2 * INLINE_CLAIMS),
+                    stamps: Vec::with_capacity(2 * INLINE_CLAIMS),
+                };
+                set.cells.extend_from_slice(cells);
+                set.cells.push(cell);
+                set.stamps.extend_from_slice(stamps);
+                set.stamps.push(since_us);
+                *rec = ClaimRecord::Spilled(self.spill.len());
+                self.spill.push(set);
+            }
+            &mut ClaimRecord::Spilled(at) => {
+                if let Some(set) = self.spill.get_mut(at) {
+                    set.cells.push(cell);
+                    set.stamps.push(since_us);
+                }
+            }
+        }
+    }
+
+    /// Removes the claim at `pos` of `slot`'s set, moving the last claim
+    /// into its place (`Vec::swap_remove`). A spilled set that shrinks to
+    /// [`INLINE_CLAIMS`] moves back inline, in order.
+    fn swap_remove(&mut self, slot: usize, pos: usize) {
+        let Some(rec) = self.claims.get_mut(slot) else {
+            return;
+        };
+        match rec {
+            ClaimRecord::Inline { len, cells, stamps } => {
+                let n = usize::from(*len);
+                if pos < n && n <= INLINE_CLAIMS {
+                    cells.swap(pos, n - 1);
+                    stamps.swap(pos, n - 1);
+                    *len -= 1;
+                }
+            }
+            &mut ClaimRecord::Spilled(at) => {
+                let Some(set) = self.spill.get_mut(at) else {
+                    return;
+                };
+                if pos < set.cells.len() && pos < set.stamps.len() {
+                    set.cells.swap_remove(pos);
+                    set.stamps.swap_remove(pos);
+                }
+                if set.cells.len() <= INLINE_CLAIMS {
+                    *rec = ClaimRecord::inline(&set.cells, &set.stamps);
+                    self.unspill(at);
+                }
+            }
+        }
+    }
+
+    /// Drops every claim of `slot`.
+    fn clear(&mut self, slot: usize) {
+        if let Some(rec) = self.claims.get_mut(slot) {
+            if let ClaimRecord::Spilled(at) = std::mem::replace(rec, ClaimRecord::EMPTY) {
+                self.unspill(at);
+            }
+        }
+    }
+
+    /// Drops spill-list entry `at`, whose slot no longer points to it.
+    /// The last entry moves into its place, and that entry's slot is
+    /// pointed there.
+    fn unspill(&mut self, at: usize) {
+        if at >= self.spill.len() {
+            return;
+        }
+        self.spill.swap_remove(at);
+        if let Some(moved) = self.spill.get(at) {
+            if let Some(rec) = self.claims.get_mut(moved.slot) {
+                *rec = ClaimRecord::Spilled(at);
+            }
+        }
+    }
+}
+
+/// A claim set too large for its [`ClaimRecord`], in claim order.
+#[derive(Debug)]
+struct SpilledClaims {
+    /// The slot whose record points here.
+    slot: usize,
+    cells: Vec<u32>,
+    /// `since_us` of each claim.
+    stamps: Vec<u64>,
 }
 
 /// One shard: lock-free hot slots + immutable metadata + the
@@ -254,23 +437,6 @@ struct PendingNotice {
     since_us: u64,
 }
 
-/// An empty [`AddrTable`] slot. No `BD_ADDR` reaches 48 bits, so no
-/// binding can be mistaken for it.
-const EMPTY: (u64, u32) = (NO_ADDR, 0);
-
-/// The smallest [`AddrTable`]: one run of eight addresses.
-const MIN_TABLE_SLOTS: usize = 8;
-
-/// The splitmix64 finalizer: a bijection on `u64` in which every output
-/// bit depends on every input bit.
-#[inline]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// An address's hash: the run index `addr >> 3` mixed, and the offset
 /// within the run kept as the low three bits. The eight addresses of an
 /// aligned run therefore share an address shard (bits 35 and up) and
@@ -287,131 +453,57 @@ fn addr_shard(h: u64, nshards: usize) -> usize {
     (h >> 35) as usize & nshards.wrapping_sub(1)
 }
 
-/// One address shard's `BD_ADDR` → uid bindings: an open-addressed
-/// table with linear probing.
-///
-/// - The length is a power of two, presized at construction to twice
-///   the shard's share of the registry's users, so a full set of logins
-///   normally allocates nothing. A binding that would fill more than
-///   half the table doubles it first, so the load stays at or below 1/2.
-/// - [`remove`](AddrTable::remove) shifts the rest of the cluster back
-///   into the hole, so no tombstones build up.
-/// - Every probe loop is bounded by the table length.
-#[derive(Debug)]
-struct AddrTable {
-    /// `(addr, uid)` per slot; [`EMPTY`] where none is bound.
-    slots: Box<[(u64, u32)]>,
-    /// Bound addresses: at most half of `slots.len()`.
-    len: usize,
+/// One [`AddrTable`] binding: a `BD_ADDR` and the uid logged in from it.
+#[derive(Debug, Clone, Copy)]
+struct AddrSlot {
+    addr: u64,
+    uid: u32,
 }
+
+impl ProbeSlot for AddrSlot {
+    /// No `BD_ADDR` reaches 48 bits, so no binding can be mistaken for
+    /// this one.
+    const EMPTY: AddrSlot = AddrSlot {
+        addr: NO_ADDR,
+        uid: 0,
+    };
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.addr == NO_ADDR
+    }
+
+    #[inline]
+    fn home(&self) -> u64 {
+        addr_hash(self.addr)
+    }
+}
+
+/// One address shard's `BD_ADDR` → uid bindings, presized at
+/// construction to twice the shard's share of the registry's users, so
+/// a full set of logins normally allocates nothing.
+type AddrTable = ProbeTable<AddrSlot>;
 
 impl AddrTable {
     /// An empty table sized for one of `nshards` shards' share of
     /// `users` bindings.
     fn presized(users: u64, nshards: usize) -> AddrTable {
         let share = users.div_ceil(nshards as u64) as usize;
-        AddrTable::with_slots(share.saturating_mul(2).max(MIN_TABLE_SLOTS))
+        AddrTable::with_slots(share.saturating_mul(2))
     }
 
-    fn with_slots(slots: usize) -> AddrTable {
-        AddrTable {
-            slots: vec![EMPTY; slots.next_power_of_two()].into_boxed_slice(),
-            len: 0,
-        }
-    }
-
-    /// Walks `addr`'s probe sequence from its home slot (`h` is its
-    /// [`addr_hash`]): `Ok` with the slot that binds `addr`, `Err` with
-    /// the first empty slot, or `None` if neither turns up in one lap
-    /// of the table.
+    /// Walks `addr`'s probe sequence (`h` is its [`addr_hash`]): `Ok`
+    /// with the slot that binds `addr`, `Err` with the first empty slot.
     #[inline]
-    fn probe(&self, addr: u64, h: u64) -> Option<Result<usize, usize>> {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut i = h as usize & mask;
-        for _ in 0..self.slots.len() {
-            let &(a, _) = self.slots.get(i)?;
-            if a == addr {
-                return Some(Ok(i));
-            }
-            if a == NO_ADDR {
-                return Some(Err(i));
-            }
-            i = (i + 1) & mask;
-        }
-        None
+    fn find(&self, addr: u64, h: u64) -> Option<Result<usize, usize>> {
+        self.probe(h, |s| s.addr == addr)
     }
 
     /// The uid bound to `addr`, if any.
     #[inline]
-    fn get(&self, addr: u64, h: u64) -> Option<u32> {
-        let i = self.probe(addr, h)?.ok()?;
-        self.slots.get(i).map(|&(_, uid)| uid)
-    }
-
-    /// Binds `addr` to `uid` in `vacant`, the empty slot where its
-    /// [`probe`](AddrTable::probe) ended. If the binding would fill more
-    /// than half the table, the table doubles first and `addr` probes
-    /// again.
-    fn insert(&mut self, vacant: usize, addr: u64, h: u64, uid: u32) {
-        let mut at = vacant;
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-            let Some(Err(i)) = self.probe(addr, h) else {
-                return;
-            };
-            at = i;
-        }
-        if let Some(slot) = self.slots.get_mut(at) {
-            *slot = (addr, uid);
-            self.len += 1;
-        }
-    }
-
-    /// Doubles the table and re-inserts every binding.
-    fn grow(&mut self) {
-        let doubled = AddrTable::with_slots(self.slots.len() * 2);
-        let old = std::mem::replace(self, doubled);
-        for &(addr, uid) in old.slots.iter().filter(|&&(a, _)| a != NO_ADDR) {
-            if let Some(Err(i)) = self.probe(addr, addr_hash(addr)) {
-                if let Some(slot) = self.slots.get_mut(i) {
-                    *slot = (addr, uid);
-                }
-            }
-        }
-        self.len = old.len;
-    }
-
-    /// Unbinds `addr`. Each later member of its cluster whose probe
-    /// sequence passes the hole moves back into it, and the last hole
-    /// is emptied (backward-shift deletion).
-    fn remove(&mut self, addr: u64, h: u64) {
-        let Some(Ok(mut hole)) = self.probe(addr, h) else {
-            return;
-        };
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut j = hole;
-        for _ in 0..self.slots.len() {
-            j = (j + 1) & mask;
-            let Some(&(a, uid)) = self.slots.get(j) else {
-                break;
-            };
-            if a == NO_ADDR {
-                break;
-            }
-            // The binding at `j` may fill the hole only if the hole lies
-            // on its probe sequence, between its home slot and `j`.
-            let home = addr_hash(a) as usize & mask;
-            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
-                if let Some(slot) = self.slots.get_mut(hole) {
-                    *slot = (a, uid);
-                }
-                hole = j;
-            }
-        }
-        if let Some(slot) = self.slots.get_mut(hole) {
-            *slot = EMPTY;
-        }
-        self.len -= 1;
+    fn uid_of(&self, addr: u64, h: u64) -> Option<u32> {
+        let i = self.find(addr, h)?.ok()?;
+        self.get(i).map(|s| s.uid)
     }
 }
 
@@ -680,11 +772,13 @@ impl ShardedService {
         // Shard `s` holds uids `s, s + nshards, s + 2*nshards, …` at
         // slots `0, 1, 2, …` (uid = slot * nshards + s), so filling each
         // shard in uid order needs no indexed writes at all.
+        // Every shard holds at most `share` users, so its arrays are
+        // presized and filled without a reallocation.
+        let share = n.div_ceil(nshards as u64) as usize;
         let mut shards: Vec<Shard> = Vec::with_capacity(nshards);
         for s in 0..nshards as u64 {
-            let mut hot = Vec::new();
-            let mut meta = Vec::new();
-            let mut claims = Vec::new();
+            let mut hot = Vec::with_capacity(share);
+            let mut meta = Vec::with_capacity(share);
             let mut uid = s;
             while uid < n {
                 // Ids are dense (0..num_users), so the lookup cannot
@@ -718,17 +812,15 @@ impl ShardedService {
                 };
                 hot.push(HotSlot::new());
                 meta.push(m);
-                claims.push(Vec::new());
                 uid += nshards as u64;
             }
             shards.push(Shard {
+                writer: RwLock::new(WriterState {
+                    claims: vec![ClaimRecord::EMPTY; hot.len()].into_boxed_slice(),
+                    ..WriterState::default()
+                }),
                 hot: hot.into_boxed_slice(),
                 meta: meta.into_boxed_slice(),
-                writer: RwLock::new(WriterState {
-                    claims,
-                    applied: 0,
-                    redundant: 0,
-                }),
                 queries: AtomicU64::new(0),
                 read_retries: AtomicU64::new(0),
                 slot_publishes: AtomicU64::new(0),
@@ -737,7 +829,9 @@ impl ShardedService {
 
         ShardedService {
             shards: shards.into_boxed_slice(),
-            pending: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
+            pending: (0..nshards)
+                .map(|_| Mutex::new(Vec::with_capacity(share)))
+                .collect(),
             dropped: Mutex::new(Vec::new()),
             addr_shards: (0..nshards)
                 .map(|_| Mutex::new(AddrTable::presized(n, nshards)))
@@ -927,7 +1021,7 @@ impl ShardedService {
             return Err(SessionError::AddressInUse);
         };
         let mut addrs = lock_mutex(addr_lock);
-        let Some(Err(vacant)) = addrs.probe(addr.raw(), h) else {
+        let Some(Err(vacant)) = addrs.find(addr.raw(), h) else {
             return Err(SessionError::AddressInUse);
         };
         let Some(hot) = sh.hot.get(slot) else {
@@ -938,7 +1032,13 @@ impl ShardedService {
         if hot.addr.load(Ordering::Relaxed) != NO_ADDR {
             return Err(SessionError::AlreadyLoggedIn);
         }
-        addrs.insert(vacant, addr.raw(), h, uid as u32);
+        addrs.insert(
+            vacant,
+            AddrSlot {
+                addr: addr.raw(),
+                uid: uid as u32,
+            },
+        );
         hot.publish(addr.raw(), hot.cell.load(Ordering::Relaxed));
         sh.slot_publishes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -971,11 +1071,12 @@ impl ShardedService {
         sh.slot_publishes.fetch_add(1, Ordering::Relaxed);
         let h = addr_hash(addr);
         if let Some(addr_lock) = self.addr_table(h) {
-            lock_mutex(addr_lock).remove(addr, h);
+            let mut addrs = lock_mutex(addr_lock);
+            if let Some(Ok(at)) = addrs.find(addr, h) {
+                addrs.remove(at);
+            }
         }
-        if let Some(claims) = w.claims.get_mut(slot) {
-            claims.clear();
-        }
+        w.clear(slot);
         Ok(())
     }
 
@@ -993,7 +1094,7 @@ impl ShardedService {
         let uid = self
             .addr_table(h)
             // lint:allow(serve-lock-reach): writer-side — ingest resolves the device binding under the address mutex; the query read path never calls ingest
-            .and_then(|lock| lock_mutex(lock).get(addr.raw(), h));
+            .and_then(|lock| lock_mutex(lock).uid_of(addr.raw(), h));
         let queued = match uid {
             Some(uid) => {
                 let (shard, slot) = self.shard_of(u64::from(uid));
@@ -1107,29 +1208,29 @@ impl ShardedService {
     /// cell is published through the slot's seqlock.
     fn apply_notice(sh: &Shard, w: &mut WriterState, n: &PendingNotice) -> bool {
         let slot = n.slot as usize;
-        let Some(claims) = w.claims.get_mut(slot) else {
+        let Some(hot) = sh.hot.get(slot) else {
             return false;
         };
         let new_cell = if n.present {
-            if claims.iter().any(|&(c, _)| c == n.cell) {
+            if w.claims(slot).0.contains(&n.cell) {
                 return false;
             }
-            claims.push((n.cell, n.since_us));
+            w.push(slot, n.cell, n.since_us);
             n.cell
         } else {
-            let Some(pos) = claims.iter().position(|&(c, _)| c == n.cell) else {
+            let Some(pos) = w.claims(slot).0.iter().position(|&c| c == n.cell) else {
                 return false;
             };
-            claims.swap_remove(pos);
-            claims
+            w.swap_remove(slot, pos);
+            let (cells, stamps) = w.claims(slot);
+            cells
                 .iter()
-                .max_by_key(|&&(_, since)| since)
-                .map_or(NO_CELL, |&(c, _)| c)
+                .zip(stamps)
+                .max_by_key(|&(_, since)| since)
+                .map_or(NO_CELL, |(&c, _)| c)
         };
-        if let Some(hot) = sh.hot.get(slot) {
-            hot.publish(hot.addr.load(Ordering::Relaxed), new_cell);
-            sh.slot_publishes.fetch_add(1, Ordering::Relaxed);
-        }
+        hot.publish(hot.addr.load(Ordering::Relaxed), new_cell);
+        sh.slot_publishes.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -1357,11 +1458,7 @@ impl ShardedService {
             return Vec::new();
         };
         let w = read_lock(&sh.writer);
-        let mut v: Vec<u32> = w
-            .claims
-            .get(slot)
-            .map(|c| c.iter().map(|&(cell, _)| cell).collect())
-            .unwrap_or_default();
+        let mut v = w.claims(slot).0.to_vec();
         v.sort_unstable();
         v
     }
@@ -1557,6 +1654,7 @@ mod tests {
     use super::*;
     use crate::graph::WsGraph;
     use crate::registry::AccessRights;
+    use proptest::prelude::*;
 
     fn line_graph(n: usize) -> Apsp {
         let mut g = WsGraph::new(n);
@@ -2184,6 +2282,127 @@ mod tests {
         assert_eq!(out, Response::ShutdownAck.encode());
     }
 
+    /// Users in the claims property, two per shard at most on sixteen.
+    const CLAIM_USERS: u64 = 8;
+
+    /// One user's claims as the engine kept them in a `Vec` before the
+    /// inline records: the reference the records are checked against.
+    /// Applies a notice and returns the new current cell, or `None` when
+    /// the notice changes nothing.
+    fn model_apply(
+        claims: &mut Vec<(u32, u64)>,
+        cell: u32,
+        present: bool,
+        since: u64,
+    ) -> Option<u32> {
+        if present {
+            if claims.iter().any(|&(c, _)| c == cell) {
+                return None;
+            }
+            claims.push((cell, since));
+            Some(cell)
+        } else {
+            let pos = claims.iter().position(|&(c, _)| c == cell)?;
+            claims.swap_remove(pos);
+            Some(
+                claims
+                    .iter()
+                    .max_by_key(|&&(_, s)| s)
+                    .map_or(NO_CELL, |&(c, _)| c),
+            )
+        }
+    }
+
+    /// Replays `ops` on `nshards` shards and, after every flush, checks
+    /// the acks, each user's current cell and claimed cells, and that
+    /// the spill lists hold exactly the users with more than
+    /// [`INLINE_CLAIMS`] claims.
+    fn replay_claims(ops: &[(u8, u64, u64)], nshards: usize) -> Result<(), TestCaseError> {
+        let svc = service(CLAIM_USERS as usize, nshards);
+        for uid in 0..CLAIM_USERS {
+            svc.login(uid, "pw", addr(uid)).unwrap();
+        }
+        let mut claims: Vec<Vec<(u32, u64)>> = vec![Vec::new(); CLAIM_USERS as usize];
+        let mut current = vec![None; CLAIM_USERS as usize];
+        let mut pending = Vec::new();
+        for &(kind, a, b) in ops {
+            let uid = a % CLAIM_USERS;
+            match kind {
+                // A notice: one of five cells, present more often than
+                // not, stamped from a small range so that stamps repeat.
+                0..=5 => {
+                    let (cell, present, since) = ((b % 5) as u32, kind < 4, (b >> 8) % 4);
+                    svc.ingest(addr(uid), cell, present, since);
+                    pending.push((uid as usize, cell, present, since));
+                }
+                // Logout and back in: the claims go with the session at
+                // once, and notices still queued apply at the next flush.
+                6 => {
+                    svc.logout(uid).unwrap();
+                    svc.login(uid, "pw", addr(uid)).unwrap();
+                    claims[uid as usize].clear();
+                    current[uid as usize] = None;
+                }
+                // Flush and compare.
+                _ => {
+                    let mut acks = Vec::new();
+                    for (u, cell, present, since) in pending.drain(..) {
+                        let changed = model_apply(&mut claims[u], cell, present, since);
+                        if let Some(c) = changed {
+                            current[u] = (c != NO_CELL).then_some(c);
+                        }
+                        acks.push(changed.is_some());
+                    }
+                    prop_assert_eq!(svc.flush(1), acks);
+                    for uid in 0..CLAIM_USERS {
+                        let u = uid as usize;
+                        prop_assert_eq!(svc.current_cell(uid), current[u], "user {}", uid);
+                        let mut cells: Vec<u32> = claims[u].iter().map(|&(c, _)| c).collect();
+                        cells.sort_unstable();
+                        prop_assert_eq!(svc.cells_of(uid), cells, "user {}", uid);
+                    }
+                    // Shard `s`'s slot `i` holds uid `i * nshards + s`.
+                    let mut spilled: Vec<u64> = Vec::new();
+                    for (s, sh) in svc.shards.iter().enumerate() {
+                        let w = read_lock(&sh.writer);
+                        for (at, set) in w.spill.iter().enumerate() {
+                            prop_assert!(
+                                matches!(w.claims.get(set.slot), Some(&ClaimRecord::Spilled(i)) if i == at),
+                                "spill entry {} is not its slot's, shard {} slot {}",
+                                at,
+                                s,
+                                set.slot
+                            );
+                            spilled.push((set.slot * nshards + s) as u64);
+                        }
+                    }
+                    spilled.sort_unstable();
+                    let large: Vec<u64> = (0..CLAIM_USERS)
+                        .filter(|&uid| claims[uid as usize].len() > INLINE_CLAIMS)
+                        .collect();
+                    prop_assert_eq!(spilled, large, "users with spilled claim sets");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The inline claim records and the spill lists agree with a `Vec`
+        /// per user on every flush, as claim sets move inline, out to the
+        /// spill list and back, on one shard and on sixteen.
+        #[test]
+        fn claim_records_match_a_vec_per_user(
+            ops in proptest::collection::vec((0u8..9, any::<u64>(), any::<u64>()), 1..200),
+        ) {
+            for nshards in [1, 16] {
+                replay_claims(&ops, nshards)?;
+            }
+        }
+    }
+
     /// The address index `login` builds for `addrs`, user `i` bound to
     /// `addrs[i]`, over `nshards` tables presized for that many users.
     fn addr_index(addrs: &[u64], nshards: usize) -> Vec<AddrTable> {
@@ -2193,10 +2412,16 @@ mod tests {
         for (uid, &a) in addrs.iter().enumerate() {
             let h = addr_hash(a);
             let table = &mut tables[addr_shard(h, nshards)];
-            let Some(Err(vacant)) = table.probe(a, h) else {
+            let Some(Err(vacant)) = table.find(a, h) else {
                 panic!("{a:#x} bound twice");
             };
-            table.insert(vacant, a, h, uid as u32);
+            table.insert(
+                vacant,
+                AddrSlot {
+                    addr: a,
+                    uid: uid as u32,
+                },
+            );
         }
         tables
     }
@@ -2209,8 +2434,8 @@ mod tests {
         for &a in addrs {
             let h = addr_hash(a);
             let table = &tables[addr_shard(h, tables.len())];
-            let (Ok(end) | Err(end)) = table.probe(a, h).expect("a table with an empty slot");
-            total += ((end.wrapping_sub(h as usize) & (table.slots.len() - 1)) + 1) as u64;
+            let (Ok(end) | Err(end)) = table.find(a, h).expect("a table with an empty slot");
+            total += ((end.wrapping_sub(h as usize) & (table.capacity() - 1)) + 1) as u64;
         }
         total
     }
@@ -2227,7 +2452,7 @@ mod tests {
         let unbound: Vec<u64> = (N..2 * N).map(|uid| 0x1_0000 + uid).collect();
         let tables = addr_index(&bound, 16);
         assert!(
-            tables.iter().all(|t| t.slots.len() == 8192),
+            tables.iter().all(|t| t.capacity() == 8192),
             "a shard outgrew its presized table"
         );
         assert_eq!(
@@ -2266,7 +2491,7 @@ mod tests {
         for uid in 0..USERS {
             share[addr_shard(addr_hash(0x1_0000 + uid), 16)] += 1;
         }
-        let slots = AddrTable::presized(USERS, 16).slots.len();
+        let slots = AddrTable::presized(USERS, 16).capacity();
         assert_eq!(slots, 131_072);
         assert_eq!(share.iter().max(), Some(&64_200));
     }
